@@ -440,10 +440,6 @@ def _tp_mul(tw: FieldTower, depth: int, a: list, b: list) -> list:
     return out
 
 
-def _tp_scale(tw: FieldTower, depth: int, a: list, c) -> list:
-    return [el_mul(tw, depth, x, c) for x in a]
-
-
 def _tp_derivative(depth: int, p: list) -> list:
     return [el_scale(depth, p[i], Fraction(i)) for i in range(1, len(p))]
 
@@ -501,13 +497,6 @@ def _tp_half_ext_gcd(tw: FieldTower, depth: int, a: list, b: list):
     g = [el_mul(tw, depth, c, inv) for c in r0[:-1]] + [el_one(depth)]
     s = [el_mul(tw, depth, c, inv) for c in s0]
     return g, s
-
-
-def _tp_eval(tw: FieldTower, depth: int, p: list, x):
-    acc = el_zero(depth)
-    for c in reversed(p):
-        acc = el_add(depth, el_mul(tw, depth, acc, x), c)
-    return acc
 
 
 def tp_squarefree_monic(tw: FieldTower, depth: int, p: list):
@@ -902,14 +891,6 @@ class AlgebraicNumber:
         rep = [el_zero(d - 1), el_one(d - 1)]
         return AlgebraicNumber(tower, d, rep)
 
-    @property
-    def precision(self) -> int:
-        return self._box_bits
-
-    @property
-    def isolating_box(self) -> Box:
-        return self.box(48)
-
     def box(self, bits: int = 48) -> Box:
         if self._box is None or self._box_bits < bits:
             self._box = el_box(self.tower, self.depth, self.rep, bits)
@@ -921,9 +902,6 @@ class AlgebraicNumber:
 
     def as_rational(self) -> Fraction | None:
         return el_to_rational(self.tower, self.depth, self.rep)
-
-    def is_rational(self) -> bool:
-        return self.as_rational() is not None
 
     def __add__(self, other):
         return field_op(self, _coerce(self, other), "add")

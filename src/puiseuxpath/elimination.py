@@ -23,7 +23,7 @@ from .errors import (
     ExtraneousVanishingError,
     InputError,
 )
-from .polynomials import BiPoly
+from .polynomials import BiPoly, resultant
 
 __all__ = ["MPoly", "central_system", "eliminate_coordinate", "canonical_coordinates"]
 
@@ -148,6 +148,31 @@ class MPoly:
                 base = base * base
         return out
 
+    def exact_div(self, other: "MPoly") -> "MPoly":
+        """Exact quotient; raises ArithmeticError if a remainder is left.
+
+        Classical division by the lex-leading term of ``other``.
+        """
+        if not other.terms:
+            raise ZeroDivisionError("polynomial division by zero")
+        lead = max(other.terms)
+        lc = other.terms[lead]
+        rem = self
+        quot = {}
+        while rem.terms:
+            e = max(rem.terms)
+            qe = tuple(a - b for a, b in zip(e, lead))
+            if min(qe) < 0:
+                raise ArithmeticError("division was expected to be exact")
+            qc = rem.terms[e] / lc
+            quot[qe] = qc
+            step = {tuple(a + b for a, b in zip(qe, e2)): qc * c2
+                    for e2, c2 in other.terms.items()}
+            rem = rem - MPoly(self.nv, step)
+        res = MPoly(self.nv)
+        res.terms = quot
+        return res
+
     def coeffs_in(self, var: int) -> list["MPoly"]:
         """Coefficients as polynomials in the other variables, ascending."""
         d = self.deg(var)
@@ -191,59 +216,6 @@ def _strip(p: MPoly) -> MPoly:
     out = MPoly(p.nv)
     out.terms = {(e[0] - mu_min,) + e[1:]: c / content for e, c in p.terms.items()}
     return out
-
-
-def _laplace_det(rows: list[list[MPoly]]) -> MPoly:
-    size = len(rows)
-    nv = rows[0][0].nv
-    full = (1 << size) - 1
-    memo: dict[int, MPoly] = {}
-
-    def rec(used: int) -> MPoly:
-        if used == full:
-            return MPoly.const(nv, 1)
-        got = memo.get(used)
-        if got is not None:
-            return got
-        r = bin(used).count("1")
-        acc = MPoly(nv)
-        sign = 1
-        for c in range(size):
-            if used >> c & 1:
-                continue
-            entry = rows[r][c]
-            if entry.terms:
-                sub = rec(used | (1 << c))
-                if sub.terms:
-                    term = entry * sub
-                    acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-        memo[used] = acc
-        return acc
-
-    return rec(0)
-
-
-def _resultant(f: MPoly, g: MPoly, var: int) -> MPoly:
-    fc = f.coeffs_in(var)
-    gc = g.coeffs_in(var)
-    df = len(fc) - 1
-    dg = len(gc) - 1
-    if df == 0:
-        return fc[0] ** dg
-    if dg == 0:
-        return gc[0] ** df
-    size = df + dg
-    nv = f.nv
-    zero = MPoly(nv)
-    rows = []
-    frow = fc[::-1]
-    grow = gc[::-1]
-    for s in range(dg):
-        rows.append([zero] * s + frow + [zero] * (size - s - df - 1))
-    for s in range(df):
-        rows.append([zero] * s + grow + [zero] * (size - s - dg - 1))
-    return _laplace_det(rows)
 
 
 def _pair_index(n: int) -> dict[tuple[int, int], int]:
@@ -481,14 +453,14 @@ def eliminate_coordinate(
         for f in occ:
             if f is pivot:
                 continue
-            r = _strip(_resultant(f, pivot, w))
+            r = _strip(resultant(f.coeffs_in(w), pivot.coeffs_in(w)))
             if r.is_zero():
                 # shared factor with the pivot; another partner may still
                 # extract independent information from f
                 for g in occ:
                     if g is f or g is pivot:
                         continue
-                    r = _strip(_resultant(f, g, w))
+                    r = _strip(resultant(f.coeffs_in(w), g.coeffs_in(w)))
                     if not r.is_zero():
                         break
                 if r.is_zero():

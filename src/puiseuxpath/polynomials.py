@@ -6,11 +6,11 @@ a parameter (written ``mu``) and a dependent variable (written ``V``), held
 as a vector of ``UniPoly`` coefficients indexed by V-degree.
 
 All operations are pure: every method returns a fresh object and never
-mutates its operands, so values can be shared freely.  Polynomial gcds in
-Q[mu][V] go through a subresultant pseudo-remainder sequence, which keeps
-intermediate coefficient growth polynomial instead of exponential; the
-resultant is the determinant of the Sylvester matrix, evaluated by
-fraction-free (Bareiss) elimination so every division is exact.
+mutates its operands, so values can be shared freely.  Gcds in Q[mu][V]
+and resultants share one subresultant pseudo-remainder sequence, which
+keeps intermediate coefficient growth polynomial instead of exponential
+and divides only exactly.  It runs on coefficient lists over any exact
+ring, so the multivariate eliminations of ``elimination`` use it too.
 """
 
 from __future__ import annotations
@@ -64,10 +64,6 @@ class UniPoly:
     @staticmethod
     def var() -> "UniPoly":
         return UniPoly([0, 1])
-
-    @staticmethod
-    def monomial(coeff, exp: int) -> "UniPoly":
-        return UniPoly([0] * exp + [coeff])
 
     # -- structure ----------------------------------------------------
 
@@ -181,15 +177,6 @@ class UniPoly:
         acc = _ZERO
         for coef in reversed(self.c):
             acc = acc * x + coef
-        return acc
-
-    def compose_shift(self, a) -> "UniPoly":
-        """Substitute (x + a) for x."""
-        a = _as_rational(a)
-        acc = UniPoly()
-        xa = UniPoly([a, 1])
-        for coef in reversed(self.c):
-            acc = acc * xa + UniPoly.const(coef)
         return acc
 
     def monic(self) -> "UniPoly":
@@ -364,19 +351,9 @@ class BiPoly:
     def derivative_v(self) -> "BiPoly":
         return BiPoly([p.scale(j) for j, p in enumerate(self.cv)][1:])
 
-    def derivative_mu(self) -> "BiPoly":
-        return BiPoly([p.derivative() for p in self.cv])
-
     def eval_mu(self, x) -> UniPoly:
         """Substitute a rational for mu, leaving a polynomial in V."""
         return UniPoly([p.eval(x) for p in self.cv])
-
-    def eval_v_poly(self, s: UniPoly) -> UniPoly:
-        """Substitute a polynomial in mu for V, collapsing to Q[mu]."""
-        acc = UniPoly()
-        for p in reversed(self.cv):
-            acc = acc * s + p
-        return acc
 
     def eval(self, mu, v) -> Fraction:
         acc = _ZERO
@@ -443,23 +420,7 @@ class BiPoly:
         """Pseudo-remainder with respect to V: lc(other)^(d+1) * self mod other."""
         if other.is_zero():
             raise ZeroDivisionError("pseudo-division by zero")
-        d = self.deg_v - other.deg_v
-        if d < 0:
-            return self
-        lb = other.lc_v()
-        r = self
-        steps = 0
-        while not r.is_zero() and r.deg_v >= other.deg_v:
-            k = r.deg_v - other.deg_v
-            lr = r.lc_v()
-            r = r.scale_mu(lb) - BiPoly([UniPoly()] * k + [lr * p for p in other.cv])
-            steps += 1
-        for _ in range(d + 1 - steps):
-            r = r.scale_mu(lb)
-        return r
-
-    def exact_div_mu(self, p: UniPoly) -> "BiPoly":
-        return BiPoly([q.exact_div(p) for q in self.cv])
+        return BiPoly(_prem(self.cv, other.cv))
 
     def exact_div(self, other: "BiPoly") -> "BiPoly":
         """Exact division in Q[mu][V]; raises if the division leaves a remainder."""
@@ -485,7 +446,7 @@ class BiPoly:
     def gcd(self, other: "BiPoly", var: str = "V") -> "BiPoly":
         """Gcd in Q[mu][V] (or with the roles swapped for var="mu").
 
-        Computed by a subresultant pseudo-remainder sequence on primitive
+        Computed by the subresultant pseudo-remainder sequence on primitive
         parts; the content gcd is a plain monic gcd in Q[mu].  The result
         is primitive and sign-normalized.
         """
@@ -500,28 +461,15 @@ class BiPoly:
         cont = ca.gcd(cb)
         if pa.deg_v < pb.deg_v:
             pa, pb = pb, pa
-        if pb.deg_v == 0:
-            # a nonzero constant-in-V operand: only the contents can match
-            return BiPoly([cont]).lead_normalized()
-        a, b = pa, pb
-        g = UniPoly.const(1)
-        h = UniPoly.const(1)
-        while True:
-            d = a.deg_v - b.deg_v
-            r = a.pseudo_rem(b)
-            if r.is_zero():
-                break
-            if r.deg_v == 0:
-                b = r
-                break
-            r = r.exact_div_mu(g * h**d)
-            a, b = b, r
-            g = a.lc_v()
-            h = (g**d).exact_div(h ** (d - 1)) if d >= 1 else h ** (1 - d) * g**d
-        if b.deg_v == 0:
-            return BiPoly([cont]).lead_normalized()
-        _, prim = b.content_and_primitive()
-        return prim.scale_mu(cont).lead_normalized()
+        if pb.deg_v > 0:
+            last, tail, _, _ = _subresultant_prs(pa.cv, pb.cv)
+            if not tail:
+                # the sequence ended on a zero remainder: its last nonzero
+                # element is the gcd up to content
+                _, prim = BiPoly(last).content_and_primitive()
+                return prim.scale_mu(cont).lead_normalized()
+        # a constant-in-V operand or remainder: only the contents can match
+        return BiPoly([cont]).lead_normalized()
 
     def separable_part(self, var: str = "V") -> "BiPoly":
         """Same roots in V, each with multiplicity one.
@@ -539,62 +487,107 @@ class BiPoly:
     def resultant(self, other: "BiPoly", var: str = "V") -> UniPoly:
         """Determinant of the Sylvester matrix with respect to ``var``.
 
-        Evaluated by fraction-free Gaussian elimination so all divisions
-        stay exact in Q[mu].
+        Computed by the shared subresultant sequence (see ``resultant``),
+        so all divisions stay exact in Q[mu].
         """
         if var == "mu":
             res = self.swap_vars().resultant(other.swap_vars())
             return res  # a polynomial in the remaining variable
-        m, n = self.deg_v, other.deg_v
-        if m <= 0 and n <= 0:
+        if self.deg_v <= 0 and other.deg_v <= 0:
             raise DegenerateInputError(
                 "resultant needs positive degree in the eliminated variable"
             )
-        if m < 0 or n < 0:
+        if self.is_zero() or other.is_zero():
             return UniPoly()
-        if m == 0:
-            return self.cv[0] ** n
-        if n == 0:
-            return other.cv[0] ** m
-        size = m + n
-        rows: list[list[UniPoly]] = []
-        a = [self.coeff_v(m - k) for k in range(m + 1)]
-        b = [other.coeff_v(n - k) for k in range(n + 1)]
-        for i in range(n):
-            rows.append(
-                [UniPoly()] * i + a + [UniPoly()] * (size - m - 1 - i)
-            )
-        for i in range(m):
-            rows.append(
-                [UniPoly()] * i + b + [UniPoly()] * (size - n - 1 - i)
-            )
-        return _bareiss_det(rows)
+        return resultant(self.cv, other.cv)
 
 
-def _bareiss_det(rows: list[list[UniPoly]]) -> UniPoly:
-    """Fraction-free determinant of a square matrix over Q[mu]."""
-    n = len(rows)
-    m = [row[:] for row in rows]
+# ---------------------------------------------------------------------------
+# subresultant pseudo-remainder sequence
+# ---------------------------------------------------------------------------
+#
+# The routines below work on coefficient lists, low degree first, with a
+# nonzero last entry.  The coefficients may come from any exact integral
+# domain whose elements offer ``*``, ``-``, ``**``, ``is_zero()`` and an
+# ``exact_div`` that raises on a remainder: ``UniPoly`` for Q[mu][V] and the
+# sparse multivariate ``MPoly`` of the elimination module both qualify.
+
+
+def _prem(a: Sequence, b: Sequence) -> list:
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b."""
+    lb = b[-1]
+    r = list(a)
+    owed = len(a) - len(b) + 1  # factors of lc(b) the definition asks for
+    while r and len(r) >= len(b):
+        lr = r.pop()
+        k = len(r) + 1 - len(b)
+        r = [c * lb for c in r]
+        for j, c in enumerate(b[:-1]):
+            r[k + j] = r[k + j] - lr * c
+        while r and r[-1].is_zero():
+            r.pop()
+        owed -= 1
+    if owed > 0 and r:
+        scale = lb**owed
+        r = [c * scale for c in r]
+    return r
+
+
+def _subresultant_prs(a: Sequence, b: Sequence) -> tuple[list, list, object, int]:
+    """Subresultant PRS of a and b, with deg a >= deg b >= 1.
+
+    Collins and Brown-Traub's sequence as in Cohen, *A Course in
+    Computational Algebraic Number Theory*, Algorithm 3.3.7: each
+    pseudo-remainder is divided exactly by g * h^delta, which keeps
+    coefficient growth polynomial.  Runs until the next element is zero
+    or constant and returns ``(last, tail, h, sign)``: ``last`` is the
+    final element of positive degree, ``tail`` that zero (empty) or
+    constant element, ``h`` the subresultant scale and ``sign`` the
+    product of (-1)^(deg * deg) over the steps, as the resultant needs.
+    """
+    a, b = list(a), list(b)
+    g = h = b[-1] ** 0  # the ring's one
     sign = 1
-    prev = UniPoly.const(1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return UniPoly()
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * pivot - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = UniPoly()
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) & (len(b) - 1) & 1:
+            sign = -sign
+        div = g * h**delta
+        r = [c.exact_div(div) for c in _prem(a, b)]
+        a, b = b, r
+        g = a[-1]
+        if delta == 1:
+            h = g
+        elif delta > 1:
+            h = (g**delta).exact_div(h ** (delta - 1))
+    return a, b, h, sign
+
+
+def resultant(f: Sequence, g: Sequence):
+    """Determinant of the Sylvester matrix of f and g, rows of f first.
+
+    ``f`` and ``g`` are nonzero coefficient lists, low degree first, over
+    any ring that ``_subresultant_prs`` accepts.  A degree-0 operand gives
+    the other operand's degree as a power of its constant.
+    """
+    m, n = len(f) - 1, len(g) - 1
+    if m == 0:
+        return f[0] ** n
+    if n == 0:
+        return g[0] ** m
+    sign = 1
+    if m < n:
+        f, g = g, f
+        if m & n & 1:
+            sign = -1
+    last, tail, h, s = _subresultant_prs(f, g)
+    if not tail:
+        return f[-1] - f[-1]  # the ring's zero: f and g share a factor
+    d = len(last) - 1
+    res = tail[0] ** d
+    if d > 1:
+        res = res.exact_div(h ** (d - 1))
+    return res if sign * s > 0 else -res
 
 
 # ---------------------------------------------------------------------------

@@ -579,12 +579,6 @@ class ReparametrizationReport:
         self.bounded = bool(all(coordinate_bounded))
         self.growth = growth
 
-    def max_first_derivative(self) -> np.ndarray:
-        return self.d1.max(axis=0)
-
-    def max_second_derivative(self) -> np.ndarray:
-        return self.d2.max(axis=0)
-
     def __repr__(self):
         verdict = "bounded" if self.bounded else "unbounded"
         return f"ReparametrizationReport(rho={self.rho}, {verdict})"

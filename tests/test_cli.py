@@ -70,6 +70,22 @@ class TestInstanceCommands:
         assert code == 0
         assert "rho = 1" in cap.out.splitlines()
 
+    def test_rho_sdo_kl02_4_exact_route_at_raised_cap(self, capsys, monkeypatch):
+        # past the a-priori degree gate, kl02_4 runs the full exact chain
+        import json
+        from collections import Counter
+
+        monkeypatch.setenv("PUISEUXPATH_DEGREE_CAP", "100000")
+        code, cap = run(capsys, "rho-sdo", "--instance", "kl02_4",
+                        "--format", "json")
+        assert code == 0
+        data = json.loads(cap.out)
+        assert data["rho"] == 4
+        routes = Counter(d["route"] for d in data["details"])
+        assert routes == {"eliminated": 11, "constant": 10, "order-fit": 3}
+        assert sum(d["certified"] for d in data["details"]) == 21
+        assert len(data["details"]) == 24
+
     def test_trace_csv_header(self, capsys):
         code, cap = run(capsys, "trace", "--instance", "identity_3",
                         "--format", "csv")

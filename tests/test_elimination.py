@@ -13,11 +13,13 @@ Hand-checked fixtures:
   the diagonal), so the minimal curves below come out in closed form.
 """
 
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from puiseuxpath.elimination import (
     MPoly,
@@ -31,7 +33,7 @@ from puiseuxpath.errors import (
     ExtraneousVanishingError,
     InputError,
 )
-from puiseuxpath.polynomials import parse_bipoly
+from puiseuxpath.polynomials import parse_bipoly, resultant
 from puiseuxpath.sdo import (
     elliptope_instance,
     identity_instance,
@@ -72,6 +74,121 @@ class TestMPoly:
         assert lo.terms == {(0, 0): 5}
         assert mid.is_zero()
         assert hi.terms == {(0, 0): 2}
+
+    def test_exact_div(self):
+        x = MPoly.variable(3, 1)
+        y = MPoly.variable(3, 2)
+        mu = MPoly.variable(3, 0)
+        a = x * x - y.scale(Fraction(1, 3)) + mu
+        b = x * y + mu * mu - MPoly.const(3, 2)
+        assert (a * b).exact_div(b).terms == a.terms
+        assert (a * b).exact_div(a).terms == b.terms
+        five = MPoly.const(3, 5)
+        assert (a * b).exact_div(five).terms == (a * b).scale(Fraction(1, 5)).terms
+
+    def test_exact_div_raises_on_remainder(self):
+        x = MPoly.variable(3, 1)
+        y = MPoly.variable(3, 2)
+        one = MPoly.const(3, 1)
+        # the first two quotient terms divide, the remainder 1 + y^2 does not
+        with pytest.raises(ArithmeticError):
+            (x * x + one).exact_div(x + y)
+        with pytest.raises(ArithmeticError):
+            (x * x + y).exact_div(x)
+
+
+class TestSharedResultant:
+    """The shared resultant on MPoly coefficient lists, against sympy.
+
+    Four variables (mu, x, y, z); x is eliminated. sympy.resultant is
+    always asked with the higher degree first and the swap sign
+    (-1)^(deg f * deg g) applied here: for deg f < deg g, both odd,
+    sympy 1.14 returns the negated Sylvester determinant.
+    """
+
+    NV = 4
+    SYMS = sp.symbols("mu x y z")
+    W = 1
+
+    def to_sympy(self, p):
+        return sum(
+            sp.Rational(c.numerator, c.denominator)
+            * sp.Mul(*(s**k for s, k in zip(self.SYMS, e)))
+            for e, c in p.terms.items()
+        )
+
+    def from_sympy(self, expr):
+        if expr == 0:
+            return MPoly(self.NV)
+        poly = sp.Poly(expr, *self.SYMS)
+        return MPoly(
+            self.NV,
+            {e: Fraction(int(c.p), int(c.q)) for e, c in poly.terms()},
+        )
+
+    def random_poly(self, rng, deg_w, spread=2):
+        terms = {}
+        for k in range(deg_w + 1):
+            for _ in range(rng.randint(1, 2) if k == deg_w else rng.randint(0, 2)):
+                e = [rng.randint(0, spread) for _ in range(self.NV)]
+                e[self.W] = k
+                terms[tuple(e)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                           rng.randint(1, 2))
+        return MPoly(self.NV, terms)
+
+    def check(self, f, g):
+        x = self.SYMS[self.W]
+        m, n = f.deg(self.W), g.deg(self.W)
+        ours = resultant(f.coeffs_in(self.W), g.coeffs_in(self.W))
+        F, G = self.to_sympy(f), self.to_sympy(g)
+        if m < n:
+            expect = (-1) ** (m * n) * sp.resultant(G, F, x)
+        else:
+            expect = sp.resultant(F, G, x)
+        assert ours.terms == self.from_sympy(sp.expand(expect)).terms
+        return ours
+
+    def test_random_against_sympy(self):
+        rng = random.Random(20240817)
+        for _ in range(25):
+            f = self.random_poly(rng, rng.randint(1, 3))
+            g = self.random_poly(rng, rng.randint(1, 3))
+            if f.deg(self.W) < 1 or g.deg(self.W) < 1:
+                continue
+            self.check(f, g)
+
+    def test_shared_factor_gives_zero(self):
+        rng = random.Random(7)
+        for _ in range(5):
+            c = self.random_poly(rng, 1)
+            f = self.random_poly(rng, 1) * c
+            g = self.random_poly(rng, 2) * c
+            assert self.check(f, g).is_zero()
+
+    def test_degree_zero_operand(self):
+        rng = random.Random(11)
+        for _ in range(5):
+            f = self.random_poly(rng, 0)
+            g = self.random_poly(rng, 3)
+            ours = self.check(f, g)
+            assert ours.terms == (f**3).terms
+            assert self.check(g, f).terms == ours.terms
+
+    def test_odd_degrees_swapped(self):
+        # deg f < deg g, both odd: the routine swaps its operands and must
+        # restore the Sylvester sign, which the explicit matrix confirms
+        rng = random.Random(13)
+        x = self.SYMS[self.W]
+        for m, n in ((1, 3), (1, 5), (3, 5)):
+            f = self.random_poly(rng, m, spread=1)
+            g = self.random_poly(rng, n, spread=1)
+            ours = self.check(f, g)
+            fc = sp.Poly(self.to_sympy(f), x).all_coeffs()
+            gc = sp.Poly(self.to_sympy(g), x).all_coeffs()
+            rows = [[0] * i + fc + [0] * (n - 1 - i) for i in range(n)]
+            rows += [[0] * i + gc + [0] * (m - 1 - i) for i in range(m)]
+            det = sp.expand(sp.Matrix(rows).det(method="berkowitz"))
+            assert ours.terms == self.from_sympy(det).terms
 
 
 class TestCentralSystem:
