@@ -13,6 +13,12 @@ Element representation: depth 0 is a plain Fraction; depth t >= 1 is a list
 of depth-(t-1) elements (coefficients of powers of the level-(t-1)
 generator, lowest first).  Lists are never mutated in place; every
 operation builds fresh ones.
+
+Enclosures are fixed-point complex boxes: a 4-tuple (re_lo, re_hi, im_lo,
+im_hi) of integers at a scale 2^-s, with every product rounded outward, so
+each box is a certified enclosure while all arithmetic runs on native ints.
+A tower keeps its generator boxes at one scale that only grows; moving a
+box to a finer scale is an exact shift.
 """
 
 from __future__ import annotations
@@ -20,8 +26,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .boxes import Box, RealInterval
-from .config import refine_cap
 from .errors import PrecisionExhaustedError
 from .polynomials import UniPoly, _as_rational
 
@@ -35,6 +39,9 @@ __all__ = [
     "rational_sqrt",
     "roots_with_multiplicity",
 ]
+
+# cap on refinement rounds per certification
+_REFINE_CAP = 256
 
 # crossing offsets used when a bisection line might pass through a root;
 # denominators are odd so dyadic subdivision points never repeat a line
@@ -66,12 +73,64 @@ class _RefineStall(Exception):
     """Internal: box refinement needs tighter coefficient enclosures."""
 
 
+class _Axis:
+    """One side of a Box as the exact interval [lo, hi]."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: int, hi: int, s: int):
+        self.lo = Fraction(lo, 1 << s)
+        self.hi = Fraction(hi, 1 << s)
+
+    @property
+    def mid(self) -> Fraction:
+        return (self.lo + self.hi) / 2
+
+    def contains_zero(self) -> bool:
+        return self.lo <= 0 <= self.hi
+
+
+class Box:
+    """Certified complex box: fixed-point corners ``fb`` at scale 2^-``s``."""
+
+    __slots__ = ("fb", "s")
+
+    def __init__(self, fb: tuple, s: int):
+        self.fb = fb
+        self.s = s
+
+    def __repr__(self):
+        re, im = self.re, self.im
+        return f"Box(re=[{re.lo}, {re.hi}], im=[{im.lo}, {im.hi}])"
+
+    @property
+    def re(self) -> _Axis:
+        return _Axis(self.fb[0], self.fb[1], self.s)
+
+    @property
+    def im(self) -> _Axis:
+        return _Axis(self.fb[2], self.fb[3], self.s)
+
+    @property
+    def width(self) -> Fraction:
+        return Fraction(_fb_width(self.fb), 1 << self.s)
+
+    def contains_point(self, re, im=0) -> bool:
+        x, y = self.re, self.im
+        return x.lo <= re <= x.hi and y.lo <= im <= y.hi
+
+    def disjoint(self, o: "Box") -> bool:
+        s = max(self.s, o.s)
+        return _fb_disjoint(_fb_rescale(self.fb, self.s, s),
+                            _fb_rescale(o.fb, o.s, s))
+
+
 class _Level:
     __slots__ = ("poly", "box")
 
-    def __init__(self, poly: list, box: Box):
+    def __init__(self, poly: list, box: tuple):
         self.poly = poly
-        self.box = box
+        self.box = box  # fixed-point, at the tower's scale
 
 
 class FieldTower:
@@ -80,6 +139,7 @@ class FieldTower:
     def __init__(self):
         self.levels: list[_Level] = []
         self._prec = 0
+        self._scale = 0
 
     @property
     def height(self) -> int:
@@ -90,6 +150,7 @@ class FieldTower:
         # element lists are never mutated, so sharing them is safe
         t.levels = [_Level(lvl.poly, lvl.box) for lvl in self.levels]
         t._prec = self._prec
+        t._scale = self._scale
         return t
 
     def extend(self, poly: list, box: Box) -> int:
@@ -100,7 +161,9 @@ class FieldTower:
         """
         if len(poly) < 2:
             raise ValueError("defining polynomial must have degree >= 1")
-        self.levels.append(_Level(list(poly), box))
+        self._raise_scale(box.s)
+        fb = _fb_rescale(box.fb, box.s, self._scale)
+        self.levels.append(_Level(list(poly), fb))
         self._prec = 0
         return len(self.levels)
 
@@ -113,30 +176,41 @@ class FieldTower:
 
     # ---- enclosure machinery ----
 
-    def box_raw(self, depth: int, e) -> Box:
-        """Enclosure of an element from the boxes currently on file."""
-        e = el_reduce(self, depth, e)
-        if depth == 0:
-            return Box.point(e)
-        if not e:
-            return Box.point(0)
-        g = self.levels[depth - 1].box
-        acc = self.box_raw(depth - 1, e[-1])
-        for c in reversed(e[:-1]):
-            acc = acc * g + self.box_raw(depth - 1, c)
-        return acc
+    def _raise_scale(self, s: int) -> None:
+        """Move every generator box to the finer scale 2^-s (exact)."""
+        if s <= self._scale:
+            return
+        for lvl in self.levels:
+            lvl.box = _fb_rescale(lvl.box, self._scale, s)
+        self._scale = s
+
+    def box_raw(self, depth: int, e, s: int) -> tuple:
+        """Fixed-point enclosure at scale 2^-s from the boxes on file."""
+        gens = [_fb_rescale(lvl.box, self._scale, s)
+                for lvl in self.levels[:depth]]
+
+        def enclose(d, x):
+            if d == 0:
+                return _fb_point(x, s)
+            if not x:
+                return (0, 0, 0, 0)
+            return _fb_horner([enclose(d - 1, c) for c in x], gens[d - 1], s)
+
+        return enclose(depth, el_reduce(self, depth, e))
 
     def ensure_prec(self, bits: int) -> None:
         """Refine every generator box to width at most 2^-bits."""
         if bits <= self._prec:
             return
-        cap = refine_cap()
         extra = 32
-        for _ in range(cap):
+        h = len(self.levels)
+        for _ in range(_REFINE_CAP):
+            # level j aims at 2^-(bits + extra*(h - j)); the scale keeps
+            # 24 guard bits below the finest of those targets
+            self._raise_scale(bits + extra * h + 24)
             try:
-                for j in range(len(self.levels)):
-                    margin = extra * (len(self.levels) - j)
-                    self._refine_level(j, bits + margin)
+                for j in range(h):
+                    self._refine_level(j, bits + extra * (h - j))
                 self._prec = bits
                 return
             except _RefineStall:
@@ -147,44 +221,37 @@ class FieldTower:
 
     def _refine_level(self, j: int, tbits: int) -> None:
         lvl = self.levels[j]
-        target = Fraction(1, 1 << tbits)
-        if lvl.box.width <= target:
+        s = self._scale
+        target = 1 << (s - tbits)
+        if _fb_width(lvl.box) <= target:
             return
-        cboxes = [self.box_raw(j, c) for c in lvl.poly]
-        dboxes = [cboxes[i].scale(i) for i in range(1, len(cboxes))]
+        cfix = [self.box_raw(j, c, s) for c in lvl.poly]
+        dfix = _fb_derivative(cfix)
         b = lvl.box
-        cap = refine_cap()
         rounds = 0
-        while b.width > target:
+        while _fb_width(b) > target:
             rounds += 1
-            if rounds > cap:
+            if rounds > _REFINE_CAP:
                 raise PrecisionExhaustedError(
                     f"refinement cap hit at tower level {j}"
                 )
-            moved = False
-            fp = _horner_box(dboxes, b)
-            if not fp.contains_zero():
-                m = Box.point(b.re.mid, b.im.mid)
-                fm = _horner_box(cboxes, m)
-                n = m - fm / fp
-                b2 = n.intersect(b)
-                if b2 is not None and b2.width < b.width * Fraction(7, 8):
-                    b = b2.round_out(tbits + 24)
-                    moved = True
-            if not moved:
+            k = _fb_newton_step(cfix, dfix, b, s)
+            b2 = None if k is None else _fb_intersect(k, b)
+            if b2 is not None and 8 * _fb_width(b2) < 7 * _fb_width(b):
+                b = b2
+            else:
                 off = _CROSS[rounds % len(_CROSS)]
-                cre = b.re.lo + b.re.width * off
-                cim = b.im.lo + b.im.width * off
-                alive = [
-                    s
-                    for s in b.subdivide(cre, cim)
-                    if _horner_box(cboxes, s).contains_zero()
-                ]
-                if len(alive) == 1:
-                    b = alive[0].round_out(tbits + 24)
-                else:
+                cre = b[0] + (b[1] - b[0]) * off.numerator // off.denominator
+                cim = b[2] + (b[3] - b[2]) * off.numerator // off.denominator
+                parts = [(rl, rh, il, ih)
+                         for rl, rh in ((b[0], cre), (cre, b[1]))
+                         for il, ih in ((b[2], cim), (cim, b[3]))]
+                alive = [c for c in parts
+                         if _fb_has_zero(_fb_horner(cfix, c, s))]
+                if len(alive) != 1:
                     lvl.box = b
                     raise _RefineStall
+                b = alive[0]
             lvl.box = b
 
 
@@ -369,13 +436,13 @@ def el_to_rational(tw: FieldTower, depth: int, e) -> Fraction | None:
 
 
 def el_box(tw: FieldTower, depth: int, e, bits: int) -> Box:
-    """Enclosure of width at most 2^-bits (exact point for rationals)."""
-    target = Fraction(1, 1 << bits)
+    """Enclosure of width at most 2^-bits, at scale 2^-(bits + 32)."""
+    s = bits + 32
     want = max(bits + 16, 48)
-    for _ in range(refine_cap()):
-        b = tw.box_raw(depth, e)
-        if b.width <= target:
-            return b
+    for _ in range(_REFINE_CAP):
+        b = tw.box_raw(depth, e, s)
+        if _fb_width(b) <= 1 << 32:
+            return Box(b, s)
         tw.ensure_prec(want)
         want = want * 2
     raise PrecisionExhaustedError("element enclosure did not converge")
@@ -388,12 +455,11 @@ def _replace_poly(tw: FieldTower, j: int, poly: list) -> None:
 def tw_choose_is_root(tw: FieldTower, j: int, d: list, q: list) -> bool:
     """True when level j's generator is a root of d rather than of q."""
     bits = max(tw._prec, 32)
-    for _ in range(refine_cap()):
+    for _ in range(_REFINE_CAP):
+        s = tw._scale
         b = tw.levels[j].box
-        dv = _horner_box([tw.box_raw(j, c) for c in d], b)
-        qv = _horner_box([tw.box_raw(j, c) for c in q], b)
-        dz = dv.contains_zero()
-        qz = qv.contains_zero()
+        dz = _fb_has_zero(_fb_horner([tw.box_raw(j, c, s) for c in d], b, s))
+        qz = _fb_has_zero(_fb_horner([tw.box_raw(j, c, s) for c in q], b, s))
         if dz != qz:
             return dz
         if not dz and not qz:
@@ -524,15 +590,6 @@ def tp_squarefree_monic(tw: FieldTower, depth: int, p: list):
 # certified root isolation
 
 
-def _horner_box(cboxes: list[Box], b: Box) -> Box:
-    if not cboxes:
-        return Box.point(0)
-    acc = cboxes[-1]
-    for c in reversed(cboxes[:-1]):
-        acc = acc * b + c
-    return acc
-
-
 def isolate_roots(tw: FieldTower, depth: int, p: list) -> list[Box]:
     """Disjoint certified boxes, one per distinct root of monic square-free p."""
     p = _tp_trim(tw, depth, p)
@@ -545,10 +602,7 @@ def isolate_roots(tw: FieldTower, depth: int, p: list) -> list[Box]:
     for attempt in range(32):
         prec = 64 << (attempt // 4)
         shift = _SHIFTS[attempt % len(_SHIFTS)]
-        try:
-            boxes = _isolate_attempt(tw, depth, p, n, prec, shift)
-        except PrecisionExhaustedError:
-            raise
+        boxes = _isolate_attempt(tw, depth, p, n, prec, shift)
         if boxes is not None:
             return boxes
     raise PrecisionExhaustedError(
@@ -556,35 +610,23 @@ def isolate_roots(tw: FieldTower, depth: int, p: list) -> list[Box]:
     )
 
 
-# Fixed-point complex boxes for the isolation inner loop: a box is a
-# 4-tuple (re_lo, re_hi, im_lo, im_hi) of integers at an implicit scale
-# 2^-S.  Multiplication rounds outward via floor/ceil shifts, so every
-# enclosure stays certified while all arithmetic runs on native ints.
+# Fixed-point kernels: boxes are (re_lo, re_hi, im_lo, im_hi) integer
+# 4-tuples at a scale 2^-s that the caller passes along.
 
 
-def _fx_floor(x: Fraction, sc: int) -> int:
-    return (x.numerator * sc) // x.denominator
+def _fb_point(x: Fraction, s: int) -> tuple:
+    """The rational x rounded outward onto the 2^-s grid."""
+    return ((x.numerator << s) // x.denominator,
+            -((-x.numerator << s) // x.denominator), 0, 0)
 
 
-def _fx_ceil(x: Fraction, sc: int) -> int:
-    return -((-x.numerator * sc) // x.denominator)
-
-
-def _fb_from_box(b: Box, sc: int) -> tuple[int, int, int, int]:
-    return (
-        _fx_floor(b.re.lo, sc),
-        _fx_ceil(b.re.hi, sc),
-        _fx_floor(b.im.lo, sc),
-        _fx_ceil(b.im.hi, sc),
-    )
-
-
-def _fb_to_box(b: tuple, sc: int) -> Box:
-    rl, rh, il, ih = b
-    return Box(
-        RealInterval(Fraction(rl, sc), Fraction(rh, sc)),
-        RealInterval(Fraction(il, sc), Fraction(ih, sc)),
-    )
+def _fb_rescale(b: tuple, s_from: int, s_to: int) -> tuple:
+    """b at scale 2^-s_to: exact when finer, rounded outward when coarser."""
+    k = s_to - s_from
+    if k >= 0:
+        return (b[0] << k, b[1] << k, b[2] << k, b[3] << k)
+    k = -k
+    return (b[0] >> k, -((-b[1]) >> k), b[2] >> k, -((-b[3]) >> k))
 
 
 def _fb_add(a: tuple, b: tuple) -> tuple:
@@ -675,6 +717,11 @@ def _fb_horner(cs: list[tuple], b: tuple, s: int) -> tuple:
     return acc
 
 
+def _fb_derivative(cs: list[tuple]) -> list[tuple]:
+    return [(b[0] * i, b[1] * i, b[2] * i, b[3] * i)
+            for i, b in enumerate(cs)][1:]
+
+
 def _fb_newton_step(cfix, dfix, b: tuple, s: int) -> tuple | None:
     """One interval Newton step; None when the derivative box straddles 0."""
     fp = _fb_horner(dfix, b, s)
@@ -702,11 +749,8 @@ def _fb_tighten(cfix, dfix, b: tuple, s: int, rounds: int, target: int) -> tuple
 def _isolate_attempt(tw, depth, p, n, prec, shift):
     s = prec + 32
     sc = 1 << s
-    cfix = [_fb_from_box(el_box(tw, depth, c, prec), sc) for c in p]
-    dfix = [
-        (b[0] * i, b[1] * i, b[2] * i, b[3] * i)
-        for i, b in enumerate(cfix)
-    ][1:]
+    cfix = [el_box(tw, depth, c, prec).fb for c in p]
+    dfix = _fb_derivative(cfix)
     r_units = sc + max(
         max(abs(b[0]), abs(b[1])) + max(abs(b[2]), abs(b[3]))
         for b in cfix[:-1]
@@ -771,7 +815,7 @@ def _isolate_attempt(tw, depth, p, n, prec, shift):
             roots.append(k)
     if len(roots) != n:
         return None
-    return [_fb_to_box(k, sc) for k in roots]
+    return [Box(k, s) for k in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -948,8 +992,14 @@ class AlgebraicNumber:
         return AlgebraicNumber(tower, self.depth, self.rep)
 
     def order_key(self, bits: int = 64) -> tuple[Fraction, Fraction]:
+        """(re, im) of the box midpoint, re rounded to the 2^-(bits//2) grid.
+
+        Enclosure noise is far below the grid, so roots with equal real
+        parts tie on re and fall to im, ascending.
+        """
         b = self.box(bits)
-        return (b.re.mid, b.im.mid)
+        scale = 1 << (bits // 2)
+        return (Fraction(round(b.re.mid * scale), scale), b.im.mid)
 
     def render(self) -> str:
         r = self.as_rational()

@@ -1,28 +1,24 @@
 """Tunable limits, overridable through environment variables.
 
-PUISEUXPATH_REFINE_CAP   cap on interval refinement rounds per certification
 PUISEUXPATH_DEGREE_CAP   per-variable degree cap during exact elimination
 """
 
 import os
 
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return value if value > 0 else default
-
-
-def refine_cap() -> int:
-    """Maximum interval-refinement rounds before giving up."""
-    return _env_int("PUISEUXPATH_REFINE_CAP", 256)
+from .errors import InputError
 
 
 def degree_cap() -> int:
     """Per-variable degree cap for exact coordinate elimination."""
-    return _env_int("PUISEUXPATH_DEGREE_CAP", 64)
+    raw = os.environ.get("PUISEUXPATH_DEGREE_CAP")
+    if raw is None:
+        return 64
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise InputError(
+            f"PUISEUXPATH_DEGREE_CAP must be a positive integer, got {raw!r}"
+        )
+    return value

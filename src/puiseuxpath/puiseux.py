@@ -168,29 +168,19 @@ def newton_polygon(p: BiPoly) -> list[PolygonSegment]:
     DegenerateInputError when the support has fewer than two distinct
     V-degrees (a mu-scaled monomial in V carries no polygon).
     """
-    pts = []
-    for j in range(p.deg_v + 1):
-        pj = p.coeff_v(j)
-        if not pj.is_zero():
-            pts.append((j, Fraction(pj.order())))
-    if len(pts) < 2:
+    coeffs = [gp_from_unipoly(p.coeff_v(j), 0) for j in range(p.deg_v + 1)]
+    segs = []
+    for gamma, j0, m0, j1, m1 in _grid_hull_segments(FieldTower(), 0, coeffs):
+        edge = []
+        for j in range(j0, j1 + 1):
+            m = m0 - gamma * (j - j0)
+            c = coeffs[j].get(m.numerator) if m.denominator == 1 else None
+            edge.append(c if c is not None else Fraction(0))
+        segs.append(PolygonSegment(j0, m0, j1, m1, UniPoly(edge)))
+    if not segs:
         raise DegenerateInputError(
             "Newton polygon needs at least two V-degrees in the support"
         )
-    segs = []
-    hull = _lower_hull(pts)
-    for (j0, m0), (j1, m1) in zip(hull, hull[1:]):
-        gamma = Fraction(m0 - m1, j1 - j0)
-        beta = m0 + gamma * j0
-        coeffs = []
-        for j in range(j0, j1 + 1):
-            m = beta - gamma * j
-            if m.denominator == 1:
-                coeffs.append(p.coeff_v(j).coeff(int(m)))
-            else:
-                coeffs.append(Fraction(0))
-        segs.append(PolygonSegment(j0, m0, j1, m1, UniPoly(coeffs)))
-    segs.sort(key=lambda s: s.gamma)
     return segs
 
 
@@ -264,17 +254,37 @@ class Branch:
         return render_branch(self)
 
 
+_PRINT_BITS = (48, 96, 192, 384)
+
+
+def _digits(iv, last: bool) -> str | None:
+    """The .10g digits of a real enclosure, or None while they are unsettled.
+
+    An enclosure of zero prints as 0; at the last refinement step the
+    midpoint stands in for digits that still differ between the endpoints.
+    """
+    if iv.contains_zero():
+        return "0"
+    lo, hi = f"{float(iv.lo):.10g}", f"{float(iv.hi):.10g}"
+    if lo == hi:
+        return lo
+    return f"{float(iv.mid):.10g}" if last else None
+
+
 def _coeff_str(x: AlgebraicNumber) -> str:
     r = x.as_rational()
     if r is not None:
         return str(r)
-    b = x.box(48)
-    re = float(b.re.mid)
-    im = float(b.im.mid)
-    if abs(im) < 1e-12:
-        return f"{re:.10g}"
-    sign = "+" if im >= 0 else "-"
-    return f"({re:.10g}{sign}{abs(im):.10g}i)"
+    for bits in _PRINT_BITS:
+        b = x.box(bits)
+        last = bits == _PRINT_BITS[-1]
+        re, im = _digits(b.re, last), _digits(b.im, last)
+        if re is not None and im is not None:
+            break
+    if im == "0":
+        return re
+    sign = "" if im.startswith("-") else "+"
+    return f"({re}{sign}{im}i)"
 
 
 def _exp_str(e: Fraction) -> str:

@@ -5,10 +5,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from puiseuxpath.algebraic import (
     AlgebraicNumber,
+    Box,
     FieldTower,
+    _fb_add,
+    _fb_has_zero,
+    _fb_horner,
+    _fb_mul,
+    _fb_point,
+    _fb_recip,
+    _fb_rescale,
+    _fb_sub,
+    _isq,
     el_box,
     el_from_rational,
     field_op,
@@ -19,7 +31,6 @@ from puiseuxpath.algebraic import (
     rational_sqrt,
     roots_with_multiplicity,
 )
-from puiseuxpath.boxes import Box, RealInterval
 from puiseuxpath.polynomials import UniPoly
 
 
@@ -32,57 +43,88 @@ def poly(*coeffs):
 
 
 # ---------------------------------------------------------------------------
-# interval and box basics
+# fixed-point box kernels against exact rational arithmetic
+
+rationals = st.fractions(min_value=-8, max_value=8, max_denominator=1000)
+complexes = st.tuples(rationals, rationals)
+scales = st.integers(min_value=0, max_value=80)
+pads = st.integers(min_value=0, max_value=3)
+
+
+def cmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def enclose(z, s, pad=0):
+    """Fixed-point box around the exact complex rational z, widened by pad."""
+    re, im = _fb_point(z[0], s), _fb_point(z[1], s)
+    return (re[0] - pad, re[1] + pad, im[0] - pad, im[1] + pad)
+
+
+def holds(fb, s, z):
+    return Box(fb, s).contains_point(*z)
 
 
 class TestBoxes:
     def test_interval_mul_signs(self):
-        a = RealInterval(-2, 3)
-        b = RealInterval(-1, 4)
-        c = a * b
-        assert c.lo == -8 and c.hi == 12
+        c = _fb_mul((-2, 3, 0, 0), (-1, 4, 0, 0), 0)
+        assert c == (-8, 12, 0, 0)
 
     def test_interval_square_straddle(self):
-        a = RealInterval(-3, 2)
-        s = a.square()
-        assert s.lo == 0 and s.hi == 9
+        assert _isq(-3, 2) == (0, 9)
+        assert _isq(-3, -2) == (4, 9)
 
     def test_recip_requires_sign(self):
         with pytest.raises(ZeroDivisionError):
-            RealInterval(-1, 1).recip()
-        r = RealInterval(2, 4).recip()
-        assert r.lo == rat(1, 4) and r.hi == rat(1, 2)
+            _fb_recip((-1, 1, -1, 1), 0)
+        s = 8
+        r = Box(_fb_recip((2 << s, 4 << s, 0, 0), s), s)
+        assert r.re.lo <= rat(1, 4) and r.re.hi >= rat(1, 2)
+        assert r.im.lo == 0 and r.im.hi == 0
 
     def test_round_out_widens(self):
-        a = RealInterval(rat(1, 3), rat(2, 3))
-        r = a.round_out(8)
-        assert r.lo <= a.lo and r.hi >= a.hi
-        assert r.lo.denominator <= 256 and r.hi.denominator <= 256
+        b = (_fb_point(rat(1, 3), 40)[0], _fb_point(rat(2, 3), 40)[1], 0, 0)
+        r = Box(_fb_rescale(b, 40, 8), 8)
+        assert r.re.lo <= rat(1, 3) and r.re.hi >= rat(2, 3)
+        assert r.re.lo.denominator <= 256 and r.re.hi.denominator <= 256
+        # moving to a finer scale is exact
+        back = Box(_fb_rescale(r.fb, 8, 40), 40)
+        assert back.re.lo == r.re.lo and back.re.hi == r.re.hi
 
-    def test_box_mul_matches_complex(self):
-        rng = random.Random(7)
-        for _ in range(40):
-            z1 = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            z2 = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            b1 = Box.point(Fraction(z1.real).limit_denominator(1000),
-                           Fraction(z1.imag).limit_denominator(1000))
-            b2 = Box.point(Fraction(z2.real).limit_denominator(1000),
-                           Fraction(z2.imag).limit_denominator(1000))
-            prod = b1 * b2
-            w1 = complex(float(b1.re.lo), float(b1.im.lo))
-            w2 = complex(float(b2.re.lo), float(b2.im.lo))
-            got = w1 * w2
-            assert abs(float(prod.re.mid) - got.real) < 1e-9
-            assert abs(float(prod.im.mid) - got.imag) < 1e-9
+    @settings(deadline=None)
+    @given(complexes, complexes, scales, pads, pads)
+    def test_add_sub_contain_exact(self, x, y, s, px, py):
+        a, b = enclose(x, s, px), enclose(y, s, py)
+        assert holds(_fb_add(a, b), s, (x[0] + y[0], x[1] + y[1]))
+        assert holds(_fb_sub(a, b), s, (x[0] - y[0], x[1] - y[1]))
 
-    def test_box_div_contains_quotient(self):
-        num = Box(RealInterval(rat(1), rat(2)), RealInterval(rat(0), rat(1)))
-        den = Box(RealInterval(rat(3), rat(4)), RealInterval(rat(-1), rat(1)))
-        q = num / den
-        # spot-check: midpoint quotient lies inside the enclosure
-        z = complex(1.5, 0.5) / complex(3.5, 0.0)
-        assert q.re.lo <= Fraction(z.real).limit_denominator(10**6) <= q.re.hi
-        assert q.im.lo <= Fraction(z.imag).limit_denominator(10**6) <= q.im.hi
+    @settings(deadline=None)
+    @given(complexes, complexes, scales, pads, pads)
+    def test_box_mul_matches_complex(self, x, y, s, px, py):
+        a, b = enclose(x, s, px), enclose(y, s, py)
+        assert holds(_fb_mul(a, b, s), s, cmul(x, y))
+
+    @settings(deadline=None)
+    @given(complexes, complexes, scales, pads)
+    def test_box_div_contains_quotient(self, x, y, s, py):
+        b = enclose(y, s, py)
+        assume(not _fb_has_zero(b))
+        n2 = y[0] ** 2 + y[1] ** 2
+        inv = (y[0] / n2, -y[1] / n2)
+        r = _fb_recip(b, s)
+        assert holds(r, s, inv)
+        assert holds(_fb_mul(enclose(x, s), r, s), s, cmul(x, inv))
+
+    @settings(deadline=None)
+    @given(st.lists(complexes, min_size=1, max_size=6), complexes, scales,
+           pads)
+    def test_horner_contains_exact(self, cs, z, s, pad):
+        exact = (Fraction(0), Fraction(0))
+        for c in reversed(cs):
+            exact = cmul(exact, z)
+            exact = (exact[0] + c[0], exact[1] + c[1])
+        got = _fb_horner([enclose(c, s) for c in cs], enclose(z, s, pad), s)
+        assert holds(got, s, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +203,26 @@ class TestRoots:
         rts = roots_with_multiplicity(poly(-1, 0, 0, 0, 1))
         keys = [r.order_key() for r, _ in rts]
         assert keys == sorted(keys)
+        # equal real parts must order by im, not by enclosure noise
+        q4, h3 = 2 ** 0.25, math.sqrt(3) / 2
+        a, b = -0.0609196606, 0.4544615629
+        cases = [
+            (poly(1, 0, 1), [-1j, 1j]),
+            (poly(-2, 0, 0, 0, 1), [-q4, -q4 * 1j, q4 * 1j, q4]),
+            (poly(1, 0, 0, 0, 0, 0, 1),
+             [complex(-h3, -0.5), complex(-h3, 0.5), -1j, 1j,
+              complex(h3, -0.5), complex(h3, 0.5)]),
+            (poly(1, 1, 5, 2),
+             [-2.378160679, complex(a, -b), complex(a, b)]),
+        ]
+        for p, expected in cases:
+            got = []
+            for r, _ in roots_with_multiplicity(p):
+                bx = r.box(40)
+                got.append(complex(float(bx.re.mid), float(bx.im.mid)))
+            assert len(got) == len(expected)
+            for z, w in zip(got, expected):
+                assert abs(z - w) < 1e-9
 
     def test_rational_root_extraction_with_big_coeffs(self):
         # (3T - 7)(5T + 2)(T^2 + T + 1)

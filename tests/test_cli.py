@@ -54,6 +54,15 @@ class TestCurveCommands:
         assert lines[0] == "j0,m0,j1,m1,gamma,beta"
         assert lines[1] == "0,3,2,0,3/2,3"
 
+    def test_expand_prints_certified_digits(self, capsys):
+        # the real part of +-i is exactly zero, not enclosure noise
+        code, cap = run(capsys, "expand", "--poly", "V^2 + 1")
+        assert code == 0
+        assert cap.out.splitlines()[:2] == [
+            "[0] center=(0-1i) q=1 series=(0-1i) (exact)",
+            "[1] center=(0+1i) q=1 series=(0+1i) (exact)",
+        ]
+
     def test_expand_json(self, capsys):
         import json
 
@@ -85,6 +94,13 @@ class TestInstanceCommands:
         assert routes == {"eliminated": 11, "constant": 10, "order-fit": 3}
         assert sum(d["certified"] for d in data["details"]) == 21
         assert len(data["details"]) == 24
+
+    def test_rho_sdo_malformed_degree_cap_is_bad_input(self, capsys,
+                                                       monkeypatch):
+        monkeypatch.setenv("PUISEUXPATH_DEGREE_CAP", "abc")
+        code, cap = run(capsys, "rho-sdo", "--instance", "elliptope_3")
+        assert code == 2
+        assert "PUISEUXPATH_DEGREE_CAP" in cap.err
 
     def test_trace_csv_header(self, capsys):
         code, cap = run(capsys, "trace", "--instance", "identity_3",

@@ -286,6 +286,12 @@ class TestEliminateCoordinate:
         with pytest.raises(EliminationBlowUpError):
             eliminate_coordinate(elliptope_instance(), 1)
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+    def test_degree_cap_env_malformed(self, monkeypatch, raw):
+        monkeypatch.setenv("PUISEUXPATH_DEGREE_CAP", raw)
+        with pytest.raises(InputError, match="PUISEUXPATH_DEGREE_CAP"):
+            eliminate_coordinate(elliptope_instance(), 1)
+
     def test_validation_gate(self):
         # a trace that disagrees with the instance must be rejected
         inst = identity_instance(3)
