@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 
 from .errors import PrecisionExhaustedError
-from .polynomials import UniPoly, _as_rational
+from .polynomials import UniPoly, qdiv
 
 __all__ = [
     "AlgebraicNumber",
@@ -42,6 +42,16 @@ __all__ = [
 
 # cap on refinement rounds per certification
 _REFINE_CAP = 256
+
+
+def _as_rational(x) -> Fraction:
+    """A depth-0 tower element: always a Fraction."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
 
 # crossing offsets used when a bisection line might pass through a root;
 # denominators are odd so dyadic subdivision points never repeat a line
@@ -1087,7 +1097,7 @@ def minimal_polynomial(x: AlgebraicNumber, var: str = "X") -> UniPoly:
         for pivot, bvec, bcombo in basis:
             if vec[pivot] == 0:
                 continue
-            fac = vec[pivot] / bvec[pivot]
+            fac = qdiv(vec[pivot], bvec[pivot])
             vec = [v - fac * w for v, w in zip(vec, bvec)]
             for i, w in enumerate(bcombo):
                 combo[i] -= fac * w
@@ -1115,7 +1125,7 @@ def _roots_of_rational_poly(tw, depth, p: UniPoly, mult, out):
     if work.degree < 1:
         return
     if work.degree == 1:
-        out.append((rational_number(-work.c[0] / work.c[1], tw), mult))
+        out.append((rational_number(qdiv(-work.c[0], work.c[1]), tw), mult))
         return
     tp = [el_from_rational(depth, c) for c in work.monic().c]
     _extend_with_isolated(tw, depth, tp, mult, out)

@@ -11,7 +11,8 @@ Subcommands:
 
 Every subcommand takes --format {text,json,csv}. Output is deterministic:
 identical invocations produce byte-identical bytes on stdout. Exit codes:
-0 success, 2 bad input (unknown flag, unparsable polynomial, missing
+0 success, 1 stdout closed before the output was written (e.g. piped
+into head), 2 bad input (unknown flag, unparsable polynomial, missing
 file), 3 a computation refused to finish (degree cap, iteration guard,
 match ambiguity, solver failure); the message names the failing stage.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -331,10 +333,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _discard_stdout() -> None:
+    """Point the stdout descriptor at devnull, so the final flush succeeds."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    except (OSError, ValueError):
+        pass  # a stdout without a descriptor has nothing left to flush
+    finally:
+        os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.run(args, sys.stdout)
+        code = args.run(args, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe: the rest of the output is unwanted
+        _discard_stdout()
+        return 1
     except InputError as err:
         print(f"error [{err.component}]: {err}", file=sys.stderr)
         return 2

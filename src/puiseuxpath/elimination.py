@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 
@@ -23,12 +24,9 @@ from .errors import (
     ExtraneousVanishingError,
     InputError,
 )
-from .polynomials import BiPoly, resultant
+from .polynomials import BiPoly, exact, qdiv, resultant
 
 __all__ = ["MPoly", "central_system", "eliminate_coordinate", "canonical_coordinates"]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # a coordinate whose traced values never leave this band is treated as
 # identically zero on the path
@@ -38,8 +36,10 @@ _ZERO_COORD_TOL = 1e-9
 class MPoly:
     """Sparse polynomial over Q in a fixed tuple of variables.
 
-    Terms map exponent tuples to nonzero Fractions. Variable 0 is
-    always mu by convention of the callers here.
+    Terms map exponent tuples to nonzero coefficients, each an int when
+    integral and a Fraction otherwise (see ``polynomials.exact``), so the
+    integer systems of the elimination run on int arithmetic. Variable 0
+    is always mu by convention of the callers here.
     """
 
     __slots__ = ("nv", "terms")
@@ -50,18 +50,18 @@ class MPoly:
         if terms:
             for e, c in terms.items():
                 if c:
-                    clean[e] = c
+                    clean[e] = exact(c)
         self.terms = clean
 
     @classmethod
     def const(cls, nv: int, value) -> "MPoly":
-        return cls(nv, {(0,) * nv: Fraction(value)})
+        return cls(nv, {(0,) * nv: value})
 
     @classmethod
     def variable(cls, nv: int, idx: int) -> "MPoly":
         e = [0] * nv
         e[idx] = 1
-        return cls(nv, {tuple(e): _ONE})
+        return cls(nv, {tuple(e): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -96,7 +96,7 @@ class MPoly:
             else:
                 s = cur + c
                 if s:
-                    out[e] = s
+                    out[e] = s if type(s) is int else exact(s)
                 else:
                     del out[e]
         res = MPoly(self.nv)
@@ -115,15 +115,15 @@ class MPoly:
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 c = c1 * c2
                 cur = out.get(e)
                 if cur is None:
-                    out[e] = c
+                    out[e] = c if type(c) is int else exact(c)
                 else:
                     s = cur + c
                     if s:
-                        out[e] = s
+                        out[e] = s if type(s) is int else exact(s)
                     else:
                         del out[e]
         res = MPoly(self.nv)
@@ -131,10 +131,10 @@ class MPoly:
         return res
 
     def scale(self, r) -> "MPoly":
-        r = Fraction(r)
+        r = exact(r)
         res = MPoly(self.nv)
         if r:
-            res.terms = {e: c * r for e, c in self.terms.items()}
+            res.terms = {e: exact(c * r) for e, c in self.terms.items()}
         return res
 
     def __pow__(self, k: int) -> "MPoly":
@@ -151,24 +151,30 @@ class MPoly:
     def exact_div(self, other: "MPoly") -> "MPoly":
         """Exact quotient; raises ArithmeticError if a remainder is left.
 
-        Classical division by the lex-leading term of ``other``.
+        Classical division by the lex-leading term of ``other``. Integer
+        coefficients divide by ``qdiv``, so a quotient stays int unless a
+        coefficient really leaves a remainder.
         """
         if not other.terms:
             raise ZeroDivisionError("polynomial division by zero")
         lead = max(other.terms)
         lc = other.terms[lead]
-        rem = self
+        rem = dict(self.terms)
         quot = {}
-        while rem.terms:
-            e = max(rem.terms)
+        while rem:
+            e = max(rem)
             qe = tuple(a - b for a, b in zip(e, lead))
             if min(qe) < 0:
                 raise ArithmeticError("division was expected to be exact")
-            qc = rem.terms[e] / lc
+            qc = qdiv(rem[e], lc)
             quot[qe] = qc
-            step = {tuple(a + b for a, b in zip(qe, e2)): qc * c2
-                    for e2, c2 in other.terms.items()}
-            rem = rem - MPoly(self.nv, step)
+            for e2, c2 in other.terms.items():
+                t = tuple(map(add, qe, e2))
+                s = rem.get(t, 0) - qc * c2
+                if s:
+                    rem[t] = s if type(s) is int else exact(s)
+                else:
+                    del rem[t]
         res = MPoly(self.nv)
         res.terms = quot
         return res
@@ -205,16 +211,20 @@ def _strip(p: MPoly) -> MPoly:
     """Remove the rational content and any common mu power.
 
     mu never vanishes along the path, so dividing an equation by mu^k
-    keeps its zero set there; nothing else may be cancelled safely.
+    keeps its zero set there; nothing else may be cancelled safely. The
+    result has coprime int coefficients.
     """
     if not p.terms:
         return p
-    nums = [c.numerator for c in p.terms.values()]
-    dens = [c.denominator for c in p.terms.values()]
-    content = Fraction(math.gcd(*nums), math.lcm(*dens))
+    g = math.gcd(*(c.numerator for c in p.terms.values()))
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
     mu_min = min(e[0] for e in p.terms)
     out = MPoly(p.nv)
-    out.terms = {(e[0] - mu_min,) + e[1:]: c / content for e, c in p.terms.items()}
+    # c / (g / den) = c.numerator * (den / c.denominator) / g, all integral
+    out.terms = {
+        (e[0] - mu_min,) + e[1:]: c.numerator * (den // c.denominator) // g
+        for e, c in p.terms.items()
+    }
     return out
 
 
@@ -259,9 +269,9 @@ def central_system(inst) -> tuple[list[MPoly], dict]:
                 if a:
                     e = [0] * nv
                     e[xvar(p, q)] = 1
-                    terms[tuple(e)] = Fraction(a)
+                    terms[tuple(e)] = a
         if b[i]:
-            terms[(0,) * nv] = Fraction(-b[i])
+            terms[(0,) * nv] = -b[i]
         polys.append(MPoly(nv, terms))
     for p in range(n):
         for q in range(p, n):
@@ -270,12 +280,12 @@ def central_system(inst) -> tuple[list[MPoly], dict]:
                 if A[i][p][q]:
                     e = [0] * nv
                     e[yvar(i)] = 1
-                    terms[tuple(e)] = Fraction(A[i][p][q])
+                    terms[tuple(e)] = A[i][p][q]
             e = [0] * nv
             e[svar(p, q)] = 1
-            terms[tuple(e)] = terms.get(tuple(e), _ZERO) + 1
+            terms[tuple(e)] = terms.get(tuple(e), 0) + 1
             if C[p][q]:
-                terms[(0,) * nv] = Fraction(-C[p][q])
+                terms[(0,) * nv] = -C[p][q]
             polys.append(MPoly(nv, {e: c for e, c in terms.items() if c}))
     for p in range(n):
         for q in range(n):
@@ -287,12 +297,12 @@ def central_system(inst) -> tuple[list[MPoly], dict]:
                 e[xi] += 1
                 e[si] += 1
                 key = tuple(e)
-                terms[key] = terms.get(key, _ZERO) + 1
+                terms[key] = terms.get(key, 0) + 1
             if p == q:
                 e = [0] * nv
                 e[0] = 1
                 key = tuple(e)
-                terms[key] = terms.get(key, _ZERO) - 1
+                terms[key] = terms.get(key, 0) - 1
             polys.append(MPoly(nv, {e: c for e, c in terms.items() if c}))
     layout = {
         "nv": nv,
@@ -387,7 +397,7 @@ def eliminate_coordinate(
     target = coordinate_variable(inst, coordinate, layout)
     if float(np.max(np.abs(trace.values[:, coordinate]))) <= _ZERO_COORD_TOL:
         # the graph of an identically-zero coordinate is the zero set of V
-        return BiPoly.from_dict({(1, 0): _ONE})
+        return BiPoly.from_dict({(1, 0): 1})
     nv = layout["nv"]
     eqs = [_strip(p) for p in polys if not p.is_zero()]
     elim = set(range(1, nv))
@@ -421,7 +431,7 @@ def eliminate_coordinate(
                 if not coeffs[1].is_const():
                     continue
                 lead = coeffs[1].terms[(0,) * nv]
-                expr = coeffs[0].scale(Fraction(-1) / lead)
+                expr = coeffs[0].scale(qdiv(-1, lead))
                 eqs = [
                     _strip(other.substitute(w, expr))
                     for oi, other in enumerate(eqs)

@@ -5,6 +5,11 @@ polynomials in a single variable over Q, and ``BiPoly`` for polynomials in
 a parameter (written ``mu``) and a dependent variable (written ``V``), held
 as a vector of ``UniPoly`` coefficients indexed by V-degree.
 
+A coefficient is an ``int`` when it is integral and a ``Fraction``
+otherwise, so integer polynomials run on machine-fast integer arithmetic
+without a gcd per operation.  Every coefficient division goes through
+``qdiv``, which keeps that rule and can never produce a float.
+
 All operations are pure: every method returns a fresh object and never
 mutates its operands, so values can be shared freely.  Gcds in Q[mu][V]
 and resultants share one subresultant pseudo-remainder sequence, which
@@ -15,38 +20,53 @@ ring, so the multivariate eliminations of ``elimination`` use it too.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DegenerateInputError, ParseError
 
 #: Exact scalar type used throughout the package.  Always normalized:
-#: denominators are positive and gcd(numerator, denominator) = 1.
+#: denominators are positive and gcd(numerator, denominator) = 1.  A
+#: polynomial coefficient with denominator 1 is held as a plain int.
 Rational = Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-
-def _as_rational(x) -> Fraction:
-    if isinstance(x, Fraction):
+def exact(x):
+    """x as a polynomial coefficient: an int when integral, else a Fraction."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def qdiv(a, b):
+    """Exact quotient a / b of two coefficients, normalized by ``exact``.
+
+    Two ints divide by ``divmod`` and make a ``Fraction`` only when a
+    remainder is left; ``int / int`` would give a float.
+    """
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return exact(a / b)
 
 
 class UniPoly:
     """Dense univariate polynomial over Q.
 
-    Coefficients are stored low degree first with no trailing zeros; the
-    zero polynomial is the empty tuple and reports degree -1.
+    Coefficients are stored low degree first with no trailing zeros, each
+    an int when integral and a Fraction otherwise; the zero polynomial is
+    the empty tuple and reports degree -1.
     """
 
     __slots__ = ("c",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_as_rational(x) for x in coeffs]
+        cs = [x if type(x) is int else exact(x) for x in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.c = tuple(cs)
@@ -77,15 +97,15 @@ class UniPoly:
     def is_const(self) -> bool:
         return len(self.c) <= 1
 
-    def lc(self) -> Fraction:
+    def lc(self) -> int | Fraction:
         """Leading coefficient (0 for the zero polynomial)."""
-        return self.c[-1] if self.c else _ZERO
+        return self.c[-1] if self.c else 0
 
-    def constant(self) -> Fraction:
-        return self.c[0] if self.c else _ZERO
+    def constant(self) -> int | Fraction:
+        return self.c[0] if self.c else 0
 
-    def coeff(self, k: int) -> Fraction:
-        return self.c[k] if 0 <= k < len(self.c) else _ZERO
+    def coeff(self, k: int) -> int | Fraction:
+        return self.c[k] if 0 <= k < len(self.c) else 0
 
     def order(self) -> int | None:
         """Smallest exponent with a nonzero coefficient; None if zero."""
@@ -115,7 +135,7 @@ class UniPoly:
         a, b = self.c, other.c
         if not a or not b:
             return UniPoly()
-        out = [_ZERO] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x == 0:
                 continue
@@ -124,7 +144,7 @@ class UniPoly:
         return UniPoly(out)
 
     def scale(self, r) -> "UniPoly":
-        r = _as_rational(r)
+        r = exact(r)
         return UniPoly([r * x for x in self.c])
 
     def shift(self, k: int) -> "UniPoly":
@@ -150,9 +170,9 @@ class UniPoly:
         rem = list(self.c)
         d = other.degree
         lb = other.lc()
-        quot = [_ZERO] * max(0, len(rem) - d)
+        quot = [0] * max(0, len(rem) - d)
         for k in range(len(rem) - 1, d - 1, -1):
-            q = rem[k] / lb
+            q = qdiv(rem[k], lb)
             if q == 0:
                 continue
             quot[k - d] = q
@@ -172,9 +192,9 @@ class UniPoly:
     def derivative(self) -> "UniPoly":
         return UniPoly([k * x for k, x in enumerate(self.c)][1:])
 
-    def eval(self, x) -> Fraction:
-        x = _as_rational(x)
-        acc = _ZERO
+    def eval(self, x) -> int | Fraction:
+        x = exact(x)
+        acc = 0
         for coef in reversed(self.c):
             acc = acc * x + coef
         return acc
@@ -182,7 +202,7 @@ class UniPoly:
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self
-        return self.scale(1 / self.lc())
+        return self.scale(qdiv(1, self.lc()))
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
         """Monic gcd in Q[x]."""
@@ -265,12 +285,12 @@ class BiPoly:
         dv = max(j for j, _ in d)
         cols: list[dict[int, Fraction]] = [{} for _ in range(dv + 1)]
         for (j, k), x in d.items():
-            cols[j][k] = cols[j].get(k, _ZERO) + _as_rational(x)
+            cols[j][k] = cols[j].get(k, 0) + exact(x)
         out = []
         for col in cols:
             if col:
                 n = max(col) + 1
-                out.append(UniPoly([col.get(k, _ZERO) for k in range(n)]))
+                out.append(UniPoly([col.get(k, 0) for k in range(n)]))
             else:
                 out.append(UniPoly())
         return BiPoly(out)
@@ -355,9 +375,9 @@ class BiPoly:
         """Substitute a rational for mu, leaving a polynomial in V."""
         return UniPoly([p.eval(x) for p in self.cv])
 
-    def eval(self, mu, v) -> Fraction:
-        acc = _ZERO
-        v = _as_rational(v)
+    def eval(self, mu, v) -> int | Fraction:
+        acc = 0
+        v = exact(v)
         for p in reversed(self.cv):
             acc = acc * v + p.eval(mu)
         return acc
@@ -394,6 +414,11 @@ class BiPoly:
                 break
         return g, BiPoly([p.exact_div(g) for p in self.cv])
 
+    def _denominators_cleared(self) -> "BiPoly":
+        """The multiple by the lcm of the denominators: integral coefficients."""
+        den = math.lcm(*(x.denominator for p in self.cv for x in p.c))
+        return self if den == 1 else self.scale(den)
+
     def sign_normalized(self) -> "BiPoly":
         """Flip the global sign so the leading V-coefficient has positive lead."""
         if not self.is_zero() and self.lc_v().lc() < 0:
@@ -407,7 +432,7 @@ class BiPoly:
         """
         if self.is_zero():
             return self
-        return self.scale(1 / self.lc_v().lc())
+        return self.scale(qdiv(1, self.lc_v().lc()))
 
     def normalized(self) -> "BiPoly":
         """Primitive, sign-normalized copy (canonical up to nothing)."""
@@ -447,8 +472,9 @@ class BiPoly:
         """Gcd in Q[mu][V] (or with the roles swapped for var="mu").
 
         Computed by the subresultant pseudo-remainder sequence on primitive
-        parts; the content gcd is a plain monic gcd in Q[mu].  The result
-        is primitive and sign-normalized.
+        parts cleared of denominators, so the sequence stays in Z[mu][V]
+        and runs on int coefficients; the content gcd is a plain monic gcd
+        in Q[mu].  The result is primitive and sign-normalized.
         """
         if var == "mu":
             return self.swap_vars().gcd(other.swap_vars()).swap_vars()
@@ -462,7 +488,9 @@ class BiPoly:
         if pa.deg_v < pb.deg_v:
             pa, pb = pb, pa
         if pb.deg_v > 0:
-            last, tail, _, _ = _subresultant_prs(pa.cv, pb.cv)
+            last, tail, _, _ = _subresultant_prs(
+                pa._denominators_cleared().cv, pb._denominators_cleared().cv
+            )
             if not tail:
                 # the sequence ended on a zero remainder: its last nonzero
                 # element is the gcd up to content

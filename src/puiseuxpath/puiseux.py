@@ -333,7 +333,9 @@ class _Ctx:
 
 def _w_root_representative(xi: AlgebraicNumber, w: int) -> AlgebraicNumber:
     """Deterministic w-th root of xi: exact rational when possible, else
-    the isolated root with the largest (re, im) midpoint."""
+    the root that ``AlgebraicNumber.order_key`` ranks last, i.e. the
+    largest real part and, among equal real parts, the largest imaginary
+    part (``+i*sqrt(c)`` for ``T^2 = -c``)."""
     if w == 1:
         return xi
     tw = xi.tower
@@ -350,12 +352,12 @@ def _w_root_representative(xi: AlgebraicNumber, w: int) -> AlgebraicNumber:
         + [el_zero(depth) for _ in range(w - 1)]
         + [el_one(depth)]
     )
-    boxes = isolate_roots(tw, depth, poly)
-    pick = max(range(len(boxes)),
-               key=lambda i: (boxes[i].re.mid, boxes[i].im.mid))
-    branch_tw = tw.clone()
-    branch_tw.extend(poly, boxes[pick])
-    return AlgebraicNumber.generator(branch_tw)
+    roots = []
+    for box in isolate_roots(tw, depth, poly):
+        branch_tw = tw.clone()
+        branch_tw.extend(poly, box)
+        roots.append(AlgebraicNumber.generator(branch_tw))
+    return max(roots, key=lambda a: a.order_key(64))
 
 
 def _substitute(tw, depth, coeffs: list[dict], gamma_u: int,

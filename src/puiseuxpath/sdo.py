@@ -63,7 +63,7 @@ class SDOInstance:
     constraint matrices, b the right-hand side, C the cost matrix.
     """
 
-    __slots__ = ("n", "m", "A", "b", "C", "name")
+    __slots__ = ("n", "m", "A", "b", "C", "name", "_newton")
 
     def __init__(self, A, b, C, name: str = "instance"):
         C_arr = np.array(C, dtype=_LD)
@@ -93,6 +93,7 @@ class SDOInstance:
         self.b = b_arr
         self.C = C_arr
         self.name = name
+        self._newton = None  # _NewtonLayout, built by the first Newton step
 
     @property
     def dim(self) -> int:
@@ -281,27 +282,107 @@ def _is_pd(M) -> bool:
 
 
 def _solve_linear(M, rhs):
-    # partial-pivot elimination; numpy's solver would drop to double
-    a = M.copy()
-    b = rhs.copy()
-    size = len(b)
+    """Solve M x = rhs by partial-pivot elimination in extended precision.
+
+    numpy's solver would drop to double.  Each column is eliminated with
+    one outer-product update of the augmented [M | rhs], and the result is
+    bit-identical to eliminating one row at a time: every row still
+    subtracts f * (pivot row) with f = M[row, col] * (1 / pivot), rounded
+    the same way (a quotient M[row, col] / pivot rounds differently), and
+    rows with f == 0 are left alone, since subtracting a zero product can
+    flip the sign of a zero entry.  The back-substitution stays row by
+    row because the order of its dot products fixes the last bits.
+    """
+    size = len(rhs)
+    a = np.empty((size, size + 1), dtype=_LD)
+    a[:, :size] = M
+    a[:, size] = rhs
     for col in range(size):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
+        piv = col + int(np.abs(a[col:, col]).argmax())
         if a[piv, col] == 0:
             raise SolveFailureError("Newton system is singular")
         if piv != col:
             a[[col, piv]] = a[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
-        inv = 1 / a[col, col]
-        for row in range(col + 1, size):
-            f = a[row, col] * inv
-            if f != 0:
-                a[row, col:] -= f * a[col, col:]
-                b[row] -= f * b[col]
+        f = a[col + 1 :, col] * (1 / a[col, col])
+        nz = f.nonzero()[0]
+        if nz.size:
+            # entries below the pivot are never read again, so the update
+            # starts right of it
+            a[col + 1 + nz, col + 1 :] -= np.multiply.outer(f[nz], a[col, col + 1 :])
     x = np.zeros(size, dtype=_LD)
     for row in range(size - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
+        x[row] = (a[row, size] - a[row, row + 1 : size] @ x[row + 1 :]) / a[row, row]
     return x
+
+
+class _NewtonLayout:
+    """Index gathers and the constant Jacobian rows of one instance.
+
+    Unknowns are the upper-triangle entries of dX, then dy, then those of
+    dS; equations are the m primal constraints, then the dual and the
+    complementarity residuals at the upper-triangle pairs.  For the
+    basis matrix B of pair (u, v) and a row pair (p, q),
+
+        ((B S + S B) / 2)[p, q] = (S[ia] + S[ib]) / 2,
+
+    where ia points at S[v, q] or S[u, q] when p is u or v, ib at S[p, u]
+    or S[p, v] when q is v or u, and both otherwise at an appended zero.
+    The same gathers on X give ((X B + B X) / 2)[p, q].
+    """
+
+    __slots__ = ("k", "rows", "cols", "flat", "ia", "ib", "J0")
+
+    def __init__(self, inst: SDOInstance):
+        n, m = inst.n, inst.m
+        pairs = _sym_pairs(n)
+        k = len(pairs)
+        pad = n * n
+        ia = np.full((k, k), pad, dtype=np.intp)
+        ib = np.full((k, k), pad, dtype=np.intp)
+        for r, (p, q) in enumerate(pairs):
+            for c, (u, v) in enumerate(pairs):
+                if p == u:
+                    ia[r, c] = v * n + q
+                elif p == v:
+                    ia[r, c] = u * n + q
+                if q == v:
+                    ib[r, c] = p * n + u
+                elif q == u:
+                    ib[r, c] = p * n + v
+        J0 = np.zeros((m + 2 * k, m + 2 * k), dtype=_LD)
+        for c, (u, v) in enumerate(pairs):
+            for row, Ai in enumerate(inst.A):
+                J0[row, c] = Ai[u, u] if u == v else Ai[u, v] + Ai[v, u]
+            J0[m + c, k + m + c] = 1
+        for idx, Ai in enumerate(inst.A):
+            J0[m : m + k, k + idx] = [Ai[i, j] for i, j in pairs]
+        self.k = k
+        self.rows = np.array([i for i, _ in pairs], dtype=np.intp)
+        self.cols = np.array([j for _, j in pairs], dtype=np.intp)
+        self.flat = self.rows * n + self.cols
+        self.ia = ia
+        self.ib = ib
+        self.J0 = J0
+
+
+def _newton_layout(inst: SDOInstance) -> _NewtonLayout:
+    if inst._newton is None:
+        inst._newton = _NewtonLayout(inst)
+    return inst._newton
+
+
+def _jacobian(inst: SDOInstance, X, S):
+    """Jacobian of the symmetrized central-path residual at (X, S)."""
+    lay = _newton_layout(inst)
+    m, k = inst.m, lay.k
+    J = lay.J0.copy()
+    # a matrix product sums from +0, so a -0 entry it selects comes out
+    # as +0; adding 0 does the same to the gathered entries
+    Sg = np.append(S.ravel(), 0) + 0
+    Xg = np.append(X.ravel(), 0) + 0
+    J[m + k :, :k] = (Sg[lay.ia] + Sg[lay.ib]) / 2
+    J[m + k :, k + m :] = (Xg[lay.ia] + Xg[lay.ib]) / 2
+    return J
 
 
 def _residual_blocks(inst, X, y, S, mu):
@@ -337,8 +418,8 @@ def central_point(
             )
             bridge *= 0.1
         return central_point(inst, mu, tol=tol, start=warm, max_iter=max_iter)
-    pairs = _sym_pairs(n)
-    k = len(pairs)
+    lay = _newton_layout(inst)
+    k = lay.k
     if start is None:
         X = np.eye(n, dtype=_LD)
         y = np.zeros(m, dtype=_LD)
@@ -349,11 +430,6 @@ def central_point(
         y = start.y.copy()
         S = start.S.copy()
         cold = False
-    basis = []
-    for i, j in pairs:
-        B = np.zeros((n, n), dtype=_LD)
-        B[i, j] = B[j, i] = 1
-        basis.append(B)
     size = m + 2 * k
     mu_ld = _LD(mu)
     res = np.inf
@@ -364,28 +440,15 @@ def central_point(
         )
         if res <= tol:
             return CentralPathSample(mu, X, y, S, res)
-        F = np.zeros(size, dtype=_LD)
+        F = np.empty(size, dtype=_LD)
         F[:m] = rp
-        F[m : m + k] = [Rd[i, j] for i, j in pairs]
-        F[m + k :] = [Rc[i, j] for i, j in pairs]
-        J = np.zeros((size, size), dtype=_LD)
-        for col, B in enumerate(basis):
-            for row, Ai in enumerate(inst.A):
-                J[row, col] = (Ai * B).sum()
-            M = (B @ S + S @ B) / 2
-            J[m + k :, col] = [M[i, j] for i, j in pairs]
-            M = (X @ B + B @ X) / 2
-            J[m + k :, k + m + col] = [M[i, j] for i, j in pairs]
-            J[m : m + k, k + m + col] = [B[i, j] for i, j in pairs]
-        for idx, Ai in enumerate(inst.A):
-            J[m : m + k, k + idx] = [Ai[i, j] for i, j in pairs]
-        step = _solve_linear(J, -F)
+        F[m : m + k] = Rd.ravel()[lay.flat]
+        F[m + k :] = Rc.ravel()[lay.flat]
+        step = _solve_linear(_jacobian(inst, X, S), -F)
         dX = np.zeros((n, n), dtype=_LD)
         dS = np.zeros((n, n), dtype=_LD)
-        for val, (i, j) in zip(step[:k], pairs):
-            dX[i, j] = dX[j, i] = val
-        for val, (i, j) in zip(step[k + m :], pairs):
-            dS[i, j] = dS[j, i] = val
+        dX[lay.rows, lay.cols] = dX[lay.cols, lay.rows] = step[:k]
+        dS[lay.rows, lay.cols] = dS[lay.cols, lay.rows] = step[k + m :]
         dy = step[k : k + m]
         t = 1.0
         while t > 1e-18 and not (_is_pd(X + t * dX) and _is_pd(S + t * dS)):

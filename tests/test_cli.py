@@ -2,18 +2,29 @@
 
 The commands are exercised in-process through main(argv) with captured
 stdout; the byte-determinism check runs the installed module twice in
-subprocesses with different hash seeds.
+subprocesses with different hash seeds. The golden files under
+``tests/data`` pin the stdout of ``rho-sdo --format json`` and of
+``verify --format csv`` on the builtin instances byte for byte; their
+digits are those of x86 80-bit extended precision.
 """
 
+import io
 import os
+import re
 import subprocess
 import sys
 
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from puiseuxpath.cli import main
 
 ELL_CUBIC = "2*T^3+(2-1/2*mu)*T^2-(mu+2)*T-2"
+DATA = Path(__file__).parent / "data"
+BUILTIN_RHO = {"identity_3": 1, "elliptope_3": 2, "kl02_3": 2, "kl02_4": 4,
+               "kl02_5": 8}
 
 
 def run(capsys, *argv):
@@ -62,6 +73,17 @@ class TestCurveCommands:
             "[0] center=(0-1i) q=1 series=(0-1i) (exact)",
             "[1] center=(0+1i) q=1 series=(0+1i) (exact)",
         ]
+
+    def test_root_representative_sign_convention(self, capsys):
+        # the w-th root kept for T^w = xi has the largest real part and,
+        # on a tie, the largest imaginary part: always +i*sqrt(c), never
+        # a sign picked by enclosure noise
+        form = re.compile(r"series=\(0\+[0-9.]+i\)\*mu\^\(1/2\) \(exact\)$")
+        for family in ("V^2 + {}*mu", "V^4 - {}*mu^2", "V^6 + {}*mu^3"):
+            for c in range(1, 41):
+                code, cap = run(capsys, "expand", "--poly", family.format(c))
+                assert code == 0
+                assert form.search(cap.out.splitlines()[0]), (family, c, cap.out)
 
     def test_expand_json(self, capsys):
         import json
@@ -177,6 +199,51 @@ class TestErrors:
         code, cap = run(capsys, "trace", "--instance", "identity_3",
                         "--rho", "0", "--format", "csv")
         assert code == 2
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_quietly(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert main(["expand", "--poly", "V^2 + 3*mu"]) == 1
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_in_a_subprocess(self):
+        # the reader is gone before the first write, as after `| head -1`
+        for cmd in (["expand", "--poly", "V^2 + 3*mu"],
+                    ["trace", "--instance", "kl02_3", "--format", "csv"]):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "puiseuxpath.cli"] + cmd,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            )
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            assert proc.wait(timeout=120) == 1
+            assert err == b""
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                    reason="golden digits are those of x86 80-bit long double")
+class TestGoldenOutput:
+    @pytest.mark.parametrize("name", BUILTIN_RHO)
+    def test_rho_sdo_json(self, capsys, monkeypatch, name):
+        monkeypatch.delenv("PUISEUXPATH_DEGREE_CAP", raising=False)
+        code, cap = run(capsys, "rho-sdo", "--instance", name, "--format", "json")
+        assert code == 0
+        assert cap.out.encode() == (DATA / f"rho_sdo_{name}.json").read_bytes()
+
+    @pytest.mark.parametrize("name, rho", BUILTIN_RHO.items())
+    def test_verify_csv(self, capsys, name, rho):
+        code, cap = run(capsys, "verify", "--instance", name, "--rho", str(rho),
+                        "--format", "csv")
+        assert code == 0
+        golden = DATA / f"verify_{name}_rho{rho}.csv"
+        assert cap.out.encode() == golden.read_bytes()
 
 
 class TestDeterminism:

@@ -13,6 +13,7 @@ Hand-checked fixtures:
   the diagonal), so the minimal curves below come out in closed form.
 """
 
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -20,9 +21,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from puiseuxpath.elimination import (
     MPoly,
+    _strip,
     canonical_coordinates,
     central_system,
     coordinate_variable,
@@ -85,6 +89,37 @@ class TestMPoly:
         assert (a * b).exact_div(a).terms == b.terms
         five = MPoly.const(3, 5)
         assert (a * b).exact_div(five).terms == (a * b).scale(Fraction(1, 5)).terms
+
+    def test_exact_div_keeps_int_coefficients(self):
+        x = MPoly.variable(3, 1)
+        y = MPoly.variable(3, 2)
+        mu = MPoly.variable(3, 0)
+        a = x * x.scale(3) - y + mu.scale(2)
+        b = x * y - mu * mu.scale(4) + MPoly.const(3, 6)
+        for q in ((a * b).exact_div(b), (a * b).exact_div(a)):
+            assert all(type(c) is int for c in q.terms.values())
+        third = (a * b).exact_div(MPoly.const(3, 3))
+        assert third.terms[(0, 3, 1)] == 1  # 3 x^3 y / 3
+        assert type(third.terms[(0, 3, 1)]) is int
+        assert third.terms[(0, 1, 2)] == Fraction(-1, 3)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+        st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool),
+        min_size=1, max_size=6,
+    ))
+    def test_strip_gives_coprime_ints(self, terms):
+        p = MPoly(3, terms)
+        out = _strip(p)
+        assert all(type(c) is int for c in out.terms.values())
+        assert math.gcd(*out.terms.values()) == 1
+        # out is p / mu^k times one positive rational
+        k = min(e[0] for e in p.terms)
+        assert min(e[0] for e in out.terms) == 0
+        ratios = {Fraction(c) / out.terms[(e[0] - k,) + e[1:]]
+                  for e, c in p.terms.items()}
+        assert len(ratios) == 1 and ratios.pop() > 0
 
     def test_exact_div_raises_on_remainder(self):
         x = MPoly.variable(3, 1)

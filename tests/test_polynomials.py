@@ -6,15 +6,20 @@ determinants for the resultants (cross-checked with sympy below).
 """
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from puiseuxpath import polynomials
 from puiseuxpath.polynomials import (
     BiPoly,
     UniPoly,
     parse_bipoly,
+    qdiv,
     render_bipoly,
 )
 
@@ -282,3 +287,86 @@ def test_operations_are_pure_and_deterministic():
     a = p.separable_part()
     b = p.separable_part()
     assert a == b and render_bipoly(a) == render_bipoly(b)
+
+
+# ---------------------------------------------------------------------------
+# integer coefficients: int when integral, Fraction otherwise, never float
+# ---------------------------------------------------------------------------
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool)
+bipolys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), rationals, min_size=1, max_size=5
+).map(BiPoly.from_dict)
+
+
+def _exact_kind(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def _flat(p):
+    return list(p.c) if isinstance(p, UniPoly) else [x for u in p.cv for x in u.c]
+
+
+@contextmanager
+def _recording_prs():
+    """Collect every element the subresultant sequence takes or makes."""
+    seen = []
+    prem, prs = polynomials._prem, polynomials._subresultant_prs
+
+    def record_prem(a, b):
+        r = prem(a, b)
+        seen.extend([*a, *b, *r])
+        return r
+
+    def record_prs(a, b):
+        out = prs(a, b)
+        last, tail, h, _ = out
+        seen.extend([*last, *tail, h])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polynomials, "_prem", record_prem)
+        mp.setattr(polynomials, "_subresultant_prs", record_prs)
+        yield seen
+
+
+class TestIntegerKernel:
+    def test_qdiv(self):
+        assert qdiv(6, 3) == 2 and type(qdiv(6, 3)) is int
+        assert qdiv(-7, 2) == Fraction(-7, 2)
+        assert qdiv(Fraction(3, 2), Fraction(1, 2)) == 3
+        assert type(qdiv(Fraction(3, 2), Fraction(1, 2))) is int
+        assert qdiv(1, Fraction(2, 3)) == Fraction(3, 2)
+        with pytest.raises(ZeroDivisionError):
+            qdiv(1, 0)
+        with pytest.raises(TypeError):
+            qdiv(1.0, 2)
+
+    def test_coefficients_normalize(self):
+        u = UniPoly([Fraction(4, 2), Fraction(1, 3), 5])
+        assert [type(x) for x in u.c] == [int, Fraction, int]
+        assert type(u.monic().c[0]) is Fraction
+        assert type(UniPoly([3, 6]).monic().c[0]) is Fraction
+        assert type(UniPoly([3, 6]).divmod(UniPoly([3]))[0].c[1]) is int
+        with pytest.raises(TypeError):
+            UniPoly([0.5])
+
+    @settings(deadline=None, max_examples=60)
+    @given(bipolys, bipolys, bipolys)
+    def test_gcd_and_separable_part_run_on_int(self, a, b, c):
+        p, q = a * c, b * c
+        with _recording_prs() as seen:
+            g = p.gcd(q)
+            s = p.separable_part()
+        # the sequence starts from denominator-free primitive parts
+        assert all(type(x) is int for u in seen for x in u.c)
+        assert all(_exact_kind(x) for x in _flat(g) + _flat(s))
+
+    @settings(deadline=None, max_examples=60)
+    @given(bipolys, bipolys)
+    def test_resultant_coefficients_stay_exact(self, a, b):
+        assume(a.deg_v >= 1 or b.deg_v >= 1)
+        with _recording_prs() as seen:
+            r = a.resultant(b)
+        assert all(_exact_kind(x) for u in seen for x in u.c)
+        assert all(_exact_kind(x) for x in r.c)

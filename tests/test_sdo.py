@@ -20,6 +20,7 @@ import math
 import numpy as np
 import pytest
 
+from puiseuxpath import sdo
 from puiseuxpath.errors import (
     ConstantCoordinateError,
     InfeasibleInstanceError,
@@ -30,6 +31,8 @@ from puiseuxpath.errors import (
 from puiseuxpath.sdo import (
     CentralPathSample,
     SDOInstance,
+    _jacobian,
+    _solve_linear,
     builtin_instance,
     central_point,
     elliptope_instance,
@@ -378,3 +381,137 @@ class TestVerifyReparametrization:
             verify_reparametrization(identity_instance(2), 1, window=(0.5, 0.25))
         with pytest.raises(InsufficientSamplesError):
             verify_reparametrization(identity_instance(2), 1, window=(0.2, 0.25))
+
+
+# ---------------------------------------------------------------------------
+# Newton kernel against the loop code it replaced
+#
+# The two functions below are the Jacobian assembly and the linear solve
+# the Newton step ran before they were vectorized, kept as the reference:
+# the vectorized kernel must reproduce them bit for bit (signs of zeros
+# included), since the traced values are printed.
+
+
+def _reference_jacobian(inst, X, S):
+    """One basis matrix B per upper-triangle pair, one matmul per block."""
+    n, m = inst.n, inst.m
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    k = len(pairs)
+    size = m + 2 * k
+    J = np.zeros((size, size), dtype=np.longdouble)
+    for col, (u, v) in enumerate(pairs):
+        B = np.zeros((n, n), dtype=np.longdouble)
+        B[u, v] = B[v, u] = 1
+        for row, Ai in enumerate(inst.A):
+            J[row, col] = (Ai * B).sum()
+        M = (B @ S + S @ B) / 2
+        J[m + k :, col] = [M[i, j] for i, j in pairs]
+        M = (X @ B + B @ X) / 2
+        J[m + k :, k + m + col] = [M[i, j] for i, j in pairs]
+        J[m : m + k, k + m + col] = [B[i, j] for i, j in pairs]
+    for idx, Ai in enumerate(inst.A):
+        J[m : m + k, k + idx] = [Ai[i, j] for i, j in pairs]
+    return J
+
+
+def _reference_solve(M, rhs):
+    """Partial-pivot elimination, one row update at a time."""
+    a = M.copy()
+    b = rhs.copy()
+    size = len(b)
+    for col in range(size):
+        piv = col + int(np.argmax(np.abs(a[col:, col])))
+        if a[piv, col] == 0:
+            raise AssertionError("reference solve hit a singular system")
+        if piv != col:
+            a[[col, piv]] = a[[piv, col]]
+            b[[col, piv]] = b[[piv, col]]
+        inv = 1 / a[col, col]
+        for row in range(col + 1, size):
+            f = a[row, col] * inv
+            if f != 0:
+                a[row, col:] -= f * a[col, col:]
+                b[row] -= f * b[col]
+    x = np.zeros(size, dtype=np.longdouble)
+    for row in range(size - 1, -1, -1):
+        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
+    return x
+
+
+def _same_bits(a, b):
+    return (
+        a.shape == b.shape
+        and np.array_equal(a, b)
+        and np.array_equal(np.signbit(a), np.signbit(b))
+    )
+
+
+BUILTINS = ("identity_3", "elliptope_3", "kl02_3", "kl02_4", "kl02_5")
+
+
+@pytest.fixture(scope="module")
+def newton_systems():
+    """Every (X, S, J) and (J, rhs) the Newton steps of five traces build."""
+    jacobians, systems = [], []
+    jacobian, solve = sdo._jacobian, sdo._solve_linear
+
+    def record_jacobian(inst, X, S):
+        J = jacobian(inst, X, S)
+        jacobians.append((inst, X.copy(), S.copy(), J.copy()))
+        return J
+
+    def record_solve(M, rhs):
+        systems.append((M.copy(), rhs.copy()))
+        return solve(M, rhs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdo, "_jacobian", record_jacobian)
+        mp.setattr(sdo, "_solve_linear", record_solve)
+        for name in BUILTINS:
+            trace_path(builtin_instance(name))
+    return jacobians, systems
+
+
+class TestNewtonKernel:
+    def test_jacobians_along_builtin_traces(self, newton_systems):
+        jacobians, _ = newton_systems
+        assert {inst.name for inst, *_ in jacobians} == set(BUILTINS)
+        for inst, X, S, J in jacobians:
+            assert _same_bits(J, _reference_jacobian(inst, X, S))
+
+    def test_jacobian_with_signed_zeros(self):
+        rng = np.random.default_rng(7)
+
+        def symmetric(n):
+            M = rng.standard_normal((n, n)).astype(np.longdouble)
+            M[rng.random((n, n)) < 0.4] = -0.0
+            M[0, 1] = -0.0
+            return np.where(np.triu(np.ones((n, n), dtype=bool)), M, M.T)
+
+        for name in BUILTINS:
+            inst = builtin_instance(name)
+            for _ in range(5):
+                X, S = symmetric(inst.n), symmetric(inst.n)
+                assert _same_bits(_jacobian(inst, X, S),
+                                  _reference_jacobian(inst, X, S))
+
+    def test_captured_newton_solves(self, newton_systems):
+        _, systems = newton_systems
+        assert {len(rhs) for _, rhs in systems} == {13, 15, 24, 35}
+        for M, rhs in systems:
+            assert _same_bits(_solve_linear(M, rhs), _reference_solve(M, rhs))
+
+    def test_random_well_conditioned_solves(self):
+        rng = np.random.default_rng(20240817)
+        for size in (1, 2, 5, 13, 24, 35, 40):
+            for _ in range(4):
+                M = rng.standard_normal((size, size)).astype(np.longdouble)
+                M += size * np.eye(size, dtype=np.longdouble)
+                # sparse rows exercise the skipped zero multipliers, and
+                # signed zeros the sign rules of the update
+                M[(rng.random((size, size)) < 0.5) & ~np.eye(size, dtype=bool)] = -0.0
+                rhs = rng.standard_normal(size).astype(np.longdouble)
+                rhs[rng.random(size) < 0.3] = -0.0
+                x = _solve_linear(M, rhs)
+                assert _same_bits(x, _reference_solve(M, rhs))
+                assert np.max(np.abs(M @ x - rhs)) < 1e-15 * size
