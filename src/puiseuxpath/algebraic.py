@@ -9,10 +9,11 @@ replace f_j by the factor whose root stays inside the stored box.  All
 facts established before such a refinement remain true afterwards, so
 callers never need to re-run earlier decisions.
 
-Element representation: depth 0 is a plain Fraction; depth t >= 1 is a list
-of depth-(t-1) elements (coefficients of powers of the level-(t-1)
-generator, lowest first).  Lists are never mutated in place; every
-operation builds fresh ones.
+Element representation: depth 0 is a rational number under the scalar rule
+of ``polynomials.exact`` (an int when integral, else a Fraction, with every
+division through ``qdiv``); depth t >= 1 is a list of depth-(t-1) elements
+(coefficients of powers of the level-(t-1) generator, lowest first).  Lists
+are never mutated in place; every operation builds fresh ones.
 
 Enclosures are fixed-point complex boxes: a 4-tuple (re_lo, re_hi, im_lo,
 im_hi) of integers at a scale 2^-s, with every product rounded outward, so
@@ -27,7 +28,7 @@ import math
 from fractions import Fraction
 
 from .errors import PrecisionExhaustedError
-from .polynomials import UniPoly, qdiv
+from .polynomials import UniPoly, exact, qdiv
 
 __all__ = [
     "AlgebraicNumber",
@@ -42,15 +43,6 @@ __all__ = [
 
 # cap on refinement rounds per certification
 _REFINE_CAP = 256
-
-
-def _as_rational(x) -> Fraction:
-    """A depth-0 tower element: always a Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
 # crossing offsets used when a bisection line might pass through a root;
@@ -198,15 +190,7 @@ class FieldTower:
         """Fixed-point enclosure at scale 2^-s from the boxes on file."""
         gens = [_fb_rescale(lvl.box, self._scale, s)
                 for lvl in self.levels[:depth]]
-
-        def enclose(d, x):
-            if d == 0:
-                return _fb_point(x, s)
-            if not x:
-                return (0, 0, 0, 0)
-            return _fb_horner([enclose(d - 1, c) for c in x], gens[d - 1], s)
-
-        return enclose(depth, el_reduce(self, depth, e))
+        return _fb_enclose(gens, depth, el_reduce(self, depth, e), s)
 
     def ensure_prec(self, bits: int) -> None:
         """Refine every generator box to width at most 2^-bits."""
@@ -266,19 +250,20 @@ class FieldTower:
 
 
 # ---------------------------------------------------------------------------
-# element operations (depth 0 = Fraction, depth t = list of depth t-1)
+# element operations (depth 0 = int or Fraction as ``polynomials.exact``
+# leaves it, depth t = list of depth t-1)
 
 
 def el_zero(depth: int):
-    return Fraction(0) if depth == 0 else []
+    return 0 if depth == 0 else []
 
 
 def el_one(depth: int):
-    return Fraction(1) if depth == 0 else [el_one(depth - 1)]
+    return 1 if depth == 0 else [el_one(depth - 1)]
 
 
 def el_from_rational(depth: int, r):
-    r = _as_rational(r)
+    r = exact(r)
     return r if depth == 0 else [el_from_rational(depth - 1, r)]
 
 
@@ -362,7 +347,7 @@ def el_mul(tw: FieldTower, depth: int, a, b):
     return el_reduce(tw, depth, el_mul_raw(tw, depth, a, b))
 
 
-def el_scale(depth: int, a, r: Fraction):
+def el_scale(depth: int, a, r: int):
     if depth == 0:
         return a * r
     return [el_scale(depth - 1, c, r) for c in a]
@@ -405,7 +390,7 @@ def el_inv(tw: FieldTower, depth: int, e):
     if depth == 0:
         if e == 0:
             raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / e
+        return qdiv(1, e)
     e = el_reduce(tw, depth, e)
     a = _tp_trim(tw, depth - 1, list(e))
     if not a:
@@ -433,7 +418,7 @@ def el_div(tw: FieldTower, depth: int, a, b):
     return el_mul(tw, depth, a, el_inv(tw, depth, b))
 
 
-def el_to_rational(tw: FieldTower, depth: int, e) -> Fraction | None:
+def el_to_rational(tw: FieldTower, depth: int, e) -> int | Fraction | None:
     if depth == 0:
         return e
     e = el_reduce(tw, depth, e)
@@ -441,7 +426,7 @@ def el_to_rational(tw: FieldTower, depth: int, e) -> Fraction | None:
         if not el_is_zero(tw, depth - 1, c):
             return None
     if not e:
-        return Fraction(0)
+        return 0
     return el_to_rational(tw, depth - 1, e[0])
 
 
@@ -492,20 +477,6 @@ def _tp_trim(tw: FieldTower, depth: int, p: list) -> list:
     return p
 
 
-def _tp_add(depth: int, a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else el_zero(depth)
-        y = b[i] if i < len(b) else el_zero(depth)
-        out.append(el_add(depth, x, y))
-    return out
-
-
-def _tp_sub(depth: int, a: list, b: list) -> list:
-    return _tp_add(depth, a, [el_neg(depth, c) for c in b])
-
-
 def _tp_mul(tw: FieldTower, depth: int, a: list, b: list) -> list:
     if not a or not b:
         return []
@@ -517,7 +488,7 @@ def _tp_mul(tw: FieldTower, depth: int, a: list, b: list) -> list:
 
 
 def _tp_derivative(depth: int, p: list) -> list:
-    return [el_scale(depth, p[i], Fraction(i)) for i in range(1, len(p))]
+    return [el_scale(depth, p[i], i) for i in range(1, len(p))]
 
 
 def _tp_divmod(tw: FieldTower, depth: int, a: list, b: list):
@@ -568,7 +539,7 @@ def _tp_half_ext_gcd(tw: FieldTower, depth: int, a: list, b: list):
     while r1:
         q, r = _tp_divmod(tw, depth, r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, _tp_sub(depth, s0, _tp_mul(tw, depth, q, s1))
+        s0, s1 = s1, el_sub(depth + 1, s0, _tp_mul(tw, depth, q, s1))
     inv = el_inv(tw, depth, r0[-1])
     g = [el_mul(tw, depth, c, inv) for c in r0[:-1]] + [el_one(depth)]
     s = [el_mul(tw, depth, c, inv) for c in s0]
@@ -584,7 +555,7 @@ def tp_squarefree_monic(tw: FieldTower, depth: int, p: list):
     out = []
     i = 1
     while len(b) > 1:
-        t = _tp_sub(depth, c, _tp_derivative(depth, b))
+        t = el_sub(depth + 1, c, _tp_derivative(depth, b))
         g = _tp_gcd_monic(tw, depth, b, _tp_trim(tw, depth, t))
         if len(g) > 1:
             out.append((g, i))
@@ -624,10 +595,20 @@ def isolate_roots(tw: FieldTower, depth: int, p: list) -> list[Box]:
 # 4-tuples at a scale 2^-s that the caller passes along.
 
 
-def _fb_point(x: Fraction, s: int) -> tuple:
+def _fb_point(x, s: int) -> tuple:
     """The rational x rounded outward onto the 2^-s grid."""
     return ((x.numerator << s) // x.denominator,
             -((-x.numerator << s) // x.denominator), 0, 0)
+
+
+def _fb_enclose(gens: list[tuple], d: int, x, s: int) -> tuple:
+    """Box of the depth-d element x, with generator boxes gens at 2^-s."""
+    if d == 0:
+        return _fb_point(x, s)
+    if not x:
+        return (0, 0, 0, 0)
+    return _fb_horner([_fb_enclose(gens, d - 1, c, s) for c in x],
+                      gens[d - 1], s)
 
 
 def _fb_rescale(b: tuple, s_from: int, s_to: int) -> tuple:
@@ -832,15 +813,15 @@ def _isolate_attempt(tw, depth, p, n, prec, shift):
 # rational helpers
 
 
-def rational_sqrt(r) -> Fraction | None:
+def rational_sqrt(r) -> int | Fraction | None:
     """Exact square root of a rational, or None."""
-    r = _as_rational(r)
+    r = exact(r)
     if r < 0:
         return None
     sn = math.isqrt(r.numerator)
     sd = math.isqrt(r.denominator)
     if sn * sn == r.numerator and sd * sd == r.denominator:
-        return Fraction(sn, sd)
+        return qdiv(sn, sd)
     return None
 
 
@@ -861,9 +842,9 @@ def _int_nth_root(n: int, k: int) -> int | None:
     return lo if lo**k == n else None
 
 
-def rational_nth_root(r, k: int) -> Fraction | None:
+def rational_nth_root(r, k: int) -> int | Fraction | None:
     """Exact real k-th root of a rational when one exists, else None."""
-    r = _as_rational(r)
+    r = exact(r)
     if k <= 0:
         raise ValueError("root index must be positive")
     neg = r < 0
@@ -873,7 +854,7 @@ def rational_nth_root(r, k: int) -> Fraction | None:
     rd = _int_nth_root(r.denominator, k)
     if rn is None or rd is None:
         return None
-    out = Fraction(rn, rd)
+    out = qdiv(rn, rd)
     return -out if neg else out
 
 
@@ -954,7 +935,7 @@ class AlgebraicNumber:
     def is_zero(self) -> bool:
         return el_is_zero(self.tower, self.depth, self.rep)
 
-    def as_rational(self) -> Fraction | None:
+    def as_rational(self) -> int | Fraction | None:
         return el_to_rational(self.tower, self.depth, self.rep)
 
     def __add__(self, other):
@@ -1031,11 +1012,11 @@ class AlgebraicNumber:
 def _coerce(like: AlgebraicNumber, x) -> AlgebraicNumber:
     if isinstance(x, AlgebraicNumber):
         return x
-    return AlgebraicNumber(like.tower, 0, _as_rational(x))
+    return AlgebraicNumber(like.tower, 0, exact(x))
 
 
 def rational_number(r, tower: FieldTower | None = None) -> AlgebraicNumber:
-    return AlgebraicNumber(tower or FieldTower(), 0, _as_rational(r))
+    return AlgebraicNumber(tower or FieldTower(), 0, exact(r))
 
 
 def field_op(x: AlgebraicNumber, y: AlgebraicNumber, op: str) -> AlgebraicNumber:
@@ -1084,7 +1065,7 @@ def minimal_polynomial(x: AlgebraicNumber, var: str = "X") -> UniPoly:
     """
     r = x.as_rational()
     if r is not None:
-        return UniPoly([-r, Fraction(1)])
+        return UniPoly([-r, 1])
     tw, depth = x.tower, x.depth
     dim = tw.degree_product(depth)
     xr = el_reduce(tw, depth, x.rep)
@@ -1092,8 +1073,8 @@ def minimal_polynomial(x: AlgebraicNumber, var: str = "X") -> UniPoly:
     power = el_one(depth)
     for k in range(dim + 1):
         vec = _flatten(tw, depth, power)
-        combo = [Fraction(0)] * (k + 1)
-        combo[k] = Fraction(1)
+        combo = [0] * (k + 1)
+        combo[k] = 1
         for pivot, bvec, bcombo in basis:
             if vec[pivot] == 0:
                 continue
@@ -1114,16 +1095,19 @@ def minimal_polynomial(x: AlgebraicNumber, var: str = "X") -> UniPoly:
 
 
 def _roots_of_rational_poly(tw, depth, p: UniPoly, mult, out):
-    """Split off rational roots, then isolate whatever is left."""
+    """Split off rational roots, then isolate whatever is left.
+
+    Candidates are tried only while the working degree is at least 2; the
+    root of a linear remainder comes from one division.
+    """
     work = p
-    for cand in _rational_root_candidates(work):
-        if work.degree < 1:
-            break
-        if work.eval(cand) == 0:
-            out.append((rational_number(cand, tw), mult))
-            work = work.exact_div(UniPoly([-cand, Fraction(1)]))
-    if work.degree < 1:
-        return
+    if work.degree >= 2:
+        for cand in _rational_root_candidates(work):
+            if work.eval(cand) == 0:
+                out.append((rational_number(cand, tw), mult))
+                work = work.exact_div(UniPoly([-cand, 1]))
+                if work.degree < 2:
+                    break
     if work.degree == 1:
         out.append((rational_number(qdiv(-work.c[0], work.c[1]), tw), mult))
         return

@@ -20,6 +20,7 @@ match ambiguity, solver failure); the message names the failing stage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -265,7 +266,9 @@ def cmd_verify(args, out) -> int:
 # wiring
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused after it."""
     top = argparse.ArgumentParser(
         prog="puiseuxpath",
         description="Puiseux expansions of plane curves and"

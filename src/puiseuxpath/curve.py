@@ -271,7 +271,7 @@ def is_irreducible_over_Cmu(nc: NormalizedCurve, branches) -> bool:
     conjugate counts sum to d, so q = d forces a single orbit.
     """
     d = nc.normalized.deg_v
-    return any(b.ramification_index() == d for b in branches)
+    return any(b.q == d for b in branches)
 
 
 def rho_for_coordinate(matched) -> int:

@@ -349,15 +349,7 @@ def _dedup(eqs: list[MPoly]) -> list[MPoly]:
     return out
 
 
-def _default_validation_trace(inst):
-    from .sdo import trace_path
-
-    return trace_path(inst, 1.0, 1e-6, 0.25)
-
-
-def _validate(P: BiPoly, inst, coordinate: int, trace, tol: float) -> None:
-    if trace is None:
-        trace = _default_validation_trace(inst)
+def _validate(P: BiPoly, coordinate: int, trace, tol: float) -> None:
     norm = 1.0 + sum(abs(float(c)) for c in P.to_dict().values())
     worst = 0.0
     for s, v in zip(trace.samples, trace.values[:, coordinate]):
@@ -392,7 +384,9 @@ def eliminate_coordinate(
             " raise PUISEUXPATH_DEGREE_CAP to force the attempt"
         )
     if trace is None:
-        trace = _default_validation_trace(inst)
+        from .sdo import trace_path
+
+        trace = trace_path(inst, 1.0, 1e-6, 0.25)
     polys, layout = central_system(inst)
     target = coordinate_variable(inst, coordinate, layout)
     if float(np.max(np.abs(trace.values[:, coordinate]))) <= _ZERO_COORD_TOL:
@@ -511,5 +505,5 @@ def eliminate_coordinate(
         raise ExtraneousVanishingError(
             "the surviving eliminant does not depend on the coordinate"
         )
-    _validate(P, inst, coordinate, trace, validation_tol)
+    _validate(P, coordinate, trace, validation_tol)
     return P

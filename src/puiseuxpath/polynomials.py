@@ -382,10 +382,6 @@ class BiPoly:
             acc = acc * v + p.eval(mu)
         return acc
 
-    def swap_vars(self) -> "BiPoly":
-        """Exchange the roles of mu and V."""
-        return BiPoly.from_dict({(k, j): x for (j, k), x in self.to_dict().items()})
-
     def __eq__(self, other) -> bool:
         return isinstance(other, BiPoly) and self.cv == other.cv
 
@@ -468,16 +464,14 @@ class BiPoly:
             raise ArithmeticError("division was expected to be exact")
         return BiPoly(quot)
 
-    def gcd(self, other: "BiPoly", var: str = "V") -> "BiPoly":
-        """Gcd in Q[mu][V] (or with the roles swapped for var="mu").
+    def gcd(self, other: "BiPoly") -> "BiPoly":
+        """Gcd in Q[mu][V].
 
         Computed by the subresultant pseudo-remainder sequence on primitive
         parts cleared of denominators, so the sequence stays in Z[mu][V]
         and runs on int coefficients; the content gcd is a plain monic gcd
         in Q[mu].  The result is primitive and sign-normalized.
         """
-        if var == "mu":
-            return self.swap_vars().gcd(other.swap_vars()).swap_vars()
         if self.is_zero():
             return other.normalized().lead_normalized()
         if other.is_zero():
@@ -499,28 +493,23 @@ class BiPoly:
         # a constant-in-V operand or remainder: only the contents can match
         return BiPoly([cont]).lead_normalized()
 
-    def separable_part(self, var: str = "V") -> "BiPoly":
+    def separable_part(self) -> "BiPoly":
         """Same roots in V, each with multiplicity one.
 
         P / gcd(P, dP/dV), made primitive and sign-normalized.
         """
-        if var == "mu":
-            return self.swap_vars().separable_part().swap_vars()
         if self.deg_v <= 0:
             return self.normalized()
         g = self.gcd(self.derivative_v())
         quot = self.exact_div(g) if g.deg_v > 0 else self
         return quot.normalized()
 
-    def resultant(self, other: "BiPoly", var: str = "V") -> UniPoly:
-        """Determinant of the Sylvester matrix with respect to ``var``.
+    def resultant(self, other: "BiPoly") -> UniPoly:
+        """Determinant of the Sylvester matrix with respect to V.
 
         Computed by the shared subresultant sequence (see ``resultant``),
         so all divisions stay exact in Q[mu].
         """
-        if var == "mu":
-            res = self.swap_vars().resultant(other.swap_vars())
-            return res  # a polynomial in the remaining variable
         if self.deg_v <= 0 and other.deg_v <= 0:
             raise DegenerateInputError(
                 "resultant needs positive degree in the eliminated variable"

@@ -175,7 +175,7 @@ def newton_polygon(p: BiPoly) -> list[PolygonSegment]:
         for j in range(j0, j1 + 1):
             m = m0 - gamma * (j - j0)
             c = coeffs[j].get(m.numerator) if m.denominator == 1 else None
-            edge.append(c if c is not None else Fraction(0))
+            edge.append(c if c is not None else 0)
         segs.append(PolygonSegment(j0, m0, j1, m1, UniPoly(edge)))
     if not segs:
         raise DegenerateInputError(
@@ -247,9 +247,6 @@ class Branch:
             return self.terms[0][1]
         return rational_number(0, self.tower)
 
-    def ramification_index(self) -> int:
-        return self.q
-
     def __repr__(self):
         return render_branch(self)
 
@@ -260,11 +257,12 @@ _PRINT_BITS = (48, 96, 192, 384)
 def _digits(iv, last: bool) -> str | None:
     """The .10g digits of a real enclosure, or None while they are unsettled.
 
-    An enclosure of zero prints as 0; at the last refinement step the
-    midpoint stands in for digits that still differ between the endpoints.
+    An enclosure of zero is unsettled like any other until the last
+    refinement step, where it prints as 0 and the midpoint stands in for
+    digits that still differ between the endpoints.
     """
     if iv.contains_zero():
-        return "0"
+        return "0" if last else None
     lo, hi = f"{float(iv.lo):.10g}", f"{float(iv.hi):.10g}"
     if lo == hi:
         return lo
@@ -372,7 +370,6 @@ def _substitute(tw, depth, coeffs: list[dict], gamma_u: int,
     for _ in range(d):
         apow.append(el_mul(tw, depth, apow[-1], a))
     out: list[dict] = [dict() for _ in range(d + 1)]
-    rational = depth == 0
     for j, pj in enumerate(coeffs):
         if not pj:
             continue
@@ -386,18 +383,12 @@ def _substitute(tw, depth, coeffs: list[dict], gamma_u: int,
                     cur = acc.get(k)
                     acc[k] = c if cur is None else el_add(depth, cur, c)
                 continue
-            f = el_scale(depth, apow[j - i], Fraction(math.comb(j, i)))
-            if rational:
-                for e, c in pj.items():
-                    k = e + shift
-                    cur = acc.get(k)
-                    acc[k] = f * c if cur is None else cur + f * c
-            else:
-                for e, c in pj.items():
-                    k = e + shift
-                    prod = el_mul(tw, depth, c, f)
-                    cur = acc.get(k)
-                    acc[k] = prod if cur is None else el_add(depth, cur, prod)
+            f = el_scale(depth, apow[j - i], math.comb(j, i))
+            for e, c in pj.items():
+                k = e + shift
+                prod = el_mul(tw, depth, c, f)
+                cur = acc.get(k)
+                acc[k] = prod if cur is None else el_add(depth, cur, prod)
     return out
 
 

@@ -563,7 +563,8 @@ def trace_path(
 _FIT_WINDOW = 12
 
 
-def _order_fit(trace: TraceResult, coordinate: int) -> float:
+def fit_order_raw(trace: TraceResult, coordinate: int) -> float:
+    """Least-squares slope of log |v_i - limit| against log mu."""
     samples = trace.samples
     if len(samples) < 6:
         raise InsufficientSamplesError(
@@ -591,16 +592,11 @@ def _order_fit(trace: TraceResult, coordinate: int) -> float:
     return float((xs @ (ys - ys.mean())) / (xs @ xs))
 
 
-def fit_order_raw(trace: TraceResult, coordinate: int) -> float:
-    """Least-squares slope of log |v_i - limit| against log mu."""
-    return _order_fit(trace, coordinate)
-
-
 def fit_order(
     trace: TraceResult, coordinate: int, max_denominator: int = 16
 ) -> Fraction:
     """Decay exponent of one coordinate, snapped to a small denominator."""
-    slope = _order_fit(trace, coordinate)
+    slope = fit_order_raw(trace, coordinate)
     return Fraction(slope).limit_denominator(max_denominator)
 
 

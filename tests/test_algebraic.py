@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -144,6 +145,36 @@ class TestRationalRoots:
         assert rational_nth_root(rat(-4), 2) is None
         assert rational_nth_root(rat(16, 81), 4) == rat(2, 3)
         assert rational_nth_root(rat(5), 2) is None
+
+    def test_rational_roots_against_sympy(self):
+        # products of rational linear factors and irreducible quadratics,
+        # multiplicities 1-3: the rational roots and their multiplicities
+        # must be sympy's
+        T = sp.Symbol("T")
+        rng = random.Random(20261018)
+        for _ in range(25):
+            factors = []
+            for _ in range(rng.randint(1, 4)):
+                if rng.random() < 0.7:
+                    num = rng.choice([-1, 1]) * rng.randint(0, 30)
+                    f = rng.randint(1, 12) * T - num
+                else:
+                    # T^2 + b*T + c with a discriminant that is no square
+                    while True:
+                        b, c = rng.randint(-6, 6), rng.randint(-9, 9)
+                        disc = b * b - 4 * c
+                        if disc < 0 or math.isqrt(disc) ** 2 != disc:
+                            break
+                    f = T**2 + b * T + c
+                factors.append(f ** rng.randint(1, 3))
+            expr = sp.expand(sp.Mul(*factors))
+            coeffs = sp.Poly(expr, T).all_coeffs()[::-1]
+            p = UniPoly([Fraction(int(c.p), int(c.q)) for c in coeffs])
+            ours = {r.as_rational(): m for r, m in roots_with_multiplicity(p)
+                    if r.as_rational() is not None}
+            theirs = {Fraction(int(r.p), int(r.q)): m
+                      for r, m in sp.roots(sp.Poly(expr, T), filter="Q").items()}
+            assert ours == theirs, expr
 
 
 # ---------------------------------------------------------------------------

