@@ -24,6 +24,7 @@ box to a finer scale is an exact shift.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -200,8 +201,10 @@ class FieldTower:
         h = len(self.levels)
         for _ in range(_REFINE_CAP):
             # level j aims at 2^-(bits + extra*(h - j)); the scale keeps
-            # 24 guard bits below the finest of those targets
-            self._raise_scale(bits + extra * h + 24)
+            # extra - 8 guard bits below the finest of those targets (24 on
+            # the first try), so a stall near a root where |f'| is tiny
+            # gains guard bits on every retry
+            self._raise_scale(bits + extra * h + extra - 8)
             try:
                 for j in range(h):
                     self._refine_level(j, bits + extra * (h - j))
@@ -572,7 +575,15 @@ def tp_squarefree_monic(tw: FieldTower, depth: int, p: list):
 
 
 def isolate_roots(tw: FieldTower, depth: int, p: list) -> list[Box]:
-    """Disjoint certified boxes, one per distinct root of monic square-free p."""
+    """Disjoint certified boxes, one per distinct root of monic square-free p.
+
+    A binomial ``T^n + c`` (every middle coefficient structurally zero)
+    takes its boxes from the closed form when they certify and rank
+    unambiguously (``_isolate_binomial``); anything else, and any binomial
+    the closed form cannot settle, goes to the quadtree
+    (``_isolate_quadtree``), which doubles its precision every four
+    attempts.
+    """
     p = _tp_trim(tw, depth, p)
     n = len(p) - 1
     if n < 1:
@@ -580,6 +591,14 @@ def isolate_roots(tw: FieldTower, depth: int, p: list) -> list[Box]:
     if n == 1:
         root = el_neg(depth, p[0])
         return [el_box(tw, depth, root, 48)]
+    if all(_is_structural_zero(depth, c) for c in p[1:-1]):
+        boxes = _isolate_binomial(tw, depth, p, n)
+        if boxes is not None:
+            return boxes
+    return _isolate_quadtree(tw, depth, p, n)
+
+
+def _isolate_quadtree(tw, depth, p, n):
     for attempt in range(32):
         prec = 64 << (attempt // 4)
         shift = _SHIFTS[attempt % len(_SHIFTS)]
@@ -755,8 +774,9 @@ def _isolate_attempt(tw, depth, p, n, prec, shift):
     queue = [(sre - half, sre + half, sim - half, sim + half)]
     certified: list[tuple] = []
     min_width = max(1, r_units >> (prec // 2))
-    # high-degree circles of roots (w-th roots of a constant) keep the
-    # exclusion test busy; degree 8 alone needs ~10^4 cells
+    # circles of roots keep the exclusion test busy (degree 8 alone needs
+    # ~10^4 cells); binomials T^n + c only get here when the closed form
+    # in _isolate_binomial cannot settle them
     budget = 4000 + 2400 * n
     cells = 0
     while queue:
@@ -807,6 +827,71 @@ def _isolate_attempt(tw, depth, p, n, prec, shift):
     if len(roots) != n:
         return None
     return [Box(k, s) for k in roots]
+
+
+def _isolate_binomial(tw, depth, p, n, prec=64):
+    """Boxes for the n roots of T^n + c from the closed form, or None.
+
+    Each root |c|^(1/n)·e^(i(arg(-c) + 2πk)/n) is seeded in floating point
+    from the enclosure of c, boxed with half-width about 2^-24·|c|^(1/n),
+    and kept only when the interval Newton step maps its box strictly
+    inside itself (so the box holds exactly one root).  None when a
+    certificate fails, the boxes overlap, c does not fit a float, or
+    ``_ranks_fixed`` cannot show that the roots' order keys are distinct.
+    """
+    s = prec + 32
+    cfix = [el_box(tw, depth, c, prec).fb for c in p]
+    dfix = _fb_derivative(cfix)
+    c = cfix[0]
+    try:
+        cre = (c[0] + c[1]) / (2 << s)
+        cim = (c[2] + c[3]) / (2 << s)
+    except OverflowError:
+        return None
+    r = math.hypot(cre, cim) ** (1.0 / n)
+    if not 0.0 < r < math.inf:
+        return None
+    phi = math.atan2(-cim, -cre)
+    h = max(1, int(math.ldexp(r, s - 24)))
+    roots: list[tuple] = []
+    for k in range(n):
+        z = cmath.rect(r, (phi + 2 * math.pi * k) / n)
+        zre, zim = int(math.ldexp(z.real, s)), int(math.ldexp(z.imag, s))
+        b = (zre - h, zre + h, zim - h, zim + h)
+        nb = _fb_newton_step(cfix, dfix, b, s)
+        if nb is None or not _fb_strictly_inside(nb, b):
+            return None
+        nb = _fb_tighten(cfix, dfix, nb, s, rounds=64,
+                         target=max(1, _fb_width(b) >> 20))
+        if not all(_fb_disjoint(nb, kv) for kv in roots):
+            return None
+        roots.append(nb)
+    if not _ranks_fixed(roots, s):
+        return None
+    return [Box(k, s) for k in roots]
+
+
+def _ranks_fixed(roots: list[tuple], s: int) -> bool:
+    """True when ``order_key(64)`` ranks these roots the same whatever
+    enclosures of them it later sees.
+
+    A generator's later boxes lie inside its isolating box widened by one
+    unit of 2^-s (the outward rounding of a rescale), and ``order_key``
+    rounds re onto the 2^-32 grid.  So every box must round to a single
+    grid point, and boxes that share one must have disjoint im ranges.
+    Then no two keys tie, and the representative and the root order do not
+    depend on the order in which roots were isolated.
+    """
+    unit = Fraction(1, 1 << (s - 32))
+    keyed = []
+    for b in roots:
+        key = round((b[0] - 1) * unit)
+        if round((b[1] + 1) * unit) != key:
+            return False
+        keyed.append((key, b[2] - 1, b[3] + 1))
+    return all(k1 != k2 or ih1 < il2 or ih2 < il1
+               for i, (k1, il1, ih1) in enumerate(keyed)
+               for k2, il2, ih2 in keyed[:i])
 
 
 # ---------------------------------------------------------------------------

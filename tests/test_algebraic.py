@@ -2,13 +2,17 @@
 
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
+import mpmath
 import pytest
 import sympy as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from puiseuxpath import algebraic, puiseux
 from puiseuxpath.algebraic import (
     AlgebraicNumber,
     Box,
@@ -21,9 +25,13 @@ from puiseuxpath.algebraic import (
     _fb_recip,
     _fb_rescale,
     _fb_sub,
+    _isolate_attempt,
+    _isolate_binomial,
+    _isolate_quadtree,
     _isq,
     el_box,
     el_from_rational,
+    el_lift,
     field_op,
     isolate_roots,
     minimal_polynomial,
@@ -470,3 +478,155 @@ class TestIsolation:
         assert s.startswith("root(")
         assert "re=" in s and "im=" in s
         assert rational_number(rat(5, 3)).render() == "5/3"
+
+
+# ---------------------------------------------------------------------------
+# closed-form isolation of binomials T^n + c, against the quadtree
+
+
+def _quadtree_isolate(tw, depth, p):
+    """isolate_roots without the closed form, kept as the oracle."""
+    return _isolate_quadtree(tw, depth, p, len(p) - 1)
+
+
+@contextmanager
+def _quadtree_only():
+    with mock.patch.object(algebraic, "isolate_roots", _quadtree_isolate), \
+            mock.patch.object(puiseux, "isolate_roots", _quadtree_isolate):
+        yield
+
+
+@contextmanager
+def _counting_attempts():
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])
+        return _isolate_attempt(*args)
+
+    with mock.patch.object(algebraic, "_isolate_attempt", counted):
+        yield calls
+
+
+def _sqrt_tower(d):
+    """sqrt(d) as the positive root of T^2 - d, on its own depth-1 tower."""
+    return roots_with_multiplicity(poly(-d, 0, 1))[1][0]
+
+
+def _mp(x):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _holds(box, z):
+    return (_mp(box.re.lo) <= z.real <= _mp(box.re.hi)
+            and _mp(box.im.lo) <= z.imag <= _mp(box.im.hi))
+
+
+def _same_root(a, b):
+    return not a.box(64).disjoint(b.box(64))
+
+
+def _rational_c(max_exp):
+    """Rationals of either sign with magnitude in [2^-20, 2^max_exp)."""
+    return st.builds(
+        lambda sign, m, e: sign * Fraction(m, 1000) * Fraction(2) ** e,
+        st.sampled_from((1, -1)),
+        st.integers(min_value=1000, max_value=1999),
+        st.integers(min_value=-20, max_value=max_exp - 1),
+    )
+
+
+# a + b*sqrt(d), a depth-1 tower element
+tower_c = st.tuples(
+    st.sampled_from((2, 3, 5)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=7),
+    st.fractions(min_value=-50, max_value=50, max_denominator=7).filter(bool),
+)
+
+
+def _binomial(n, c):
+    """(tower, depth, coefficients as AlgebraicNumbers, c at 50 digits)."""
+    if isinstance(c, tuple):
+        d, a, b = c
+        gen = _sqrt_tower(d)
+        tw, depth, cn = gen.tower, 1, a + b * gen
+        with mpmath.workdps(50):
+            cval = _mp(a) + _mp(b) * mpmath.sqrt(d)
+    else:
+        tw, depth = FieldTower(), 0
+        cn = rational_number(c, tw)
+        with mpmath.workdps(50):
+            cval = _mp(c)
+    coeffs = ([cn] + [rational_number(0, tw)] * (n - 1)
+              + [rational_number(1, tw)])
+    return tw, depth, coeffs, cval
+
+
+class TestBinomialIsolation:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(min_value=2, max_value=8),
+           c=st.one_of(_rational_c(40), tower_c))
+    @example(n=2, c=Fraction(1999, 1000) * 2**39)
+    @example(n=8, c=Fraction(-1999, 1000) * 2**39)
+    @example(n=8, c=Fraction(1, 2**20))
+    @example(n=2, c=Fraction(-1, 2**20))
+    def test_boxes_isolate_the_roots(self, n, c):
+        tw, depth, coeffs, cval = _binomial(n, c)
+        p = [el_lift(x.rep, x.depth, depth) for x in coeffs]
+        with _counting_attempts() as attempts:
+            boxes = isolate_roots(tw, depth, p)
+        assert attempts == []  # the closed form settled every root
+        assert len(boxes) == n
+        for i in range(n):
+            for j in range(i):
+                assert boxes[i].disjoint(boxes[j])
+        with mpmath.workdps(50):
+            zs = mpmath.polyroots([1] + [0] * (n - 1) + [cval],
+                                  maxsteps=200, extraprec=200)
+            for bx in boxes:
+                assert sum(_holds(bx, z) for z in zs) == 1
+
+    # the quadtree settles these within its first 64-bit attempt; past
+    # degree 4 or |c| = 2^20 it grows slow, and at degree 8 with
+    # |c| >= 2^10 it exceeds its cell budget
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(min_value=2, max_value=4),
+           c=st.one_of(_rational_c(20), tower_c))
+    def test_choices_match_the_quadtree(self, n, c):
+        _, _, coeffs, _ = _binomial(n, c)
+        xi = -coeffs[0]
+        fast = puiseux._w_root_representative(xi, n)
+        fast_roots = roots_with_multiplicity(coeffs)
+        with _quadtree_only():
+            slow = puiseux._w_root_representative(xi, n)
+            slow_roots = roots_with_multiplicity(coeffs)
+        assert _same_root(fast, slow)
+        assert [m for _, m in fast_roots] == [m for _, m in slow_roots]
+        assert all(_same_root(x, y)
+                   for (x, _), (y, _) in zip(fast_roots, slow_roots))
+
+    @pytest.mark.parametrize("c, certified", [
+        # both roots of T^2 - 3*2^-70 certify, but they round to re = 0 on
+        # the order_key grid and share im = 0, so their ranking is not fixed
+        (Fraction(-3, 2**70), True),
+        # at the 2^-96 scale 5*10^-25 is known to 16 bits, too few for the
+        # seeds to land in their boxes, so the certificate fails
+        (Fraction(-5, 10**25), False),
+    ])
+    def test_fallback_to_the_quadtree(self, c, certified):
+        p = [c, 0, 1]
+        with mock.patch.object(algebraic, "_ranks_fixed", lambda *a: True):
+            unranked = _isolate_binomial(FieldTower(), 0, p, 2)
+        assert (unranked is not None) == certified
+        with _counting_attempts() as attempts:
+            boxes = isolate_roots(FieldTower(), 0, p)
+        assert attempts  # the quadtree ran
+        assert len(boxes) == 2 and boxes[0].disjoint(boxes[1])
+        with mpmath.workdps(50):
+            z = mpmath.sqrt(_mp(-c))
+            assert sorted(_holds(b, z) for b in boxes) == [False, True]
+            assert sorted(_holds(b, -z) for b in boxes) == [False, True]
+
+    def test_constant_beyond_float_range_is_declined(self):
+        assert _isolate_binomial(FieldTower(), 0, [10**400, 0, 0, 1], 3) \
+            is None

@@ -107,6 +107,28 @@ class TestCurveCommands:
         assert code == 0
         assert "center=1 q=1 series=1 + 1/12252239*mu + " in cap.out
 
+    def test_tiny_ramified_coefficient_prints_promptly(self):
+        # the generator sqrt(-10^-22) has |f'| near 2^-35, below the first
+        # refinement's 24 guard bits; each retry must add guard bits, or
+        # printing its coefficient stalls on every retry and never ends
+        r = subprocess.run(
+            [sys.executable, "-m", "puiseuxpath.cli", "expand", "--poly",
+             "V^2 + 1/10000000000000000000000*mu"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert r.returncode == 0
+        assert "series=(0+1e-11i)*mu^(1/2) (exact)" in r.stdout
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "order_key rounds re onto an absolute 2^-32 grid, so both roots of"
+        " T^2 - 5*10^-25 tie at re = 0 and the representative is the"
+        " first root isolated, here the negative one"))
+    def test_tiny_roots_keep_largest_real_part(self, capsys):
+        code, cap = run(capsys, "expand", "--poly",
+                        "V^2 - 5/10000000000000000000000000*mu")
+        assert code == 0
+        assert "series=7.071067812e-13*mu^(1/2) (exact)" in cap.out
+
     def test_expand_json(self, capsys):
         import json
 

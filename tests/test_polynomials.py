@@ -148,6 +148,35 @@ def test_separable_strip_multiplicity():
     assert p.separable_part() == P("(V - mu) * (V + 1)")
 
 
+def test_separable_matches_sympy_sqf_part():
+    # products with repeated factors against sympy's square-free part,
+    # taken primitive in V because separable_part drops the content in mu
+    rng = random.Random(20261018)
+    X, Y = sp.symbols("X Y")
+
+    def to_sympy(p):
+        return sum(x * Y**j * X**k for (j, k), x in p.to_dict().items())
+
+    checked = 0
+    for _ in range(20):
+        p = BiPoly.const(1)
+        for mult in rng.sample((1, 1, 2, 3), rng.randint(2, 3)):
+            d = {(rng.randint(0, 2), rng.randint(0, 2)): Fraction(rng.randint(-4, 4))
+                 for _k in range(rng.randint(2, 4))}
+            d[(rng.randint(1, 2), rng.randint(0, 1))] = Fraction(rng.choice((-3, -1, 1, 2)))
+            f = BiPoly.from_dict(d)
+            for _m in range(mult):
+                p = p * f
+        if p.deg_v < 1:
+            continue
+        ours = to_sympy(p.separable_part())
+        _, theirs = sp.Poly(sp.sqf_part(to_sympy(p)), Y).primitive()
+        ratio = sp.cancel(ours / theirs.as_expr())
+        assert ratio.is_Rational and ratio != 0
+        checked += 1
+    assert checked >= 15
+
+
 def test_separable_elliptope_cubic_unchanged():
     f = P("2*T^3 + (2 - 1/2*mu)*T^2 - (mu + 2)*T - 2")
     s = f.separable_part()

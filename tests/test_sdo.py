@@ -374,6 +374,16 @@ class TestVerifyReparametrization:
         rep = verify_reparametrization(elliptope_instance(), 2)
         assert rep.bounded
 
+    # numeric end-to-end oracle for the exponents the exact chain reports:
+    # rho smooths every coordinate, rho/2 (2 being rho's only prime) does not
+    @pytest.mark.parametrize("name, rho", [
+        ("kl02_3", 2), ("kl02_4", 4), ("kl02_5", 8),
+    ])
+    def test_kl02_bounded_at_rho_only(self, name, rho):
+        inst = builtin_instance(name)
+        assert verify_reparametrization(inst, rho).bounded
+        assert not verify_reparametrization(inst, rho // 2).bounded
+
     def test_input_validation(self):
         with pytest.raises(InputError):
             verify_reparametrization(identity_instance(2), 0)
