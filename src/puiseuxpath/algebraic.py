@@ -20,16 +20,22 @@ im_hi) of integers at a scale 2^-s, with every product rounded outward, so
 each box is a certified enclosure while all arithmetic runs on native ints.
 A tower keeps its generator boxes at one scale that only grows; moving a
 box to a finer scale is an exact shift.
+
+Every root box comes from one isolator, ``isolate_roots``: numpy seeds,
+Aberth polishing in fixed point, an interval Newton certificate.  Rational
+roots are recognized exactly inside their boxes, and ``order_key`` ranks
+roots by real part, rounded relative to its binade, then imaginary part.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import PrecisionExhaustedError
-from .polynomials import UniPoly, exact, qdiv
+from .polynomials import UniPoly, exact, lower_hull, qdiv
 
 __all__ = [
     "AlgebraicNumber",
@@ -45,6 +51,10 @@ __all__ = [
 # cap on refinement rounds per certification
 _REFINE_CAP = 256
 
+# root isolation: precision doublings from 64 bits, Aberth sweeps per attempt
+_ISOLATE_ATTEMPTS = 8
+_POLISH_SWEEPS = 32
+
 
 # crossing offsets used when a bisection line might pass through a root;
 # denominators are odd so dyadic subdivision points never repeat a line
@@ -55,20 +65,6 @@ _CROSS = (
     Fraction(25, 53),
     Fraction(13, 29),
     Fraction(31, 61),
-)
-
-# whole-plane grid offsets for root isolation attempts, in units of the
-# root bound; chosen with odd prime denominators so subdivision lines
-# (dyadic fractions of the shifted frame) avoid axis-aligned root patterns
-_SHIFTS = (
-    (Fraction(1, 11), Fraction(1, 7)),
-    (Fraction(1, 13), Fraction(-1, 19)),
-    (Fraction(-1, 17), Fraction(1, 23)),
-    (Fraction(2, 29), Fraction(-1, 31)),
-    (Fraction(-2, 37), Fraction(3, 41)),
-    (Fraction(3, 43), Fraction(-2, 47)),
-    (Fraction(-3, 53), Fraction(2, 59)),
-    (Fraction(5, 61), Fraction(3, 67)),
 )
 
 
@@ -577,34 +573,32 @@ def tp_squarefree_monic(tw: FieldTower, depth: int, p: list):
 def isolate_roots(tw: FieldTower, depth: int, p: list) -> list[Box]:
     """Disjoint certified boxes, one per distinct root of monic square-free p.
 
-    A binomial ``T^n + c`` (every middle coefficient structurally zero)
-    takes its boxes from the closed form when they certify and rank
-    unambiguously (``_isolate_binomial``); anything else, and any binomial
-    the closed form cannot settle, goes to the quadtree
-    (``_isolate_quadtree``), which doubles its precision every four
-    attempts.
+    Approximate, then certify, as in MPSolve: ``_seeds`` approximates the
+    roots of U = T/2^k, 2^k about the largest root modulus, with numpy;
+    ``_polish`` refines them with Aberth sweeps in fixed point at 2^-s;
+    ``_certify`` proves each box holds exactly one root.  A box for U at
+    2^-s is the box for T at 2^-(s-k).  A failed certificate doubles the
+    precision and polishes the last approximations again.
     """
     p = _tp_trim(tw, depth, p)
     n = len(p) - 1
     if n < 1:
         return []
-    if n == 1:
-        root = el_neg(depth, p[0])
-        return [el_box(tw, depth, root, 48)]
-    if all(_is_structural_zero(depth, c) for c in p[1:-1]):
-        boxes = _isolate_binomial(tw, depth, p, n)
+    k, prec, zs = _seeds(_coefficient_floats(tw, depth, p), n)
+    for _ in range(_ISOLATE_ATTEMPTS):
+        s = prec + 32
+        cfix = []
+        for j, c in enumerate(p):
+            t = s - k * (n - j)  # c_j's corners at 2^-t are q_j's at 2^-s
+            b = el_box(tw, depth, c, max(t - 32, 16))
+            cfix.append(_fb_rescale(b.fb, b.s, t))
+        radii = _polish(cfix, zs, s, prec)
+        boxes = _certify(cfix, zs, radii, s)
         if boxes is not None:
-            return boxes
-    return _isolate_quadtree(tw, depth, p, n)
-
-
-def _isolate_quadtree(tw, depth, p, n):
-    for attempt in range(32):
-        prec = 64 << (attempt // 4)
-        shift = _SHIFTS[attempt % len(_SHIFTS)]
-        boxes = _isolate_attempt(tw, depth, p, n, prec, shift)
-        if boxes is not None:
-            return boxes
+            out = max(s - k, 0)  # scale 2^-(s-k), made nonnegative
+            return [Box(_fb_rescale(b, s - k, out), out) for b in boxes]
+        prec *= 2
+        zs = [_fb_rescale(z, s, prec + 32) for z in zs]
     raise PrecisionExhaustedError(
         f"root isolation failed for degree {n} polynomial"
     )
@@ -756,142 +750,134 @@ def _fb_tighten(cfix, dfix, b: tuple, s: int, rounds: int, target: int) -> tuple
     return b
 
 
-def _isolate_attempt(tw, depth, p, n, prec, shift):
-    s = prec + 32
-    sc = 1 << s
-    cfix = [el_box(tw, depth, c, prec).fb for c in p]
-    dfix = _fb_derivative(cfix)
-    r_units = sc + max(
-        max(abs(b[0]), abs(b[1])) + max(abs(b[2]), abs(b[3]))
-        for b in cfix[:-1]
-    )
-    sre = (r_units * shift[0].numerator) // shift[0].denominator
-    sim = (r_units * shift[1].numerator) // shift[1].denominator
-    # r_units is the Cauchy bound; 3/2 of it still covers every root
-    # after the recentering shift (|shift| <= 1/7) while subdividing a
-    # box 4x smaller in area than the naive doubling
-    half = (3 * r_units) >> 1
-    queue = [(sre - half, sre + half, sim - half, sim + half)]
-    certified: list[tuple] = []
-    min_width = max(1, r_units >> (prec // 2))
-    # circles of roots keep the exclusion test busy (degree 8 alone needs
-    # ~10^4 cells); binomials T^n + c only get here when the closed form
-    # in _isolate_binomial cannot settle them
-    budget = 4000 + 2400 * n
-    cells = 0
-    while queue:
-        cells += 1
-        if cells > budget:
-            return None
-        b = queue.pop()
-        if not _fb_has_zero(_fb_horner(cfix, b, s)):
-            continue
-        k = _fb_newton_step(cfix, dfix, b, s)
-        if k is not None and _fb_strictly_inside(k, b):
-            k = _fb_tighten(
-                cfix, dfix, k, s,
-                rounds=64,
-                target=max(1, _fb_width(b) >> 20),
-            )
-            certified.append(k)
-            continue
-        if _fb_width(b) < min_width:
-            return None
-        rm = (b[0] + b[1]) >> 1
-        im = (b[2] + b[3]) >> 1
-        queue.extend((
-            (b[0], rm, b[2], im),
-            (rm, b[1], b[2], im),
-            (b[0], rm, im, b[3]),
-            (rm, b[1], im, b[3]),
-        ))
-    # deduplicate boxes that certified the same root from adjacent cells
-    roots: list[tuple] = []
-    for k in certified:
-        merged = False
-        for i, kv in enumerate(roots):
-            if _fb_disjoint(k, kv):
-                continue
-            k2 = _fb_tighten(cfix, dfix, k, s, 48,
-                             max(1, _fb_width(k) >> 30))
-            kv2 = _fb_tighten(cfix, dfix, kv, s, 48,
-                              max(1, _fb_width(kv) >> 30))
-            roots[i] = kv2
-            if _fb_disjoint(k2, kv2):
-                k = k2
-            else:
-                merged = True
-                break
-        if not merged:
-            roots.append(k)
-    if len(roots) != n:
-        return None
-    return [Box(k, s) for k in roots]
+def _coefficient_floats(tw, depth, p) -> list[tuple[int, int, complex]]:
+    """(j, E, m) with c_j = m·2^E to 64 bits, |m| about 1, for each c_j != 0.
 
-
-def _isolate_binomial(tw, depth, p, n, prec=64):
-    """Boxes for the n roots of T^n + c from the closed form, or None.
-
-    Each root |c|^(1/n)·e^(i(arg(-c) + 2πk)/n) is seeded in floating point
-    from the enclosure of c, boxed with half-width about 2^-24·|c|^(1/n),
-    and kept only when the interval Newton step maps its box strictly
-    inside itself (so the box holds exactly one root).  None when a
-    certificate fails, the boxes overlap, c does not fit a float, or
-    ``_ranks_fixed`` cannot show that the roots' order keys are distinct.
+    A c_j whose enclosure holds 0 is tested exactly, then refined.
     """
+    out = []
+    for j, c in enumerate(p):
+        if _is_structural_zero(depth, c):
+            continue
+        bits = 64
+        b = el_box(tw, depth, c, bits)
+        if _fb_has_zero(b.fb) and el_is_zero(tw, depth, c):
+            continue
+        while _fb_has_zero(b.fb):
+            bits *= 2
+            b = el_box(tw, depth, c, bits)
+        e = max(map(abs, b.fb)).bit_length() - 1 - b.s
+        if e < 0:
+            b = el_box(tw, depth, c, 64 - e)
+        fb, unit = b.fb, Fraction(2) ** -(b.s + e + 1)  # midpoint / 2^e
+        out.append((j, e, complex((fb[0] + fb[1]) * unit,
+                                  (fb[2] + fb[3]) * unit)))
+    return out
+
+
+def _seeds(coeffs: list[tuple[int, int, complex]], n: int):
+    """(k, prec, zs): the scale 2^k, the first precision, and point boxes
+    zs approximating the roots of U = T/2^k at 2^-(prec+32).
+
+    An edge j1 -> j2 of the upper hull of the points (j, E_j) stands for
+    j2 - j1 roots of modulus about 2^((E_j1 - E_j2)/(j2 - j1)) (Bini's
+    starting points).  Edges within 2^16 of each other in modulus form a
+    group, whose roots ``numpy.roots`` finds from its terms j1..j2 alone,
+    rescaled to modulus about 1.  One group covers the usual polynomial;
+    it also keeps a pair near the real axis (edges at r/2 and 2r) in one
+    call, since Aberth keeps real seeds of a real polynomial real.  prec
+    holds 64 bits of every hull coefficient q_j = c_j·2^(-k(n-j)).
+    """
+    hull = lower_hull([(j, -e) for j, e, _ in coeffs])
+    seeds = [(0j, 0)] * hull[0][0]  # p(0) = 0
+
+    def slope(a, b):
+        return (b[1] - a[1]) / (b[0] - a[0])
+
+    ends = (hull[:1]
+            + [b for a, b, c in zip(hull, hull[1:], hull[2:])
+               if slope(b, c) - slope(a, b) >= 16]
+            + hull[1:][-1:])
+    for (j1, v1), (j2, v2) in zip(ends, ends[1:]):
+        e = round(slope((j1, v1), (j2, v2)))
+        vals = [0j] * (j2 - j1 + 1)
+        for j, ej, m in coeffs:
+            if j1 <= j <= j2:
+                sh = ej + v1 + e * (j - j1)  # c_j·2^(e·j) / 2^(E_j1 + e·j1)
+                vals[j - j1] = complex(math.ldexp(m.real, sh),
+                                       math.ldexp(m.imag, sh))
+        seeds += [(complex(z), e) for z in np.roots(vals[::-1])]
+    k = max((e + math.frexp(abs(z))[1] for z, e in seeds if z), default=0)
+    prec = 64 + max(0, max(k * (n - j) + v for j, v in hull))
     s = prec + 32
-    cfix = [el_box(tw, depth, c, prec).fb for c in p]
+    zs: list[tuple] = []
+    for z, e in seeds:
+        unit = Fraction(2) ** (s + e - k)
+        re, im = int(Fraction(z.real) * unit), int(Fraction(z.imag) * unit)
+        while (re, re, im, im) in zs:  # Aberth needs distinct points
+            im += 1 << (s - 40)
+        zs.append((re, re, im, im))
+    return k, prec, zs
+
+
+def _polish(cfix: list[tuple], zs: list[tuple], s: int, prec: int) -> list:
+    """Aberth sweeps in box arithmetic on the coefficient boxes: each z_i
+    moves in place by the midpoint of w = N/(1 - N·sum_{j != i}
+    1/(z_i - z_j)), N = q(z_i)/q'(z_i), until no move exceeds 2^16 times
+    the noise: the width of its w, or the boxes' width 2^-prec.  Returns
+    each z_i's last move or noise, whichever is larger (None if unknown).
+    """
     dfix = _fb_derivative(cfix)
-    c = cfix[0]
-    try:
-        cre = (c[0] + c[1]) / (2 << s)
-        cim = (c[2] + c[3]) / (2 << s)
-    except OverflowError:
+    one = (1 << s, 1 << s, 0, 0)
+    radii = [None] * len(zs)
+    for _ in range(_POLISH_SWEEPS):
+        settled = True
+        for i, z in enumerate(zs):
+            try:
+                newton = _fb_mul(_fb_horner(cfix, z, s),
+                                 _fb_recip(_fb_horner(dfix, z, s), s), s)
+                sigma = (0, 0, 0, 0)
+                for j, y in enumerate(zs):
+                    if j != i:
+                        sigma = _fb_add(sigma, _fb_recip(_fb_sub(z, y), s))
+                den = _fb_sub(one, _fb_mul(newton, sigma, s))
+                w = _fb_mul(newton, _fb_recip(den, s), s)
+            except ZeroDivisionError:
+                continue
+            m = _fb_mid_point(w)
+            zs[i] = _fb_sub(z, m)
+            radii[i] = max(abs(m[0]), abs(m[2]), _fb_width(w))
+            if radii[i] > max(_fb_width(w), 1 << (s - prec)) << 16:
+                settled = False
+        if settled:
+            break
+    return radii
+
+
+def _certify(cfix: list[tuple], zs: list[tuple], radii: list,
+             s: int) -> list[tuple] | None:
+    """Tightened boxes around zs that each hold exactly one root, or None.
+
+    The box around z_i reaches 2^8 times its ``_polish`` radius, but at
+    most an eighth of the distance to the nearest z_j, so the boxes are
+    disjoint; each must map strictly inside itself under the interval
+    Newton step.
+    """
+    if None in radii:
         return None
-    r = math.hypot(cre, cim) ** (1.0 / n)
-    if not 0.0 < r < math.inf:
-        return None
-    phi = math.atan2(-cim, -cre)
-    h = max(1, int(math.ldexp(r, s - 24)))
-    roots: list[tuple] = []
-    for k in range(n):
-        z = cmath.rect(r, (phi + 2 * math.pi * k) / n)
-        zre, zim = int(math.ldexp(z.real, s)), int(math.ldexp(z.imag, s))
-        b = (zre - h, zre + h, zim - h, zim + h)
+    dfix = _fb_derivative(cfix)
+    out = []
+    for i, (z, r) in enumerate(zip(zs, radii)):
+        h = min([max(r, 1) << 8]
+                + [max(abs(z[0] - y[0]), abs(z[2] - y[2])) >> 3
+                   for j, y in enumerate(zs) if j != i])
+        b = (z[0] - h, z[0] + h, z[2] - h, z[2] + h)
         nb = _fb_newton_step(cfix, dfix, b, s)
         if nb is None or not _fb_strictly_inside(nb, b):
             return None
-        nb = _fb_tighten(cfix, dfix, nb, s, rounds=64,
-                         target=max(1, _fb_width(b) >> 20))
-        if not all(_fb_disjoint(nb, kv) for kv in roots):
-            return None
-        roots.append(nb)
-    if not _ranks_fixed(roots, s):
-        return None
-    return [Box(k, s) for k in roots]
-
-
-def _ranks_fixed(roots: list[tuple], s: int) -> bool:
-    """True when ``order_key(64)`` ranks these roots the same whatever
-    enclosures of them it later sees.
-
-    A generator's later boxes lie inside its isolating box widened by one
-    unit of 2^-s (the outward rounding of a rescale), and ``order_key``
-    rounds re onto the 2^-32 grid.  So every box must round to a single
-    grid point, and boxes that share one must have disjoint im ranges.
-    Then no two keys tie, and the representative and the root order do not
-    depend on the order in which roots were isolated.
-    """
-    unit = Fraction(1, 1 << (s - 32))
-    keyed = []
-    for b in roots:
-        key = round((b[0] - 1) * unit)
-        if round((b[1] + 1) * unit) != key:
-            return False
-        keyed.append((key, b[2] - 1, b[3] + 1))
-    return all(k1 != k2 or ih1 < il2 or ih2 < il1
-               for i, (k1, il1, ih1) in enumerate(keyed)
-               for k2, il2, ih2 in keyed[:i])
+        out.append(_fb_tighten(cfix, dfix, nb, s, rounds=64,
+                               target=max(1, _fb_width(b) >> 20)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -941,50 +927,6 @@ def rational_nth_root(r, k: int) -> int | Fraction | None:
         return None
     out = qdiv(rn, rd)
     return -out if neg else out
-
-
-def _bounded_divisors(n: int, limit: int = 400) -> list[int] | None:
-    """Positive divisors of |n|, or None when enumeration looks too big."""
-    n = abs(n)
-    if n == 0:
-        return None
-    factors: dict[int, int] = {}
-    m = n
-    d = 2
-    while d * d <= m and d < 100000:
-        while m % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        if m > 10**12:
-            return None
-        factors[m] = factors.get(m, 0) + 1
-    divs = [1]
-    for pfac, mult in factors.items():
-        divs = [dd * pfac**e for dd in divs for e in range(mult + 1)]
-        if len(divs) > limit:
-            return None
-    return sorted(divs)
-
-
-def _rational_root_candidates(p: UniPoly) -> list[Fraction]:
-    den = 1
-    for c in p.c:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in p.c]
-    a0 = ints[0]
-    an = ints[-1]
-    d0 = _bounded_divisors(a0)
-    d1 = _bounded_divisors(an)
-    if d0 is None or d1 is None:
-        return []
-    out = set()
-    for num in d0:
-        for dq in d1:
-            out.add(Fraction(num, dq))
-            out.add(Fraction(-num, dq))
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -1068,14 +1010,29 @@ class AlgebraicNumber:
         return AlgebraicNumber(tower, self.depth, self.rep)
 
     def order_key(self, bits: int = 64) -> tuple[Fraction, Fraction]:
-        """(re, im) of the box midpoint, re rounded to the 2^-(bits//2) grid.
+        """(re, im) of the box midpoint, re rounded to bits//2 + 1
+        significant bits from an enclosure 16 bits finer than that grid.
 
-        Enclosure noise is far below the grid, so roots with equal real
-        parts tie on re and fall to im, ascending.
+        Noise stays below the grid, and binade edges lie on every grid,
+        so equal real parts tie and fall to im, ascending; re is 0 when
+        its enclosure holds 0 once the box excludes 0.
         """
         b = self.box(bits)
-        scale = 1 << (bits // 2)
-        return (Fraction(round(b.re.mid * scale), scale), b.im.mid)
+        if _fb_has_zero(b.fb) and self.is_zero():
+            return (Fraction(0), Fraction(0))
+        while _fb_has_zero(b.fb):
+            b = self.box(2 * self._box_bits)
+        lo, hi = b.fb[0], b.fb[1]
+        if lo <= 0 <= hi:
+            return (Fraction(0), b.im.mid)
+        e = min(abs(lo), abs(hi)).bit_length() - 1 - b.s  # 2^e <= |re|
+        need = bits // 2 + 16 - e
+        if need > bits:
+            b = self.box(need)
+        mid2 = b.fb[0] + b.fb[1]  # re at scale 2^-(s+1)
+        sh = max(abs(mid2).bit_length() - 1 - bits // 2, 0)
+        re = Fraction(round(Fraction(mid2, 1 << sh)) << sh, 2 << b.s)
+        return (re, b.im.mid)
 
     def render(self) -> str:
         r = self.as_rational()
@@ -1180,28 +1137,60 @@ def minimal_polynomial(x: AlgebraicNumber, var: str = "X") -> UniPoly:
 
 
 def _roots_of_rational_poly(tw, depth, p: UniPoly, mult, out):
-    """Split off rational roots, then isolate whatever is left.
-
-    Candidates are tried only while the working degree is at least 2; the
-    root of a linear remainder comes from one division.
-    """
-    work = p
-    if work.degree >= 2:
-        for cand in _rational_root_candidates(work):
-            if work.eval(cand) == 0:
-                out.append((rational_number(cand, tw), mult))
-                work = work.exact_div(UniPoly([-cand, 1]))
-                if work.degree < 2:
-                    break
-    if work.degree == 1:
-        out.append((rational_number(qdiv(-work.c[0], work.c[1]), tw), mult))
+    """Isolate the roots of p, split off the rational ones exactly, and
+    extend towers by the quotient on the boxes of the rest."""
+    if p.degree == 1:
+        out.append((rational_number(qdiv(-p.c[0], p.c[1]), tw), mult))
         return
-    tp = [el_from_rational(depth, c) for c in work.monic().c]
-    _extend_with_isolated(tw, depth, tp, mult, out)
-
-
-def _extend_with_isolated(tw, depth, tp, mult, out):
+    den = math.lcm(*(c.denominator for c in p.c))
+    ints = [int(c * den) for c in p.c]
+    an = abs(ints[-1]) // math.gcd(*ints)
+    rest = []
+    quotient = p
+    tp = [el_from_rational(depth, c) for c in p.monic().c]
     for bx in isolate_roots(tw, depth, tp):
+        r = _rational_root_in(p, an, bx)
+        if r is None:
+            rest.append(bx)
+        else:
+            out.append((rational_number(r, tw), mult))
+            quotient = quotient.exact_div(UniPoly([-r, 1]))
+    if rest:
+        tq = [el_from_rational(depth, c) for c in quotient.monic().c]
+        _extend(tw, depth, tq, rest, mult, out)
+
+
+def _rational_root_in(p: UniPoly, an: int, box: Box):
+    """The rational root of p in box (which holds one root), or None.
+
+    a_n·r is an integer for a rational root r of the primitive integer
+    multiple of p, so once exact bisection on sign changes narrows the
+    real segment of box below 1/a_n, one k/a_n is left to test.
+    """
+    if not box.im.contains_zero():
+        return None
+    lo, hi = box.re.lo, box.re.hi
+    flo = p.eval(lo)
+    if flo == 0:
+        return lo
+    while (hi - lo) * an >= 1:
+        mid = (lo + hi) / 2
+        fm = p.eval(mid)
+        if fm == 0:
+            return mid
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    k = math.ceil(lo * an)
+    if k <= hi * an and p.eval(Fraction(k, an)) == 0:
+        return Fraction(k, an)
+    return None
+
+
+def _extend(tw, depth, tp, boxes, mult, out):
+    """One cloned tower per box, each extended by tp and that box."""
+    for bx in boxes:
         branch = tw.clone()
         branch.extend(tp, bx)
         out.append((AlgebraicNumber.generator(branch), mult))
@@ -1249,7 +1238,8 @@ def roots_with_multiplicity(
             root = el_neg(depth, el_div(tw, depth, factor[0], factor[1]))
             out.append((AlgebraicNumber(tw, depth, root), mult))
         else:
-            _extend_with_isolated(tw, depth, factor, mult, out)
+            _extend(tw, depth, factor, isolate_roots(tw, depth, factor),
+                    mult, out)
     total = sum(m for _, m in out)
     if total != len(coeffs) - 1:
         raise ArithmeticError(

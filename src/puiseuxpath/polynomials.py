@@ -55,6 +55,20 @@ def qdiv(a, b):
     return exact(a / b)
 
 
+def lower_hull(pts: list[tuple]) -> list[tuple]:
+    """Lower convex hull of points sorted by x with distinct x."""
+    hull: list[tuple] = []
+    for p in pts:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) <= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    return hull
+
+
 class UniPoly:
     """Dense univariate polynomial over Q.
 

@@ -36,7 +36,7 @@ from .algebraic import (
     roots_with_multiplicity,
 )
 from .errors import DegenerateInputError, IterationGuardError
-from .polynomials import BiPoly, UniPoly
+from .polynomials import BiPoly, UniPoly, lower_hull
 
 __all__ = [
     "Branch",
@@ -147,20 +147,6 @@ class PolygonSegment:
         )
 
 
-def _lower_hull(pts: list[tuple]) -> list[tuple]:
-    """Lower convex hull of points sorted by x with distinct x."""
-    hull: list[tuple] = []
-    for p in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return hull
-
-
 def newton_polygon(p: BiPoly) -> list[PolygonSegment]:
     """Lower Newton polygon of p, segments ordered by increasing gamma.
 
@@ -197,7 +183,7 @@ def _grid_hull_segments(tw, depth, coeffs: list[dict]):
             pts.append((j, m))
     if len(pts) < 2:
         return []
-    hull = _lower_hull(pts)
+    hull = lower_hull(pts)
     segs = [
         (Fraction(m0 - m1, j1 - j0), j0, m0, j1, m1)
         for (j0, m0), (j1, m1) in zip(hull, hull[1:])

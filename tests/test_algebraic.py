@@ -25,9 +25,6 @@ from puiseuxpath.algebraic import (
     _fb_recip,
     _fb_rescale,
     _fb_sub,
-    _isolate_attempt,
-    _isolate_binomial,
-    _isolate_quadtree,
     _isq,
     el_box,
     el_from_rational,
@@ -39,6 +36,7 @@ from puiseuxpath.algebraic import (
     rational_number,
     rational_sqrt,
     roots_with_multiplicity,
+    tp_squarefree_monic,
 )
 from puiseuxpath.polynomials import UniPoly
 
@@ -273,6 +271,21 @@ class TestRoots:
         assert rational_vals == [rat(-2, 5), rat(7, 3)]
         assert sum(m for _, m in rts) == 4
 
+    def test_rational_root_with_large_leading_coefficient(self):
+        # (10^30 T - 10^30 - 1)(T^2 + 1): the root 1 + 10^-30 is closer to
+        # 1 than the width of its isolating box, so the box is bisected
+        # below 10^-30 before the one candidate k/10^30 is tested
+        p = poly(-10**30 - 1, 10**30) * poly(1, 0, 1)
+        rts = roots_with_multiplicity(p)
+        assert [r.as_rational() for r, _ in rts][2] == 1 + rat(1, 10**30)
+        assert sum(r.as_rational() is None for r, _ in rts) == 2
+
+    @pytest.mark.parametrize("c", [Fraction(1, 10**30), Fraction(1, 10**60)])
+    def test_tiny_real_roots_rank_by_real_part(self, c):
+        # roots +-sqrt(c) far below 2^-32 still rank by their real parts
+        (neg, _), (pos, _) = roots_with_multiplicity(poly(-c, 0, 1))
+        assert neg.box(64).re.hi < 0 < pos.box(64).re.lo
+
     def test_root_boxes_contain_true_roots(self):
         rng = random.Random(11)
         for _ in range(10):
@@ -457,6 +470,11 @@ class TestIsolation:
         for b in boxes:
             assert b.im.contains_zero()
 
+    @pytest.mark.parametrize("c", [0, -3, rat(5, 7)])
+    def test_linear_polynomials(self, c):
+        boxes = isolate_roots(FieldTower(), 0, [c, 1])
+        assert len(boxes) == 1 and boxes[0].contains_point(-c)
+
     def test_clustered_roots_separate(self):
         # roots at 0, 1/128, and 5
         p = poly(0, 1) * UniPoly([rat(-1, 128), rat(1)]) * poly(-5, 1)
@@ -481,31 +499,18 @@ class TestIsolation:
 
 
 # ---------------------------------------------------------------------------
-# closed-form isolation of binomials T^n + c, against the quadtree
-
-
-def _quadtree_isolate(tw, depth, p):
-    """isolate_roots without the closed form, kept as the oracle."""
-    return _isolate_quadtree(tw, depth, p, len(p) - 1)
+# root isolation against mpmath.polyroots at 50 digits
 
 
 @contextmanager
-def _quadtree_only():
-    with mock.patch.object(algebraic, "isolate_roots", _quadtree_isolate), \
-            mock.patch.object(puiseux, "isolate_roots", _quadtree_isolate):
+def _reversed_isolation():
+    """isolate_roots handing back its boxes in reverse order."""
+    def reversed_boxes(tw, depth, p):
+        return isolate_roots(tw, depth, p)[::-1]
+
+    with mock.patch.object(algebraic, "isolate_roots", reversed_boxes), \
+            mock.patch.object(puiseux, "isolate_roots", reversed_boxes):
         yield
-
-
-@contextmanager
-def _counting_attempts():
-    calls = []
-
-    def counted(*args):
-        calls.append(args[3])
-        return _isolate_attempt(*args)
-
-    with mock.patch.object(algebraic, "_isolate_attempt", counted):
-        yield calls
 
 
 def _sqrt_tower(d):
@@ -518,8 +523,11 @@ def _mp(x):
 
 
 def _holds(box, z):
-    return (_mp(box.re.lo) <= z.real <= _mp(box.re.hi)
-            and _mp(box.im.lo) <= z.imag <= _mp(box.im.hi))
+    # a box may shrink to the exact root (e.g. -1 + i), which polyroots
+    # only approximates
+    eps = mpmath.mpf(10) ** -40 * max(1, abs(z))
+    return (_mp(box.re.lo) - eps <= z.real <= _mp(box.re.hi) + eps
+            and _mp(box.im.lo) - eps <= z.imag <= _mp(box.im.hi) + eps)
 
 
 def _same_root(a, b):
@@ -536,97 +544,143 @@ def _rational_c(max_exp):
     )
 
 
+small_q = st.fractions(min_value=-50, max_value=50, max_denominator=7)
+
 # a + b*sqrt(d), a depth-1 tower element
-tower_c = st.tuples(
-    st.sampled_from((2, 3, 5)),
-    st.fractions(min_value=-50, max_value=50, max_denominator=7),
-    st.fractions(min_value=-50, max_value=50, max_denominator=7).filter(bool),
+tower_c = st.tuples(st.sampled_from((2, 3, 5)), small_q, small_q.filter(bool))
+
+# ("binomial", n, c): T^n + c with c rational or a tower element
+binomials = st.tuples(st.just("binomial"), st.integers(2, 8),
+                      st.one_of(_rational_c(40), tower_c))
+# ("integer", coefficients lowest first)
+integer_polys = st.tuples(
+    st.just("integer"),
+    st.builds(lambda low, lead: (*low, lead),
+              st.lists(st.integers(-20, 20), min_size=2, max_size=10),
+              st.sampled_from([c for c in range(-20, 21) if c])),
+)
+# ("tower", d, ((a_j, b_j) for j < n)): T^n + sum (a_j + b_j*sqrt(d)) T^j
+tower_polys = st.tuples(
+    st.just("tower"), st.sampled_from((2, 3, 5)),
+    st.lists(st.tuples(small_q, small_q), min_size=2, max_size=4).map(tuple),
 )
 
 
-def _binomial(n, c):
-    """(tower, depth, coefficients as AlgebraicNumbers, c at 50 digits)."""
-    if isinstance(c, tuple):
-        d, a, b = c
-        gen = _sqrt_tower(d)
-        tw, depth, cn = gen.tower, 1, a + b * gen
-        with mpmath.workdps(50):
+def _case(case):
+    """(tower, depth, monic AlgebraicNumber coefficients lowest first,
+    the same coefficients at 50 digits highest first)."""
+    with mpmath.workdps(50):
+        if case[0] == "integer":
+            tw, depth = FieldTower(), 0
+            cs = UniPoly([Fraction(c) for c in case[1]]).monic().c
+            return (tw, depth, [rational_number(c, tw) for c in cs],
+                    [_mp(Fraction(c)) for c in reversed(cs)])
+        if case[0] == "tower":
+            _, d, pairs = case
+            gen = _sqrt_tower(d)
+            root = mpmath.sqrt(d)
+            coeffs = [a + b * gen for a, b in pairs]
+            coeffs.append(rational_number(1, gen.tower))
+            vals = [_mp(a) + _mp(b) * root for a, b in pairs] + [1]
+            return gen.tower, 1, coeffs, vals[::-1]
+        _, n, c = case
+        if isinstance(c, tuple):
+            d, a, b = c
+            gen = _sqrt_tower(d)
+            tw, depth, cn = gen.tower, 1, a + b * gen
             cval = _mp(a) + _mp(b) * mpmath.sqrt(d)
-    else:
-        tw, depth = FieldTower(), 0
-        cn = rational_number(c, tw)
-        with mpmath.workdps(50):
-            cval = _mp(c)
-    coeffs = ([cn] + [rational_number(0, tw)] * (n - 1)
-              + [rational_number(1, tw)])
-    return tw, depth, coeffs, cval
+        else:
+            tw, depth = FieldTower(), 0
+            cn, cval = rational_number(c, tw), _mp(Fraction(c))
+        coeffs = ([cn] + [rational_number(0, tw)] * (n - 1)
+                  + [rational_number(1, tw)])
+        return tw, depth, coeffs, [1] + [0] * (n - 1) + [cval]
 
 
-class TestBinomialIsolation:
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(min_value=2, max_value=8),
-           c=st.one_of(_rational_c(40), tower_c))
-    @example(n=2, c=Fraction(1999, 1000) * 2**39)
-    @example(n=8, c=Fraction(-1999, 1000) * 2**39)
-    @example(n=8, c=Fraction(1, 2**20))
-    @example(n=2, c=Fraction(-1, 2**20))
-    def test_boxes_isolate_the_roots(self, n, c):
-        tw, depth, coeffs, cval = _binomial(n, c)
-        p = [el_lift(x.rep, x.depth, depth) for x in coeffs]
-        with _counting_attempts() as attempts:
-            boxes = isolate_roots(tw, depth, p)
-        assert attempts == []  # the closed form settled every root
-        assert len(boxes) == n
-        for i in range(n):
-            for j in range(i):
-                assert boxes[i].disjoint(boxes[j])
-        with mpmath.workdps(50):
-            zs = mpmath.polyroots([1] + [0] * (n - 1) + [cval],
-                                  maxsteps=200, extraprec=200)
-            for bx in boxes:
-                assert sum(_holds(bx, z) for z in zs) == 1
+def _raw(depth, coeffs):
+    return [el_lift(x.rep, x.depth, depth) for x in coeffs]
 
-    # the quadtree settles these within its first 64-bit attempt; past
-    # degree 4 or |c| = 2^20 it grows slow, and at degree 8 with
-    # |c| >= 2^10 it exceeds its cell budget
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(min_value=2, max_value=4),
-           c=st.one_of(_rational_c(20), tower_c))
-    def test_choices_match_the_quadtree(self, n, c):
-        _, _, coeffs, _ = _binomial(n, c)
-        xi = -coeffs[0]
-        fast = puiseux._w_root_representative(xi, n)
-        fast_roots = roots_with_multiplicity(coeffs)
-        with _quadtree_only():
-            slow = puiseux._w_root_representative(xi, n)
-            slow_roots = roots_with_multiplicity(coeffs)
-        assert _same_root(fast, slow)
-        assert [m for _, m in fast_roots] == [m for _, m in slow_roots]
-        assert all(_same_root(x, y)
-                   for (x, _), (y, _) in zip(fast_roots, slow_roots))
 
-    @pytest.mark.parametrize("c, certified", [
-        # both roots of T^2 - 3*2^-70 certify, but they round to re = 0 on
-        # the order_key grid and share im = 0, so their ranking is not fixed
-        (Fraction(-3, 2**70), True),
-        # at the 2^-96 scale 5*10^-25 is known to 16 bits, too few for the
-        # seeds to land in their boxes, so the certificate fails
-        (Fraction(-5, 10**25), False),
-    ])
-    def test_fallback_to_the_quadtree(self, c, certified):
-        p = [c, 0, 1]
-        with mock.patch.object(algebraic, "_ranks_fixed", lambda *a: True):
-            unranked = _isolate_binomial(FieldTower(), 0, p, 2)
-        assert (unranked is not None) == certified
-        with _counting_attempts() as attempts:
-            boxes = isolate_roots(FieldTower(), 0, p)
-        assert attempts  # the quadtree ran
-        assert len(boxes) == 2 and boxes[0].disjoint(boxes[1])
-        with mpmath.workdps(50):
-            z = mpmath.sqrt(_mp(-c))
-            assert sorted(_holds(b, z) for b in boxes) == [False, True]
-            assert sorted(_holds(b, -z) for b in boxes) == [False, True]
+def _squarefree(tw, depth, p):
+    factors = tp_squarefree_monic(tw, depth, p)
+    return len(factors) == 1 and factors[0][1] == 1
 
-    def test_constant_beyond_float_range_is_declined(self):
-        assert _isolate_binomial(FieldTower(), 0, [10**400, 0, 0, 1], 3) \
-            is None
+
+def _polyroots(vals):
+    """mpmath.polyroots at 50 digits, on the polynomial rescaled so that
+    its roots have modulus about 1 (its stopping test is absolute)."""
+    with mpmath.workdps(50):
+        r = max(abs(v) ** (mpmath.mpf(1) / i)
+                for i, v in enumerate(vals) if i and v)
+        zs = mpmath.polyroots([v / r**i for i, v in enumerate(vals)],
+                              maxsteps=1000, extraprec=1000)
+        return [z * r for z in zs]
+
+
+def _check_isolation(tw, depth, p, vals):
+    n = len(p) - 1
+    boxes = isolate_roots(tw, depth, p)
+    assert len(boxes) == n
+    for i in range(n):
+        for j in range(i):
+            assert boxes[i].disjoint(boxes[j])
+    zs = _polyroots(vals)
+    with mpmath.workdps(50):
+        for bx in boxes:
+            assert sum(_holds(bx, z) for z in zs) == 1
+
+
+class TestRootIsolation:
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.one_of(binomials, integer_polys, tower_polys))
+    @example(case=("binomial", 2, Fraction(1999, 1000) * 2**39))
+    @example(case=("binomial", 8, Fraction(-1999, 1000) * 2**39))
+    @example(case=("binomial", 8, Fraction(1, 2**20)))
+    @example(case=("binomial", 2, Fraction(-1, 2**20)))
+    # roots far below 2^-32
+    @example(case=("binomial", 2, Fraction(-3, 2**70)))
+    @example(case=("binomial", 2, Fraction(-5, 10**25)))
+    # a cluster: T^3 - 2T^2 + (1 - 10^-12)T, roots 0 and 1 +- 10^-6
+    @example(case=("integer", (0, 10**12 - 1, -2 * 10**12, 10**12)))
+    def test_boxes_isolate_the_roots(self, case):
+        tw, depth, coeffs, vals = _case(case)
+        p = _raw(depth, coeffs)
+        assume(_squarefree(tw, depth, p))
+        _check_isolation(tw, depth, p, vals)
+
+    @pytest.mark.parametrize("case", [
+        # roots far from the unit circle
+        ("binomial", 3, Fraction(10**400)),
+        ("integer", (1536, 1, 0, 0, 0, 0, 0, 0, 1)),
+        # one root of modulus 7e33 and six of 3.4e-9: q's coefficients
+        # that fix the six lie near 2^-840, far below 64 bits of precision
+        ("integer", (-1, 8000, 0, -2 * 10**23, -7 * 10**12, -7 * 10**34,
+                     -7 * 10**50, 10**17)),
+        # 0.56 +- 0.80i beside -5.5 and -51859: seeded one hull edge at a
+        # time, the pair would start on (and never leave) the real axis
+        ("integer", (805666, -807898, 674447, 155591, 3)),
+    ], ids=["cubic_10e400", "octic_t_1536", "moduli_3e-9_and_7e33",
+            "pair_near_real_axis"])
+    def test_hard_inputs_return(self, case):
+        tw, depth, coeffs, vals = _case(case)
+        _check_isolation(tw, depth, _raw(depth, coeffs), vals)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.one_of(binomials, integer_polys))
+    @example(case=("binomial", 2, Fraction(-3, 2**70)))
+    @example(case=("binomial", 2, Fraction(-1, 10**30)))
+    @example(case=("binomial", 4, Fraction(-1, 10**60)))
+    @example(case=("binomial", 2, Fraction(3)))
+    def test_choices_ignore_isolation_order(self, case):
+        tw, depth, coeffs, _ = _case(case)
+        assume(_squarefree(tw, depth, _raw(depth, coeffs)))
+        roots = roots_with_multiplicity(coeffs)
+        with _reversed_isolation():
+            again = roots_with_multiplicity(coeffs)
+        assert [m for _, m in roots] == [m for _, m in again]
+        assert all(_same_root(x, y) for (x, _), (y, _) in zip(roots, again))
+        if case[0] == "binomial":
+            xi, n = -coeffs[0], case[1]
+            rep = puiseux._w_root_representative(xi, n)
+            with _reversed_isolation():
+                assert _same_root(rep, puiseux._w_root_representative(xi, n))

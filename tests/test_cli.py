@@ -97,10 +97,6 @@ class TestCurveCommands:
         assert cap.out.count("center=") == 3
         assert not re.search(r"(=| \+ )0\*mu", cap.out), cap.out
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "rational root search gives up past 400 divisors of a coefficient:"
-        " 12252240 has 480, so the root 1 of T^3 - T^2 - 12252240*T"
-        " + 12252240 is isolated as an algebraic number"))
     def test_rational_center_with_many_divisors(self, capsys):
         code, cap = run(capsys, "expand", "--poly",
                         "(V - 1)*(V^2 - 12252240) + mu")
@@ -119,10 +115,6 @@ class TestCurveCommands:
         assert r.returncode == 0
         assert "series=(0+1e-11i)*mu^(1/2) (exact)" in r.stdout
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "order_key rounds re onto an absolute 2^-32 grid, so both roots of"
-        " T^2 - 5*10^-25 tie at re = 0 and the representative is the"
-        " first root isolated, here the negative one"))
     def test_tiny_roots_keep_largest_real_part(self, capsys):
         code, cap = run(capsys, "expand", "--poly",
                         "V^2 - 5/10000000000000000000000000*mu")
