@@ -781,9 +781,9 @@ def _seeds(coeffs: list[tuple[int, int, complex]], n: int):
 
     An edge j1 -> j2 of the upper hull of the points (j, E_j) stands for
     j2 - j1 roots of modulus about 2^((E_j1 - E_j2)/(j2 - j1)) (Bini's
-    starting points).  Edges within 2^16 of each other in modulus form a
-    group, whose roots ``numpy.roots`` finds from its terms j1..j2 alone,
-    rescaled to modulus about 1.  One group covers the usual polynomial;
+    starting points).  Edges within 2^16 in modulus of a group's smallest
+    join that group, whose roots ``numpy.roots`` finds from its terms
+    j1..j2 alone, rescaled to modulus about 1.  One group covers the usual polynomial;
     it also keeps a pair near the real axis (edges at r/2 and 2r) in one
     call, since Aberth keeps real seeds of a real polynomial real.  prec
     holds 64 bits of every hull coefficient q_j = c_j·2^(-k(n-j)).
@@ -794,10 +794,14 @@ def _seeds(coeffs: list[tuple[int, int, complex]], n: int):
     def slope(a, b):
         return (b[1] - a[1]) / (b[0] - a[0])
 
-    ends = (hull[:1]
-            + [b for a, b, c in zip(hull, hull[1:], hull[2:])
-               if slope(b, c) - slope(a, b) >= 16]
-            + hull[1:][-1:])
+    ends, low = hull[:1], None  # low: the group's smallest edge slope
+    for a, b in zip(hull, hull[1:]):
+        if low is not None and slope(a, b) - low >= 16:
+            ends.append(a)
+            low = None
+        if low is None:
+            low = slope(a, b)
+    ends += hull[1:][-1:]
     for (j1, v1), (j2, v2) in zip(ends, ends[1:]):
         e = round(slope((j1, v1), (j2, v2)))
         vals = [0j] * (j2 - j1 + 1)
