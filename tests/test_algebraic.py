@@ -630,9 +630,24 @@ def _check_isolation(tw, depth, p, vals):
             assert sum(_holds(bx, z) for z in zs) == 1
 
 
-class TestRootIsolation:
-    @settings(max_examples=60, deadline=None)
-    @given(case=st.one_of(binomials, integer_polys, tower_polys))
+@contextmanager
+def _counting_certificates():
+    """Whether each ``_certify`` call inside the block succeeded."""
+    outcomes = []
+    certify = algebraic._certify
+
+    def counted(*args):
+        boxes = certify(*args)
+        outcomes.append(boxes is not None)
+        return boxes
+
+    with mock.patch.object(algebraic, "_certify", counted):
+        yield outcomes
+
+
+class TestBinomialIsolation:
+    @settings(max_examples=40, deadline=None)
+    @given(case=binomials)
     @example(case=("binomial", 2, Fraction(1999, 1000) * 2**39))
     @example(case=("binomial", 8, Fraction(-1999, 1000) * 2**39))
     @example(case=("binomial", 8, Fraction(1, 2**20)))
@@ -640,6 +655,43 @@ class TestRootIsolation:
     # roots far below 2^-32
     @example(case=("binomial", 2, Fraction(-3, 2**70)))
     @example(case=("binomial", 2, Fraction(-5, 10**25)))
+    def test_boxes_isolate_the_roots(self, case):
+        tw, depth, coeffs, vals = _case(case)
+        p = _raw(depth, coeffs)
+        assume(_squarefree(tw, depth, p))
+        with _counting_certificates() as outcomes:
+            _check_isolation(tw, depth, p, vals)
+        assert outcomes == [True]  # the first precision settled every root
+
+    # These two constants once sent T^2 + c from the binomial closed form
+    # to the quadtree: on the absolute 2^-96 grid 3*2^-70 is exact and
+    # 5*10^-25 is known to about 16 bits.  No fallback remains: the seeds
+    # read each constant to float precision relative to its size, and the
+    # first certificate settles both roots.
+    @pytest.mark.parametrize("c, exact", [
+        (Fraction(-3, 2**70), True),
+        (Fraction(-5, 10**25), False),
+    ])
+    def test_fallback_to_the_quadtree(self, c, exact):
+        tw, p = FieldTower(), [c, 0, 1]
+        b = el_box(tw, 0, c, 64).fb
+        assert (b[0] == b[1]) == exact
+        (j, e, m), _ = algebraic._coefficient_floats(tw, 0, p)
+        assert j == 0 and m.imag == 0
+        assert abs(Fraction(m.real) * Fraction(2) ** e - c) <= abs(c) / 2**52
+        with _counting_certificates() as outcomes:
+            boxes = isolate_roots(tw, 0, p)
+        assert outcomes == [True]
+        assert len(boxes) == 2 and boxes[0].disjoint(boxes[1])
+        with mpmath.workdps(50):
+            z = mpmath.sqrt(_mp(-c))
+            assert sorted(_holds(b, z) for b in boxes) == [False, True]
+            assert sorted(_holds(b, -z) for b in boxes) == [False, True]
+
+
+class TestRootIsolation:
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.one_of(integer_polys, tower_polys))
     # a cluster: T^3 - 2T^2 + (1 - 10^-12)T, roots 0 and 1 +- 10^-6
     @example(case=("integer", (0, 10**12 - 1, -2 * 10**12, 10**12)))
     def test_boxes_isolate_the_roots(self, case):
