@@ -4,8 +4,9 @@ The commands are exercised in-process through main(argv) with captured
 stdout; the byte-determinism check runs the installed module twice in
 subprocesses with different hash seeds. The golden files under
 ``tests/data`` pin the stdout of ``rho-sdo --format json`` and of
-``verify --format csv`` on the builtin instances byte for byte; their
-digits are those of x86 80-bit extended precision. The ``curve_*`` files
+``verify --format csv`` on the builtin instances byte for byte, and the
+``trace_*`` files that of ``trace --format csv``, which prints every
+traced sample; their digits are those of x86 80-bit extended precision. The ``curve_*`` files
 pin ``polygon --format csv``, ``expand`` and ``rho-curve`` on a list of
 curves; that half is exact, so they hold on every platform.
 """
@@ -280,6 +281,16 @@ class TestGoldenOutput:
         assert code == 0
         golden = DATA / f"verify_{name}_rho{rho}.csv"
         assert cap.out.encode() == golden.read_bytes()
+
+    @pytest.mark.parametrize("golden, argv", [
+        ("trace_kl02_5.csv", ("--instance", "kl02_5")),
+        ("trace_elliptope_3.csv", ("--instance", "elliptope_3")),
+        ("trace_kl02_4_rho4.csv", ("--instance", "kl02_4", "--rho", "4")),
+    ])
+    def test_trace_csv(self, capsys, golden, argv):
+        code, cap = run(capsys, "trace", *argv, "--format", "csv")
+        assert code == 0
+        assert cap.out.encode() == (DATA / golden).read_bytes()
 
 
 # name -> (polynomial, rho-curve limit): the README examples and curves
