@@ -232,6 +232,19 @@ class TestErrors:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["rho-sdo", "trace", "verify"])
+    @pytest.mark.parametrize("tol", ["inf", "-1", "nan"])
+    def test_tol_must_be_finite_and_positive(self, capsys, command, tol):
+        # an infinite tol used to accept every start as converged and print
+        # rho = 1 for kl02_3, whose rho is 2
+        argv = [command, "--instance", "kl02_3", "--tol", tol]
+        if command == "verify":
+            argv += ["--rho", "1"]
+        code, cap = run(capsys, *argv)
+        assert code == 2
+        assert cap.out == ""
+        assert "error [input]: tol must be finite and positive" in cap.err
+
     def test_bad_rho_for_plot_data(self, capsys):
         code, cap = run(capsys, "trace", "--instance", "identity_3",
                         "--rho", "0", "--format", "csv")

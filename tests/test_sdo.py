@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from puiseuxpath import sdo
 from puiseuxpath.errors import (
@@ -27,12 +29,14 @@ from puiseuxpath.errors import (
     InputError,
     InsufficientSamplesError,
     ParseError,
+    SolveFailureError,
 )
 from puiseuxpath.sdo import (
     CentralPathSample,
     SDOInstance,
-    _jacobian,
-    _solve_linear,
+    _newton_layout,
+    _newton_rows,
+    _solve_sparse,
     builtin_instance,
     central_point,
     elliptope_instance,
@@ -232,6 +236,16 @@ class TestCentralPoint:
         with pytest.raises(InputError):
             central_point(identity_instance(2), 0.0)
 
+    @pytest.mark.parametrize("tol", [math.inf, -1.0, math.nan, 0.0])
+    def test_bad_tol(self, tol):
+        inst = identity_instance(2)
+        with pytest.raises(InputError, match="tol must be finite and positive"):
+            central_point(inst, 0.5, tol=tol)
+        with pytest.raises(InputError, match="tol must be finite and positive"):
+            trace_path(inst, tol=tol)
+        with pytest.raises(InputError, match="tol must be finite and positive"):
+            verify_reparametrization(inst, 1, tol=tol)
+
     def test_coords_layout(self):
         s = central_point(identity_instance(2), 0.25)
         v = s.coords
@@ -394,12 +408,13 @@ class TestVerifyReparametrization:
 
 
 # ---------------------------------------------------------------------------
-# Newton kernel against the loop code it replaced
+# Newton kernel against the dense code it replaced
 #
-# The two functions below are the Jacobian assembly and the linear solve
-# the Newton step ran before they were vectorized, kept as the reference:
-# the vectorized kernel must reproduce them bit for bit (signs of zeros
-# included), since the traced values are printed.
+# _reference_jacobian is the loop-and-matmul assembly the Newton step ran
+# first, and _dense_solve the dense long-double elimination it ran before
+# the sparse one; both are kept as the reference.  The sparse kernel must
+# reproduce them bit for bit (signs of zeros included), since the traced
+# values are printed.
 
 
 def _reference_jacobian(inst, X, S):
@@ -424,28 +439,40 @@ def _reference_jacobian(inst, X, S):
     return J
 
 
-def _reference_solve(M, rhs):
-    """Partial-pivot elimination, one row update at a time."""
-    a = M.copy()
-    b = rhs.copy()
-    size = len(b)
+def _dense_solve(M, rhs):
+    """Solve M x = rhs by partial-pivot elimination in extended precision.
+
+    Each column is eliminated with one outer-product update of the
+    augmented [M | rhs]: every row subtracts f * (pivot row) with
+    f = M[row, col] * (1 / pivot), and rows with f == 0 are left alone.
+    The back-substitution goes row by row.
+    """
+    size = len(rhs)
+    a = np.empty((size, size + 1), dtype=np.longdouble)
+    a[:, :size] = M
+    a[:, size] = rhs
     for col in range(size):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
+        piv = col + int(np.abs(a[col:, col]).argmax())
         if a[piv, col] == 0:
-            raise AssertionError("reference solve hit a singular system")
+            raise SolveFailureError("Newton system is singular")
         if piv != col:
             a[[col, piv]] = a[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
-        inv = 1 / a[col, col]
-        for row in range(col + 1, size):
-            f = a[row, col] * inv
-            if f != 0:
-                a[row, col:] -= f * a[col, col:]
-                b[row] -= f * b[col]
+        f = a[col + 1 :, col] * (1 / a[col, col])
+        nz = f.nonzero()[0]
+        if nz.size:
+            a[col + 1 + nz, col + 1 :] -= np.multiply.outer(f[nz], a[col, col + 1 :])
     x = np.zeros(size, dtype=np.longdouble)
     for row in range(size - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
+        x[row] = (a[row, size] - a[row, row + 1 : size] @ x[row + 1 :]) / a[row, row]
     return x
+
+
+def _dense(rows, size):
+    M = np.zeros((size, size), dtype=np.longdouble)
+    for r, row in enumerate(rows):
+        for j, v in row.items():
+            M[r, j] = v
+    return M
 
 
 def _same_bits(a, b):
@@ -456,29 +483,54 @@ def _same_bits(a, b):
     )
 
 
+def _outcome(solve, system, rhs):
+    with np.errstate(all="ignore"):
+        try:
+            return solve(system, rhs.copy())
+        except SolveFailureError as err:
+            return f"SolveFailureError: {err}"
+
+
+def _assert_same_outcome(rows, rhs):
+    """The sparse solve of rows agrees with the dense oracle, NaNs included."""
+    want = _outcome(_dense_solve, _dense(rows, len(rhs)), rhs)
+    got = _outcome(_solve_sparse, [dict(row) for row in rows], rhs)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    return want
+
+
 BUILTINS = ("identity_3", "elliptope_3", "kl02_3", "kl02_4", "kl02_5")
 
 
 @pytest.fixture(scope="module")
 def newton_systems():
-    """Every (X, S, J) and (J, rhs) the Newton steps of five traces build."""
+    """Every (X, S, rows) and (rows, rhs) the Newton steps of five traces build."""
     jacobians, systems = [], []
-    jacobian, solve = sdo._jacobian, sdo._solve_linear
+    newton_rows, solve = sdo._newton_rows, sdo._solve_sparse
 
-    def record_jacobian(inst, X, S):
-        J = jacobian(inst, X, S)
-        jacobians.append((inst, X.copy(), S.copy(), J.copy()))
-        return J
+    def record_rows(lay, X, S):
+        rows = newton_rows(lay, X, S)
+        jacobians.append((lay, X.copy(), S.copy(), [dict(r) for r in rows]))
+        return rows
 
-    def record_solve(M, rhs):
-        systems.append((M.copy(), rhs.copy()))
-        return solve(M, rhs)
+    def record_solve(rows, rhs):
+        systems.append(([dict(r) for r in rows], rhs.copy()))
+        return solve(rows, rhs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sdo, "_jacobian", record_jacobian)
-        mp.setattr(sdo, "_solve_linear", record_solve)
+        mp.setattr(sdo, "_newton_rows", record_rows)
+        mp.setattr(sdo, "_solve_sparse", record_solve)
+        instances = {}
         for name in BUILTINS:
-            trace_path(builtin_instance(name))
+            instances[name] = inst = builtin_instance(name)
+            trace_path(inst)
+    layouts = {id(inst._newton): inst for inst in instances.values()}
+    jacobians = [(layouts[id(lay)], X, S, rows) for lay, X, S, rows in jacobians]
     return jacobians, systems
 
 
@@ -486,7 +538,8 @@ class TestNewtonKernel:
     def test_jacobians_along_builtin_traces(self, newton_systems):
         jacobians, _ = newton_systems
         assert {inst.name for inst, *_ in jacobians} == set(BUILTINS)
-        for inst, X, S, J in jacobians:
+        for inst, X, S, rows in jacobians:
+            J = _dense(rows, inst.m + inst.n * (inst.n + 1))
             assert _same_bits(J, _reference_jacobian(inst, X, S))
 
     def test_jacobian_with_signed_zeros(self):
@@ -502,14 +555,39 @@ class TestNewtonKernel:
             inst = builtin_instance(name)
             for _ in range(5):
                 X, S = symmetric(inst.n), symmetric(inst.n)
-                assert _same_bits(_jacobian(inst, X, S),
+                rows = _newton_rows(_newton_layout(inst), X, S)
+                assert not any(np.signbit(v) and v == 0
+                               for row in rows for v in row.values())
+                assert _same_bits(_dense(rows, len(rows)),
                                   _reference_jacobian(inst, X, S))
 
     def test_captured_newton_solves(self, newton_systems):
         _, systems = newton_systems
         assert {len(rhs) for _, rhs in systems} == {13, 15, 24, 35}
-        for M, rhs in systems:
-            assert _same_bits(_solve_linear(M, rhs), _reference_solve(M, rhs))
+        for rows, rhs in systems:
+            want = _dense_solve(_dense(rows, len(rhs)), rhs)
+            assert _same_bits(_solve_sparse([dict(r) for r in rows], rhs), want)
+
+    def test_line_search_test_is_both_choleskys(self):
+        rng = np.random.default_rng(11)
+
+        def pd(M):
+            try:
+                np.linalg.cholesky(M.astype(np.float64))
+            except np.linalg.LinAlgError:
+                return False
+            return True
+
+        for n in (1, 3, 5):
+            for shift in (-1.0, 0.0, 0.5, 3.0):
+                for _ in range(5):
+                    X, S = (
+                        (B + B.T) / 2 + shift * n * np.eye(n, dtype=np.longdouble)
+                        for B in rng.standard_normal((2, n, n)).astype(np.longdouble)
+                    )
+                    if rng.random() < 0.2:
+                        X[0, 0] = np.nan
+                    assert sdo._interior(X, S) == (pd(X) and pd(S))
 
     def test_random_well_conditioned_solves(self):
         rng = np.random.default_rng(20240817)
@@ -518,10 +596,115 @@ class TestNewtonKernel:
                 M = rng.standard_normal((size, size)).astype(np.longdouble)
                 M += size * np.eye(size, dtype=np.longdouble)
                 # sparse rows exercise the skipped zero multipliers, and
-                # signed zeros the sign rules of the update
-                M[(rng.random((size, size)) < 0.5) & ~np.eye(size, dtype=bool)] = -0.0
+                # a signed-zero right-hand side the sign rules of the update
+                M[(rng.random((size, size)) < 0.5) & ~np.eye(size, dtype=bool)] = 0
                 rhs = rng.standard_normal(size).astype(np.longdouble)
                 rhs[rng.random(size) < 0.3] = -0.0
-                x = _solve_linear(M, rhs)
-                assert _same_bits(x, _reference_solve(M, rhs))
+                rows = [{j: v for j, v in enumerate(row) if v} for row in M]
+                x = _solve_sparse(rows, rhs)
+                assert _same_bits(x, _dense_solve(M, rhs))
                 assert np.max(np.abs(M @ x - rhs)) < 1e-15 * size
+
+
+# Entries are a small mantissa, so pivot magnitudes tie exactly, times a
+# row and a column scale.  The scales make multipliers and products that
+# underflow, and columns so small that 1 / pivot overflows, which sends
+# NaNs through the elimination.
+_MANTISSAS = st.sampled_from([1, -1, 2, -2, 3, -0.5, 0.75])
+_NORMAL_SCALES = [np.longdouble(2) ** e for e in (0, 0, 0, -9000, 8000)]
+_SCALES = st.sampled_from(_NORMAL_SCALES + [np.longdouble(2) ** -16420])
+_RHS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4, 4, width=32))
+
+
+@st.composite
+def _sparse_systems(draw, scales=_SCALES, max_size=9):
+    size = draw(st.integers(1, max_size))
+    row_scale = draw(st.lists(scales, min_size=size, max_size=size))
+    col_scale = draw(st.lists(scales, min_size=size, max_size=size))
+    rows = []
+    for r in range(size):
+        cols = draw(st.sets(st.integers(0, size - 1), max_size=size))
+        # + 0 turns a product that underflows to -0 into the +0 the
+        # solver requires
+        rows.append({j: draw(_MANTISSAS) * row_scale[r] * col_scale[j] + 0
+                     for j in sorted(cols)})
+    rhs = np.array(draw(st.lists(_RHS, min_size=size, max_size=size)),
+                   dtype=np.longdouble)
+    return rows, rhs
+
+
+@st.composite
+def _newton_shaped_systems(draw):
+    """The Newton system of a builtin at symmetric X, S from the pool."""
+    inst = builtin_instance(draw(st.sampled_from(BUILTINS[:4])))
+    n = inst.n
+
+    def symmetric():
+        M = np.zeros((n, n), dtype=np.longdouble)
+        for i in range(n):
+            for j in range(i, n):
+                v = draw(st.one_of(st.sampled_from([0.0, -0.0]), _MANTISSAS))
+                M[i, j] = M[j, i] = v * draw(_SCALES)
+        return M
+
+    rows = _newton_rows(_newton_layout(inst), symmetric(), symmetric())
+    rhs = np.array(draw(st.lists(_RHS, min_size=len(rows), max_size=len(rows))),
+                   dtype=np.longdouble)
+    return rows, rhs
+
+
+@pytest.fixture(scope="module")
+def kl02_5_systems(newton_systems):
+    return [(rows, rhs) for rows, rhs in newton_systems[1] if len(rhs) == 35]
+
+
+class TestSparseSolve:
+    """The sparse elimination against the dense oracle, on drawn systems."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sparse_systems())
+    def test_random_sparse_systems(self, system):
+        _assert_same_outcome(*system)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_newton_shaped_systems())
+    def test_newton_shaped_systems(self, system):
+        _assert_same_outcome(*system)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_sparse_systems(scales=st.sampled_from(_NORMAL_SCALES)), st.data())
+    def test_singular_systems(self, system, data):
+        # an empty column; with no pivot so small that 1 / pivot overflows
+        # no NaN can reach it first
+        rows, rhs = system
+        gone = data.draw(st.integers(0, len(rhs) - 1))
+        for row in rows:
+            row.pop(gone, None)
+        outcome = _assert_same_outcome(rows, rhs)
+        assert outcome == "SolveFailureError: Newton system is singular"
+
+    @settings(max_examples=150, deadline=None)
+    @given(_sparse_systems(), st.data())
+    def test_systems_holding_nan(self, system, data):
+        # NaNs of either sign, and infinities, in the matrix or the rhs
+        rows, rhs = system
+        size = len(rhs)
+        for _ in range(data.draw(st.integers(1, 3))):
+            bad = np.longdouble(data.draw(st.sampled_from(["nan", "-nan", "inf"])))
+            r = data.draw(st.integers(0, size - 1))
+            j = data.draw(st.integers(-1, size - 1))
+            if j < 0:
+                rhs[r] = bad
+            else:
+                rows[r][j] = bad
+        _assert_same_outcome(rows, rhs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_captured_kl02_5_systems(self, kl02_5_systems, data):
+        # a captured system with a drawn right-hand side: signed zeros, and
+        # magnitudes that tie
+        rows, _ = data.draw(st.sampled_from(kl02_5_systems))
+        rhs = np.array(data.draw(st.lists(_RHS, min_size=35, max_size=35)),
+                       dtype=np.longdouble)
+        _assert_same_outcome(rows, rhs)
