@@ -38,7 +38,7 @@ from puiseuxpath.algebraic import (
     roots_with_multiplicity,
     tp_squarefree_monic,
 )
-from puiseuxpath.polynomials import UniPoly
+from puiseuxpath.polynomials import UniPoly, parse_bipoly
 
 
 def rat(a, b=1):
@@ -446,6 +446,62 @@ class TestTowerNesting:
         phi = roots_with_multiplicity(poly(-1, -1, 1))[1][0]
         assert (phi * phi - phi - 1).is_zero()
         assert float(phi.box(40).re.mid) == pytest.approx(1.6180339887, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# lazy splitting: a level whose polynomial factors is cut down to the factor
+# of its generator the first time an element turns out to be a zero divisor
+
+
+def _split_spy():
+    return mock.patch.object(algebraic, "tw_choose_is_root",
+                             wraps=algebraic.tw_choose_is_root)
+
+
+class TestLazySplit:
+    @staticmethod
+    def _sqrt2_on_quartic():
+        # T^4 - 10*T^2 + 16 = (T^2 - 2)(T^2 - 8); its roots sort as
+        # -2*sqrt2, -sqrt2, sqrt2, 2*sqrt2
+        g = roots_with_multiplicity(poly(16, 0, -10, 0, 1))[2][0]
+        assert len(g.tower.levels[0].poly) == 5
+        assert 1.41 < float(g.box(30).re.mid) < 1.42
+        return g
+
+    def test_inverse_splits_off_the_other_factor(self):
+        g = self._sqrt2_on_quartic()
+        with _split_spy() as spy:
+            inv = 1 / (g * g - 8)
+        assert spy.called
+        assert inv.as_rational() == rat(-1, 6)
+        assert len(g.tower.levels[0].poly) == 3
+
+    def test_inverse_of_a_hidden_zero_raises(self):
+        g = self._sqrt2_on_quartic()
+        with _split_spy() as spy, pytest.raises(ZeroDivisionError):
+            _ = 1 / (g * g - 2)
+        assert spy.called
+
+    def test_expansion_splits_through_zero_test(self):
+        # the V^2 - 8 + mu factor meets roots of the product's edge
+        # polynomial on a quartic level: the zero test splits that level
+        with _split_spy() as spy:
+            branches = puiseux.expand(
+                parse_bipoly("(V^2 - 2)*(V^2 - 8 + mu)"))
+        assert spy.called
+        assert [b.q for b in branches] == [1, 1, 1, 1]
+        exact = [b for b in branches if b.exact]
+        assert len(exact) == 2
+        for b in exact:
+            [(e, c)] = b.terms
+            assert e == 0 and (c * c - 2).is_zero()
+        for b in branches:
+            if b.exact:
+                continue
+            (e0, c0), (e1, c1) = b.terms[:2]
+            assert (e0, e1) == (0, 1)
+            assert (c0 * c0 - 8).is_zero()
+            assert (c1 + 1 / (2 * c0)).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,10 @@ GOLDEN_CURVES = {
     "quintic": ("V^5 - 2*mu*V^2 + mu^3", "0"),
     "quartic": ("V^4 + mu*V + mu^3", "0"),
     "imaginary_centers": ("(V^2 + 1)*(V^2 - 2*mu) - mu^2*V", "0"),
+    # two multiplicity-2 children, each continued on its own as a lone node
+    "two_double_centers": (
+        "(((V-1)^2 - mu)^2 - mu^5)*(((V+1)^2 - 2*mu)^2 - mu^5)", "1"
+    ),
 }
 
 

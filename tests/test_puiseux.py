@@ -294,6 +294,18 @@ class TestGuards:
     def test_pole_branches_are_skipped(self):
         assert expand(parse_bipoly("mu*V - 1")) == []
 
+    @pytest.mark.parametrize("poly, used", [
+        # two multiplicity-2 children, each continued as a lone node
+        ("(((V-1)^2 - mu)^2 - mu^5)*(((V+1)^2 - 2*mu)^2 - mu^5)",
+         [4, 5, 7, 8]),
+        ("(V^2 - 2)^2 - mu*V^3", [3, 4]),
+        ("2*T^3 + (2 - 1/2*mu)*T^2 - (mu + 2)*T - 2", [3, 2]),
+    ])
+    def test_iterations_used(self, poly, used):
+        # the guard count when each branch was finished: it pins the order
+        # in which the polygon nodes are opened, which no output shows
+        assert [b.iterations_used for b in expand(parse_bipoly(poly))] == used
+
 
 class TestRandomCurves:
     def test_conjugate_counts_sum_to_degree(self):
