@@ -44,7 +44,6 @@ __all__ = [
     "minimal_polynomial",
     "rational_number",
     "rational_nth_root",
-    "rational_sqrt",
     "roots_with_multiplicity",
 ]
 
@@ -886,18 +885,6 @@ def _certify(cfix: list[tuple], zs: list[tuple], radii: list,
 
 # ---------------------------------------------------------------------------
 # rational helpers
-
-
-def rational_sqrt(r) -> int | Fraction | None:
-    """Exact square root of a rational, or None."""
-    r = exact(r)
-    if r < 0:
-        return None
-    sn = math.isqrt(r.numerator)
-    sd = math.isqrt(r.denominator)
-    if sn * sn == r.numerator and sd * sd == r.denominator:
-        return qdiv(sn, sd)
-    return None
 
 
 def _int_nth_root(n: int, k: int) -> int | None:

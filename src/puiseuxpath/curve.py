@@ -170,8 +170,8 @@ def _covers_theta(b: Branch, theta: int) -> bool:
     return bool(b.terms) and b.terms[-1][0] >= theta
 
 
-def expand_curve(nc: NormalizedCurve, max_extra_terms: int = 4,
-                 center_filter=None) -> list[Branch]:
+def expand_curve(nc: NormalizedCurve,
+                 max_extra_terms: int = 4) -> list[Branch]:
     """Expand the normalized curve far enough to read original limits.
 
     When theta > 0 the original coordinate limit is the series coefficient
@@ -180,8 +180,7 @@ def expand_curve(nc: NormalizedCurve, max_extra_terms: int = 4,
     """
     k = max(1, max_extra_terms)
     for _ in range(8):
-        branches = expand(nc.normalized, max_extra_terms=k,
-                          center_filter=center_filter)
+        branches = expand(nc.normalized, max_extra_terms=k)
         if all(_covers_theta(b, nc.theta) for b in branches):
             return branches
         k *= 2

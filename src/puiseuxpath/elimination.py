@@ -31,6 +31,9 @@ __all__ = ["MPoly", "central_system", "eliminate_coordinate", "canonical_coordin
 # a coordinate whose traced values never leave this band is treated as
 # identically zero on the path
 _ZERO_COORD_TOL = 1e-9
+# largest residual, relative to the coefficient norm, that the eliminant
+# may leave on the traced samples
+_VALIDATION_TOL = 1e-6
 
 
 class MPoly:
@@ -349,16 +352,39 @@ def _dedup(eqs: list[MPoly]) -> list[MPoly]:
     return out
 
 
-def _validate(P: BiPoly, coordinate: int, trace, tol: float) -> None:
+def _substitute_all(eqs: list[MPoly], w: int, expr: MPoly) -> list[MPoly]:
+    """Substitute w := expr in every equation; drop zeros and duplicates."""
+    return _dedup([q for q in (_strip(e.substitute(w, expr)) for e in eqs)
+                   if not q.is_zero()])
+
+
+def _linear_pivot(eqs: list[MPoly], elim: set[int]):
+    """First (equation index, variable, value) with a constant linear pivot.
+
+    Equations are scanned in order and each one's variables in increasing
+    index; the value solves the equation for the variable.
+    """
+    for ei, eq in enumerate(eqs):
+        for w in sorted(v for v in eq.variables() if v in elim):
+            if eq.deg(w) != 1:
+                continue
+            c0, c1 = eq.coeffs_in(w)
+            if c1.is_const():
+                lead = c1.terms[(0,) * eq.nv]
+                return ei, w, c0.scale(qdiv(-1, lead))
+    return None
+
+
+def _validate(P: BiPoly, coordinate: int, trace) -> None:
     norm = 1.0 + sum(abs(float(c)) for c in P.to_dict().values())
     worst = 0.0
     for s, v in zip(trace.samples, trace.values[:, coordinate]):
         val = P.eval(Fraction(float(s.mu)), Fraction(float(v)))
         worst = max(worst, abs(float(val)))
-    if worst / norm > tol:
+    if worst / norm > _VALIDATION_TOL:
         raise ExtraneousVanishingError(
             f"eliminant misses the traced path: residual {worst / norm:.2e}"
-            f" above {tol:g}"
+            f" above {_VALIDATION_TOL:g}"
         )
 
 
@@ -366,7 +392,6 @@ def eliminate_coordinate(
     inst,
     coordinate: int,
     trace=None,
-    validation_tol: float = 1e-6,
 ) -> BiPoly:
     """Project the central-path system onto (mu, one coordinate).
 
@@ -407,36 +432,15 @@ def eliminate_coordinate(
         if w == target or w not in elim:
             continue
         if float(np.max(np.abs(trace.values[:, c]))) <= _ZERO_COORD_TOL:
-            eqs = _dedup(
-                [q for q in (_strip(e.substitute(w, zero)) for e in eqs)
-                 if not q.is_zero()]
-            )
+            eqs = _substitute_all(eqs, w, zero)
             elim.discard(w)
 
-    # exact substitutions for variables with a constant linear pivot
-    changed = True
-    while changed:
-        changed = False
-        for ei, eq in enumerate(eqs):
-            for w in sorted(v for v in eq.variables() if v in elim):
-                if eq.deg(w) != 1:
-                    continue
-                coeffs = eq.coeffs_in(w)
-                if not coeffs[1].is_const():
-                    continue
-                lead = coeffs[1].terms[(0,) * nv]
-                expr = coeffs[0].scale(qdiv(-1, lead))
-                eqs = [
-                    _strip(other.substitute(w, expr))
-                    for oi, other in enumerate(eqs)
-                    if oi != ei
-                ]
-                eqs = _dedup([e for e in eqs if not e.is_zero()])
-                elim.discard(w)
-                changed = True
-                break
-            if changed:
-                break
+    # exact substitutions for variables with a constant linear pivot; the
+    # pivot equation is used up by its substitution
+    while (pivot := _linear_pivot(eqs, elim)) is not None:
+        ei, w, expr = pivot
+        eqs = _substitute_all(eqs[:ei] + eqs[ei + 1:], w, expr)
+        elim.discard(w)
 
     # iterated resultants on what is left
     while True:
@@ -505,5 +509,5 @@ def eliminate_coordinate(
         raise ExtraneousVanishingError(
             "the surviving eliminant does not depend on the coordinate"
         )
-    _validate(P, coordinate, trace, validation_tol)
+    _validate(P, coordinate, trace)
     return P

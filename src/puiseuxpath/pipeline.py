@@ -18,7 +18,6 @@ import math
 from fractions import Fraction
 
 from .curve import (
-    DEFAULT_MATCH_TOL,
     RhoReport,
     aggregate_rho,
     expand_curve,
@@ -55,7 +54,6 @@ def compute_rho_sdo(
     inst: SDOInstance,
     trace: TraceResult | None = None,
     curves: dict[int, BiPoly] | None = None,
-    match_tol: Fraction = DEFAULT_MATCH_TOL,
 ) -> RhoReport:
     """Compute the reparametrization exponent of inst's central path.
 
@@ -124,7 +122,7 @@ def compute_rho_sdo(
             lim = Fraction(limit)
             half = Fraction(max(width, _MIN_HALF_WIDTH))
             matched = match_branches(branches, (lim - half, lim + half),
-                                     tol=match_tol, theta=nc.theta)
+                                     theta=nc.theta)
             rho_i = rho_for_coordinate(matched)
         except PuiseuxPathError as err:
             raise _attribute(err, label)

@@ -771,21 +771,20 @@ def render_bipoly(p: BiPoly, param: str = "mu", dep: str = "V") -> str:
         cj = p.coeff_v(j)
         if cj.is_zero():
             continue
+        nonzero = [x for x in cj.c if x != 0]
         if j == 0:
-            nonzero = [x for x in cj.c if x != 0]
             body = cj.render(param)
             if len(nonzero) > 1:
                 body = f"({body})"
             chunk = body
         else:
             vpart = dep if j == 1 else f"{dep}^{j}"
-            nonzero = [x for x in cj.c if x != 0]
             if len(nonzero) == 1:
                 k = cj.order()
                 coeff = cj.c[k]
                 mu_part = "" if k == 0 else (param if k == 1 else f"{param}^{k}")
                 pieces = []
-                if abs(coeff) != 1 or (not mu_part and False):
+                if abs(coeff) != 1:
                     pieces.append(str(abs(coeff)))
                 if mu_part:
                     pieces.append(mu_part)

@@ -8,6 +8,12 @@ rescaling the parameter, so every recorded exponent is an exponent of the
 actual series in mu.  Once the working root becomes simple the branch is
 analytic in mu^(1/q) with q = lcm of the exponent denominators seen so
 far, and a few more terms are collected by linear steps.
+
+The iteration is one loop over an explicit stack of open polygon nodes,
+so a repeated factor, whose root keeps multiplicity 2 until the guard
+stops it, never deepens the interpreter stack.  Branches come out depth
+first: segments by increasing gamma, and on each segment the edge roots
+in ``AlgebraicNumber.order_key`` order.
 """
 
 from __future__ import annotations
@@ -297,24 +303,6 @@ def render_branch(b: Branch) -> str:
 # the expansion engine
 
 
-class _Ctx:
-    __slots__ = ("limit", "count", "max_extra", "center_filter")
-
-    def __init__(self, limit, max_extra, center_filter):
-        self.limit = limit
-        self.count = 0
-        self.max_extra = max_extra
-        self.center_filter = center_filter
-
-    def tick(self):
-        self.count += 1
-        if self.count > self.limit:
-            raise IterationGuardError(
-                f"expansion exceeded the {self.limit}-substitution budget; "
-                "the input is likely not square-free in V"
-            )
-
-
 def _w_root_representative(xi: AlgebraicNumber, w: int) -> AlgebraicNumber:
     """Deterministic w-th root of xi: exact rational when possible, else
     the root that ``AlgebraicNumber.order_key`` ranks last, i.e. the
@@ -385,14 +373,16 @@ def _term_lcm(terms) -> int:
     return q
 
 
-def _continue_stabilized(tw, depth, coeffs, scale, prefix, terms, ctx):
+def _continue_stabilized(tw, depth, coeffs, scale, prefix, terms,
+                         max_extra, used) -> Branch:
     """Collect up to max_extra more terms of a branch with a simple root.
 
     A simple working root keeps the (0, m0) -> (1, 0) polygon segment, so
-    each further term is a linear solve with no new ramification.
+    each further term is a linear solve with no new ramification.  used is
+    the guard count so far, recorded as the branch's iterations_used.
     """
     exact = False
-    for _ in range(ctx.max_extra):
+    for _ in range(max_extra):
         m0 = gp_order(tw, depth, coeffs[0])
         if m0 is None:
             exact = True
@@ -416,22 +406,41 @@ def _continue_stabilized(tw, depth, coeffs, scale, prefix, terms, ctx):
         terms=terms,
         q=_term_lcm(terms),
         exact=exact,
-        iterations_used=ctx.count,
+        iterations_used=used,
         tower=tw,
         multiplicity=1,
     )
 
 
-def _expand_node(tw, depth, coeffs, scale, prefix, terms, ctx,
-                 top_level) -> list[Branch]:
+def expand(p: BiPoly, max_extra_terms: int = 4) -> list[Branch]:
+    """All bounded Puiseux branches of p(mu, V) = 0 around mu = 0.
+
+    Returns one representative per conjugacy class; segments with negative
+    gamma (poles as mu -> 0) are skipped.  Branches come depth first: at
+    each polygon node the exact branch of a V-power factor, then the
+    children of its segments by increasing gamma, and within a segment its
+    edge roots in ``AlgebraicNumber.order_key`` order.  Raises
+    IterationGuardError when the polygon iteration fails to stabilize
+    within 4*deg_mu*deg_V^2 substitutions, which is the signature of a
+    repeated factor in V.
+    """
+    if p.is_zero():
+        raise DegenerateInputError("cannot expand the zero polynomial")
+    if p.deg_v < 1:
+        raise DegenerateInputError("input has no V dependence")
+    limit = 4 * max(1, p.deg_mu) * p.deg_v**2
+    used = 0
     out: list[Branch] = []
-    state = (tw, depth, coeffs, scale, prefix, terms, top_level)
-    # single-child multiplicity chains are looped rather than recursed:
-    # a repeated factor keeps the working root multiplicity >= 2 all the
-    # way to the iteration guard, far past the interpreter stack budget
-    while state is not None:
-        tw, depth, coeffs, scale, prefix, terms, top_level = state
-        state = None
+    coeffs = [gp_from_unipoly(p.coeff_v(j), 0, 1) for j in range(p.deg_v + 1)]
+    # open nodes (tw, depth, coeffs, scale, prefix, terms) and finished
+    # branches; a node's children go on in reverse so they pop in order
+    stack: list = [(FieldTower(), 0, coeffs, 1, Fraction(0), [])]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Branch):
+            out.append(node)
+            continue
+        tw, depth, coeffs, scale, prefix, terms = node
         # V-power factor: the accumulated series itself is an exact root
         k = 0
         while k < len(coeffs) and gp_is_zero(tw, depth, coeffs[k]):
@@ -443,16 +452,18 @@ def _expand_node(tw, depth, coeffs, scale, prefix, terms, ctx,
                 terms=terms,
                 q=_term_lcm(terms),
                 exact=True,
-                iterations_used=ctx.count,
+                iterations_used=used,
                 tower=tw,
                 multiplicity=k,
             ))
             coeffs = coeffs[k:]
             if len(coeffs) == 1:
-                break
+                continue
         children = []
         for slope, j0, m0, j1, m1 in _grid_hull_segments(tw, depth, coeffs):
-            if slope < 0 or (slope == 0 and not top_level):
+            # gamma = 0 picks the branch center, so only the root node
+            # (no terms yet) takes it
+            if slope < 0 or (slope == 0 and terms):
                 continue
             u, w_eff = slope.numerator, slope.denominator
             gamma = Fraction(u, w_eff * scale)
@@ -462,12 +473,12 @@ def _expand_node(tw, depth, coeffs, scale, prefix, terms, ctx,
                 c = gp_coeff(tw, depth, coeffs[j], m0 - t * u)
                 phi.append(c if c is not None else el_zero(depth))
             for xi, mult in roots_with_multiplicity(phi, tower=tw):
-                if ctx.center_filter is not None and top_level:
-                    # at gamma = 0 the edge root is the branch center
-                    center = xi if slope == 0 else rational_number(0, tw)
-                    if not ctx.center_filter(center):
-                        continue
-                ctx.tick()
+                used += 1
+                if used > limit:
+                    raise IterationGuardError(
+                        f"expansion exceeded the {limit}-substitution "
+                        "budget; the input is likely not square-free in V"
+                    )
                 a_num = _w_root_representative(xi, w_eff)
                 tw2 = a_num.tower
                 depth2 = max(depth, a_num.depth)
@@ -475,60 +486,22 @@ def _expand_node(tw, depth, coeffs, scale, prefix, terms, ctx,
                 lifted = [gp_rescale(gp_lift(c, depth, depth2), w_eff)
                           for c in coeffs]
                 # on the refined grid both gamma and beta are integers
-                new_scale = scale * w_eff
-                gamma_u = u
                 beta_u = m0 * w_eff + u * j0
-                sub = _substitute(tw2, depth2, lifted, gamma_u, beta_u, a_el)
-                new_terms = terms + [(prefix + gamma,
-                                      AlgebraicNumber(tw2, depth2, a_el))]
+                child = (
+                    tw2, depth2,
+                    _substitute(tw2, depth2, lifted, u, beta_u, a_el),
+                    scale * w_eff, prefix + gamma,
+                    terms + [(prefix + gamma,
+                              AlgebraicNumber(tw2, depth2, a_el))],
+                )
+                # a simple root is finished before its later siblings
+                # open, which fixes the count its iterations_used records
                 if mult == 1:
-                    children.append(("stab", _continue_stabilized(
-                        tw2, depth2, sub, new_scale, prefix + gamma,
-                        new_terms, ctx
-                    )))
-                else:
-                    children.append(("rec", (
-                        tw2, depth2, sub, new_scale, prefix + gamma,
-                        new_terms, False
-                    )))
-        if len(children) == 1 and children[0][0] == "rec":
-            state = children[0][1]
-            continue
-        for kind, item in children:
-            if kind == "stab":
-                out.append(item)
-            else:
-                tw2, depth2, sub, sc, new_prefix, new_terms, top = item
-                out.extend(_expand_node(tw2, depth2, sub, sc,
-                                        new_prefix, new_terms, ctx, top))
+                    child = _continue_stabilized(*child, max_extra_terms,
+                                                 used)
+                children.append(child)
+        stack.extend(reversed(children))
     return out
-
-
-def expand(p: BiPoly, max_extra_terms: int = 4,
-           center_filter=None) -> list[Branch]:
-    """All bounded Puiseux branches of p(mu, V) = 0 around mu = 0.
-
-    Returns one representative per conjugacy class; segments with negative
-    gamma (poles as mu -> 0) are skipped.  Raises IterationGuardError when
-    the polygon iteration fails to stabilize within 4*deg_mu*deg_V^2
-    substitutions, which is the signature of a repeated factor in V.
-    """
-    if p.is_zero():
-        raise DegenerateInputError("cannot expand the zero polynomial")
-    if p.deg_v < 1:
-        raise DegenerateInputError("input has no V dependence")
-    deg_mu = max(1, p.deg_mu)
-    limit = 4 * deg_mu * p.deg_v**2
-    ctx = _Ctx(limit, max_extra_terms, center_filter)
-    tw = FieldTower()
-    coeffs = [gp_from_unipoly(p.coeff_v(j), 0, 1) for j in range(p.deg_v + 1)]
-    branches = _expand_node(tw, 0, coeffs, 1, Fraction(0), [], ctx,
-                            top_level=True)
-    if center_filter is not None:
-        # segment branches were filtered as they were opened; the exact
-        # zero branch (empty series) still needs its center checked
-        branches = [b for b in branches if b.terms or center_filter(b.center)]
-    return branches
 
 
 # ---------------------------------------------------------------------------

@@ -471,12 +471,15 @@ def _residual_blocks(inst, X, y, S, mu):
     return rp, Rd, Rc
 
 
+# Newton steps allowed at one mu before central_point gives up
+_MAX_NEWTON_ITER = 120
+
+
 def central_point(
     inst: SDOInstance,
     mu: float,
     tol: float = 1e-11,
     start: CentralPathSample | None = None,
-    max_iter: int = 120,
 ) -> CentralPathSample:
     """Solve the central-path equations at one mu by damped Newton steps.
 
@@ -493,11 +496,9 @@ def central_point(
         warm = None
         bridge = 1.0
         while bridge > mu * 1.000001:
-            warm = central_point(
-                inst, bridge, tol=max(tol, 1e-10), start=warm, max_iter=max_iter
-            )
+            warm = central_point(inst, bridge, tol=max(tol, 1e-10), start=warm)
             bridge *= 0.1
-        return central_point(inst, mu, tol=tol, start=warm, max_iter=max_iter)
+        return central_point(inst, mu, tol=tol, start=warm)
     lay = _newton_layout(inst)
     k = lay.k
     if start is None:
@@ -513,7 +514,7 @@ def central_point(
     size = m + 2 * k
     mu_ld = _LD(mu)
     res = np.inf
-    for _ in range(max_iter):
+    for _ in range(_MAX_NEWTON_ITER):
         rp, Rd, Rc = _residual_blocks(inst, X, y, S, mu_ld)
         res = max(
             float(np.abs(rp).max()), float(np.abs(Rd).max()), float(np.abs(Rc).max())
@@ -547,7 +548,7 @@ def central_point(
         S = (S + S.T) / 2
         y = y + t * dy
     raise SolveFailureError(
-        f"no convergence at mu={mu:g} after {max_iter} iterations;"
+        f"no convergence at mu={mu:g} after {_MAX_NEWTON_ITER} iterations;"
         f" last residual {res:.3e}"
     )
 
@@ -600,8 +601,9 @@ def trace_path(
     tol: float = 1e-11,
 ) -> TraceResult:
     """Follow the central path down a geometric mu grid with warm starts."""
-    if not (0 < mu_end < mu_start):
-        raise InputError("need 0 < mu_end < mu_start")
+    # an infinite mu_start never walks down the grid to mu_end
+    if not (0 < mu_end < mu_start < math.inf):
+        raise InputError("need 0 < mu_end < mu_start < inf")
     if not (0 < grid_ratio < 1):
         raise InputError("grid ratio must lie in (0, 1)")
     _check_tol(tol)

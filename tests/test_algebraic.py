@@ -34,7 +34,6 @@ from puiseuxpath.algebraic import (
     minimal_polynomial,
     rational_nth_root,
     rational_number,
-    rational_sqrt,
     roots_with_multiplicity,
     tp_squarefree_monic,
 )
@@ -140,10 +139,10 @@ class TestBoxes:
 
 class TestRationalRoots:
     def test_rational_sqrt(self):
-        assert rational_sqrt(rat(9, 4)) == rat(3, 2)
-        assert rational_sqrt(rat(1, 8)) is None
-        assert rational_sqrt(rat(-4)) is None
-        assert rational_sqrt(rat(0)) == 0
+        assert rational_nth_root(rat(9, 4), 2) == rat(3, 2)
+        assert rational_nth_root(rat(1, 8), 2) is None
+        assert rational_nth_root(rat(-4), 2) is None
+        assert rational_nth_root(rat(0), 2) == 0
 
     def test_rational_nth_root(self):
         assert rational_nth_root(rat(27, 8), 3) == rat(3, 2)

@@ -245,6 +245,14 @@ class TestErrors:
         assert cap.out == ""
         assert "error [input]: tol must be finite and positive" in cap.err
 
+    def test_infinite_mu_start_exits_2(self, capsys):
+        # inf * ratio^k never drops below mu_end, so the grid never ended
+        code, cap = run(capsys, "trace", "--instance", "kl02_3",
+                        "--mu-start", "inf", "--format", "csv")
+        assert code == 2
+        assert cap.out == ""
+        assert "error [input]: need 0 < mu_end < mu_start < inf" in cap.err
+
     def test_bad_rho_for_plot_data(self, capsys):
         code, cap = run(capsys, "trace", "--instance", "identity_3",
                         "--rho", "0", "--format", "csv")

@@ -249,14 +249,6 @@ class TestElliptopeCubic:
         b = by_center(expand(F_ELL, max_extra_terms=2), 1)[0]
         assert len(b.terms) == 3
 
-    def test_center_filter(self):
-        kept = expand(F_ELL, center_filter=lambda c: c.as_rational() == -1)
-        assert len(kept) == 1 and kept[0].q == 2
-        none = expand(CUSP, center_filter=lambda c: c.as_rational() == 5)
-        assert none == []
-        zero_kept = expand(CUSP, center_filter=lambda c: c.as_rational() == 0)
-        assert len(zero_kept) == 1
-
 
 class TestQuintic:
     def test_double_center_ramification(self):

@@ -343,6 +343,9 @@ class TestTracePath:
             trace_path(identity_instance(2), 1e-4, 1.0, 0.5)
         with pytest.raises(InputError):
             trace_path(identity_instance(2), 1.0, 1e-4, 1.5)
+        for start in (math.inf, math.nan):
+            with pytest.raises(InputError, match="mu_start < inf"):
+                trace_path(identity_instance(2), start, 1e-4, 0.5)
 
 
 class TestFitOrder:
