@@ -331,6 +331,11 @@ GOLDEN_CURVES = {
     "two_double_centers": (
         "(((V-1)^2 - mu)^2 - mu^5)*(((V+1)^2 - 2*mu)^2 - mu^5)", "1"
     ),
+    # theta 6: expand_curve's first pass falls short and doubles once
+    "retry_theta6": (
+        "(3*mu^7 + 9*mu^6)*V^8 - 7*V^7 + 3*mu^8*V^4 - 6*mu^2*V^2 + 9*mu^2",
+        "0",
+    ),
 }
 
 
