@@ -25,7 +25,7 @@ from .curve import (
 from .elimination import canonical_coordinates, central_system, eliminate_coordinate
 from .errors import InputError, PuiseuxPathError
 from .pipeline import compute_rho_sdo
-from .polynomials import BiPoly, Rational, UniPoly, parse_bipoly, render_bipoly
+from .polynomials import BiPoly, UniPoly, parse_bipoly, render_bipoly
 from .puiseux import (
     Branch,
     PolygonSegment,
@@ -52,7 +52,6 @@ __all__ = [
     "NormalizedCurve",
     "PolygonSegment",
     "PuiseuxPathError",
-    "Rational",
     "RhoReport",
     "SDOInstance",
     "UniPoly",

@@ -9,6 +9,11 @@ replace f_j by the factor whose root stays inside the stored box.  All
 facts established before such a refinement remain true afterwards, so
 callers never need to re-run earlier decisions.
 
+Tower life cycle: a tower grows only in ``_extend``, which clones it once
+per root box and appends one level to each clone; a level's polynomial
+changes only in ``_split_level``, which keeps the factor that the level's
+box still isolates a root of; and boxes refine by interval Newton only.
+
 Element representation: depth 0 is a rational number under the scalar rule
 of ``polynomials.exact`` (an int when integral, else a Fraction, with every
 division through ``qdiv``); depth t >= 1 is a list of depth-(t-1) elements
@@ -42,6 +47,7 @@ __all__ = [
     "FieldTower",
     "field_op",
     "minimal_polynomial",
+    "nth_root_representative",
     "rational_number",
     "rational_nth_root",
     "roots_with_multiplicity",
@@ -54,17 +60,8 @@ _REFINE_CAP = 256
 _ISOLATE_ATTEMPTS = 8
 _POLISH_SWEEPS = 32
 
-
-# crossing offsets used when a bisection line might pass through a root;
-# denominators are odd so dyadic subdivision points never repeat a line
-_CROSS = (
-    Fraction(1, 2),
-    Fraction(9, 19),
-    Fraction(10, 23),
-    Fraction(25, 53),
-    Fraction(13, 29),
-    Fraction(31, 61),
-)
+# enclosure width 2^-bits that ``AlgebraicNumber.order_key`` starts from
+_ORDER_BITS = 64
 
 
 class _RefineStall(Exception):
@@ -229,21 +226,11 @@ class FieldTower:
                 )
             k = _fb_newton_step(cfix, dfix, b, s)
             b2 = None if k is None else _fb_intersect(k, b)
-            if b2 is not None and 8 * _fb_width(b2) < 7 * _fb_width(b):
-                b = b2
-            else:
-                off = _CROSS[rounds % len(_CROSS)]
-                cre = b[0] + (b[1] - b[0]) * off.numerator // off.denominator
-                cim = b[2] + (b[3] - b[2]) * off.numerator // off.denominator
-                parts = [(rl, rh, il, ih)
-                         for rl, rh in ((b[0], cre), (cre, b[1]))
-                         for il, ih in ((b[2], cim), (cim, b[3]))]
-                alive = [c for c in parts
-                         if _fb_has_zero(_fb_horner(cfix, c, s))]
-                if len(alive) != 1:
-                    lvl.box = b
-                    raise _RefineStall
-                b = alive[0]
+            # a step that no longer cuts an eighth wants tighter
+            # coefficient boxes, which ensure_prec retries with
+            if b2 is None or 8 * _fb_width(b2) >= 7 * _fb_width(b):
+                raise _RefineStall
+            b = b2
             lvl.box = b
 
 
@@ -372,16 +359,8 @@ def el_is_zero(tw: FieldTower, depth: int, e) -> bool:
         return True
     if len(a) == 1:
         return False
-    f = tw.levels[depth - 1].poly
-    g = _tp_gcd_monic(tw, depth - 1, a, f)
-    if len(g) == 1:
-        return False
-    q = _tp_exact_div(tw, depth - 1, f, g)
-    if tw_choose_is_root(tw, depth - 1, g, q):
-        _replace_poly(tw, depth - 1, g)
-        return True
-    _replace_poly(tw, depth - 1, q)
-    return False
+    g = _tp_gcd_monic(tw, depth - 1, a, tw.levels[depth - 1].poly)
+    return len(g) > 1 and _split_level(tw, depth - 1, g)
 
 
 def el_inv(tw: FieldTower, depth: int, e):
@@ -396,15 +375,11 @@ def el_inv(tw: FieldTower, depth: int, e):
     if len(a) == 1:
         return [el_inv(tw, depth - 1, a[0])]
     while True:
-        f = tw.levels[depth - 1].poly
-        g, s = _tp_half_ext_gcd(tw, depth - 1, a, f)
+        g, s = _tp_half_ext_gcd(tw, depth - 1, a, tw.levels[depth - 1].poly)
         if len(g) == 1:
             return el_reduce(tw, depth, s)
-        q = _tp_exact_div(tw, depth - 1, f, g)
-        if tw_choose_is_root(tw, depth - 1, g, q):
-            _replace_poly(tw, depth - 1, g)
+        if _split_level(tw, depth - 1, g):
             raise ZeroDivisionError("element vanished on branch refinement")
-        _replace_poly(tw, depth - 1, q)
         a = _tp_trim(tw, depth - 1, a)
         if not a:
             raise ZeroDivisionError("element vanished on branch refinement")
@@ -441,8 +416,14 @@ def el_box(tw: FieldTower, depth: int, e, bits: int) -> Box:
     raise PrecisionExhaustedError("element enclosure did not converge")
 
 
-def _replace_poly(tw: FieldTower, j: int, poly: list) -> None:
-    tw.levels[j].poly = list(poly)
+def _split_level(tw: FieldTower, j: int, g: list) -> bool:
+    """Cut level j's polynomial f to g or to f/g, whichever the generator
+    is a root of; True when it is g.  g is a monic proper factor of f."""
+    lvl = tw.levels[j]
+    q = _tp_exact_div(tw, j, lvl.poly, g)
+    is_root = tw_choose_is_root(tw, j, g, q)
+    lvl.poly = list(g if is_root else q)
+    return is_root
 
 
 def tw_choose_is_root(tw: FieldTower, j: int, d: list, q: list) -> bool:
@@ -1000,14 +981,15 @@ class AlgebraicNumber:
             raise ValueError("target tower is shallower than the element")
         return AlgebraicNumber(tower, self.depth, self.rep)
 
-    def order_key(self, bits: int = 64) -> tuple[Fraction, Fraction]:
-        """(re, im) of the box midpoint, re rounded to bits//2 + 1
+    def order_key(self) -> tuple[Fraction, Fraction]:
+        """(re, im) of the box midpoint, re rounded to _ORDER_BITS//2 + 1
         significant bits from an enclosure 16 bits finer than that grid.
 
         Noise stays below the grid, and binade edges lie on every grid,
         so equal real parts tie and fall to im, ascending; re is 0 when
         its enclosure holds 0 once the box excludes 0.
         """
+        bits = _ORDER_BITS
         b = self.box(bits)
         if _fb_has_zero(b.fb) and self.is_zero():
             return (Fraction(0), Fraction(0))
@@ -1088,7 +1070,7 @@ def _flatten(tw: FieldTower, depth: int, e) -> list[Fraction]:
     return out
 
 
-def minimal_polynomial(x: AlgebraicNumber, var: str = "X") -> UniPoly:
+def minimal_polynomial(x: AlgebraicNumber) -> UniPoly:
     """Monic square-free annihilator of x over Q.
 
     Computed as the first linear dependency among the powers of x in the
@@ -1148,7 +1130,7 @@ def _roots_of_rational_poly(tw, depth, p: UniPoly, mult, out):
             quotient = quotient.exact_div(UniPoly([-r, 1]))
     if rest:
         tq = [el_from_rational(depth, c) for c in quotient.monic().c]
-        _extend(tw, depth, tq, rest, mult, out)
+        out += [(g, mult) for g in _extend(tw, tq, rest)]
 
 
 def _rational_root_in(p: UniPoly, an: int, box: Box):
@@ -1179,12 +1161,36 @@ def _rational_root_in(p: UniPoly, an: int, box: Box):
     return None
 
 
-def _extend(tw, depth, tp, boxes, mult, out):
-    """One cloned tower per box, each extended by tp and that box."""
+def _extend(tw: FieldTower, tp: list, boxes: list[Box]) -> list:
+    """The generators of one clone of tw per box, each extended by tp
+    (coefficients at the top depth) and that box."""
+    out = []
     for bx in boxes:
         branch = tw.clone()
         branch.extend(tp, bx)
-        out.append((AlgebraicNumber.generator(branch), mult))
+        out.append(AlgebraicNumber.generator(branch))
+    return out
+
+
+def nth_root_representative(xi: AlgebraicNumber, w: int) -> AlgebraicNumber:
+    """Deterministic w-th root of xi: exact rational when possible, else
+    the root that ``AlgebraicNumber.order_key`` ranks last, i.e. the
+    largest real part and, among equal real parts, the largest imaginary
+    part (``+i*sqrt(c)`` for ``T^2 = -c``)."""
+    if w == 1:
+        return xi
+    tw = xi.tower
+    r = xi.as_rational()
+    if r is not None:
+        rr = rational_nth_root(r, w)
+        if rr is not None:
+            return rational_number(rr, tw)
+    # tower extensions want their defining polynomial at the top depth
+    depth = tw.height
+    rep = el_lift(el_reduce(tw, xi.depth, xi.rep), xi.depth, depth)
+    poly = [el_neg(depth, rep)] + [el_zero(depth)] * (w - 1) + [el_one(depth)]
+    roots = _extend(tw, poly, isolate_roots(tw, depth, poly))
+    return max(roots, key=AlgebraicNumber.order_key)
 
 
 def roots_with_multiplicity(
@@ -1229,12 +1235,12 @@ def roots_with_multiplicity(
             root = el_neg(depth, el_div(tw, depth, factor[0], factor[1]))
             out.append((AlgebraicNumber(tw, depth, root), mult))
         else:
-            _extend(tw, depth, factor, isolate_roots(tw, depth, factor),
-                    mult, out)
+            out += [(g, mult) for g in
+                    _extend(tw, factor, isolate_roots(tw, depth, factor))]
     total = sum(m for _, m in out)
     if total != len(coeffs) - 1:
         raise ArithmeticError(
             f"root multiplicities sum to {total}, expected {len(coeffs) - 1}"
         )
-    out.sort(key=lambda rm: rm[0].order_key(64))
+    out.sort(key=lambda rm: rm[0].order_key())
     return out

@@ -388,11 +388,7 @@ def _validate(P: BiPoly, coordinate: int, trace) -> None:
         )
 
 
-def eliminate_coordinate(
-    inst,
-    coordinate: int,
-    trace=None,
-) -> BiPoly:
+def eliminate_coordinate(inst, coordinate: int, trace) -> BiPoly:
     """Project the central-path system onto (mu, one coordinate).
 
     Exact linear substitutions clear the dual and primal blocks, then
@@ -408,10 +404,6 @@ def eliminate_coordinate(
             f"projected resultant degree 2^{hard + 1} exceeds the cap {cap};"
             " raise PUISEUXPATH_DEGREE_CAP to force the attempt"
         )
-    if trace is None:
-        from .sdo import trace_path
-
-        trace = trace_path(inst, 1.0, 1e-6, 0.25)
     polys, layout = central_system(inst)
     target = coordinate_variable(inst, coordinate, layout)
     if float(np.max(np.abs(trace.values[:, coordinate]))) <= _ZERO_COORD_TOL:

@@ -57,12 +57,12 @@ def compute_rho_sdo(
 ) -> RhoReport:
     """Compute the reparametrization exponent of inst's central path.
 
-    trace defaults to trace_path(inst, 1.0, 1e-8, 0.5).  curves maps a
-    coordinate index to a user-supplied polynomial vanishing on that
-    coordinate's graph, bypassing elimination there (the validation gate
-    still applies through the matching step).  Only the canonical
-    coordinates (upper triangle of X, y, upper triangle of S) are
-    processed; the rest are mirror images.
+    trace defaults to trace_path(inst).  curves maps a coordinate index
+    to a user-supplied polynomial vanishing on that coordinate's graph,
+    bypassing elimination there (the validation gate still applies
+    through the matching step).  Only the canonical coordinates (upper
+    triangle of X, y, upper triangle of S) are processed; the rest are
+    mirror images.
 
     Returns a RhoReport whose details list one dict per canonical
     coordinate: route taken ("constant", "eliminated", "supplied",
@@ -70,7 +70,7 @@ def compute_rho_sdo(
     rho_i, and the order-vs-ramification cross-check.
     """
     if trace is None:
-        trace = trace_path(inst, 1.0, 1e-8, 0.5)
+        trace = trace_path(inst)
     labels = inst.coordinate_labels()
 
     per_coordinate = []

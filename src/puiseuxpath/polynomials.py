@@ -26,11 +26,6 @@ from typing import Iterable, Sequence
 
 from .errors import DegenerateInputError, ParseError
 
-#: Exact scalar type used throughout the package.  Always normalized:
-#: denominators are positive and gcd(numerator, denominator) = 1.  A
-#: polynomial coefficient with denominator 1 is held as a plain int.
-Rational = Fraction
-
 
 def exact(x):
     """x as a polynomial coefficient: an int when integral, else a Fraction."""
@@ -88,10 +83,6 @@ class UniPoly:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def zero() -> "UniPoly":
-        return UniPoly()
-
-    @staticmethod
     def const(x) -> "UniPoly":
         return UniPoly([x])
 
@@ -114,12 +105,6 @@ class UniPoly:
     def lc(self) -> int | Fraction:
         """Leading coefficient (0 for the zero polynomial)."""
         return self.c[-1] if self.c else 0
-
-    def constant(self) -> int | Fraction:
-        return self.c[0] if self.c else 0
-
-    def coeff(self, k: int) -> int | Fraction:
-        return self.c[k] if 0 <= k < len(self.c) else 0
 
     def order(self) -> int | None:
         """Smallest exponent with a nonzero coefficient; None if zero."""
@@ -762,7 +747,7 @@ def _parse_atom(toks: _Tokens) -> BiPoly:
     raise ParseError(f"unexpected {val!r} in polynomial")
 
 
-def render_bipoly(p: BiPoly, param: str = "mu", dep: str = "V") -> str:
+def render_bipoly(p: BiPoly) -> str:
     """Deterministic text form, highest V-degree first."""
     if p.is_zero():
         return "0"
@@ -773,16 +758,16 @@ def render_bipoly(p: BiPoly, param: str = "mu", dep: str = "V") -> str:
             continue
         nonzero = [x for x in cj.c if x != 0]
         if j == 0:
-            body = cj.render(param)
+            body = cj.render()
             if len(nonzero) > 1:
                 body = f"({body})"
             chunk = body
         else:
-            vpart = dep if j == 1 else f"{dep}^{j}"
+            vpart = "V" if j == 1 else f"V^{j}"
             if len(nonzero) == 1:
                 k = cj.order()
                 coeff = cj.c[k]
-                mu_part = "" if k == 0 else (param if k == 1 else f"{param}^{k}")
+                mu_part = "" if k == 0 else ("mu" if k == 1 else f"mu^{k}")
                 pieces = []
                 if abs(coeff) != 1:
                     pieces.append(str(abs(coeff)))
@@ -792,7 +777,7 @@ def render_bipoly(p: BiPoly, param: str = "mu", dep: str = "V") -> str:
                 body = "*".join(pieces)
                 chunk = body if coeff > 0 else f"-{body}"
             else:
-                chunk = f"({cj.render(param)})*{vpart}"
+                chunk = f"({cj.render()})*{vpart}"
         chunks.append(chunk)
     out = chunks[0]
     for chunk in chunks[1:]:

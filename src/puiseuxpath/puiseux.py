@@ -32,12 +32,9 @@ from .algebraic import (
     el_mul,
     el_neg,
     el_one,
-    el_reduce,
     el_scale,
-    el_to_rational,
     el_zero,
-    isolate_roots,
-    rational_nth_root,
+    nth_root_representative,
     rational_number,
     roots_with_multiplicity,
 )
@@ -82,16 +79,6 @@ def gp_rescale(a: dict, f: int) -> dict:
     if f == 1:
         return a
     return {e * f: c for e, c in a.items()}
-
-
-def gp_add(tw: FieldTower, depth: int, a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        if e in out:
-            out[e] = el_add(depth, out[e], c)
-        else:
-            out[e] = c
-    return out
 
 
 def gp_order(tw: FieldTower, depth: int, a: dict) -> int | None:
@@ -303,35 +290,6 @@ def render_branch(b: Branch) -> str:
 # the expansion engine
 
 
-def _w_root_representative(xi: AlgebraicNumber, w: int) -> AlgebraicNumber:
-    """Deterministic w-th root of xi: exact rational when possible, else
-    the root that ``AlgebraicNumber.order_key`` ranks last, i.e. the
-    largest real part and, among equal real parts, the largest imaginary
-    part (``+i*sqrt(c)`` for ``T^2 = -c``)."""
-    if w == 1:
-        return xi
-    tw = xi.tower
-    r = el_to_rational(tw, xi.depth, xi.rep)
-    if r is not None:
-        rr = rational_nth_root(r, w)
-        if rr is not None:
-            return rational_number(rr, tw)
-    # tower extensions want their defining polynomial at the top depth
-    depth = tw.height
-    rep = el_lift(el_reduce(tw, xi.depth, xi.rep), xi.depth, depth)
-    poly = (
-        [el_neg(depth, rep)]
-        + [el_zero(depth) for _ in range(w - 1)]
-        + [el_one(depth)]
-    )
-    roots = []
-    for box in isolate_roots(tw, depth, poly):
-        branch_tw = tw.clone()
-        branch_tw.extend(poly, box)
-        roots.append(AlgebraicNumber.generator(branch_tw))
-    return max(roots, key=lambda a: a.order_key(64))
-
-
 def _substitute(tw, depth, coeffs: list[dict], gamma_u: int,
                 beta_u: int, a) -> list[dict]:
     """mu^-beta P(mu, mu^gamma (a + V)) with exponents in grid units.
@@ -367,10 +325,7 @@ def _substitute(tw, depth, coeffs: list[dict], gamma_u: int,
 
 
 def _term_lcm(terms) -> int:
-    q = 1
-    for e, _ in terms:
-        q = q * e.denominator // math.gcd(q, e.denominator)
-    return q
+    return math.lcm(*(e.denominator for e, _ in terms))
 
 
 def _continue_stabilized(tw, depth, coeffs, scale, prefix, terms,
@@ -479,7 +434,7 @@ def expand(p: BiPoly, max_extra_terms: int = 4) -> list[Branch]:
                         f"expansion exceeded the {limit}-substitution "
                         "budget; the input is likely not square-free in V"
                     )
-                a_num = _w_root_representative(xi, w_eff)
+                a_num = nth_root_representative(xi, w_eff)
                 tw2 = a_num.tower
                 depth2 = max(depth, a_num.depth)
                 a_el = el_lift(a_num.rep, a_num.depth, depth2)
@@ -512,33 +467,23 @@ def reconstruct_residual(p: BiPoly, branch: Branch,
                          n_terms: int | None = None) -> Fraction | float:
     """mu-order of P(mu, s(mu)) for the truncated branch series s.
 
-    Returns float('inf') when the truncation satisfies the curve exactly.
-    More terms can only raise the order, which is the practical check that
-    the expansion really converges to a root.
+    Replays the branch's substitutions: for each term (e_k, c_k) it
+    substitutes V = mu^(e_k - e_(k-1)) (c_k + V) with beta 0, on the grid
+    of the terms' common denominator, and reads the order of the V-free
+    part.  Returns float('inf') when the truncation satisfies the curve
+    exactly.  More terms can only raise the order, which is the practical
+    check that the expansion really converges to a root.
     """
     terms = branch.terms if n_terms is None else branch.terms[:n_terms]
     tw = branch.tower
     depth = tw.height
     scale = _term_lcm(terms)
-    series: dict[int, object] = {}
+    coeffs = [gp_from_unipoly(p.coeff_v(j), depth, scale)
+              for j in range(p.deg_v + 1)]
+    last = Fraction(0)
     for e, c in terms:
-        series[int(e * scale)] = el_lift(c.rep, c.depth, depth)
-    # Horner in V over the grid series (series == {} multiplies acc by zero)
-    acc: dict[int, object] = {}
-    for j in range(p.deg_v, -1, -1):
-        if acc:
-            new: dict[int, object] = {}
-            for e1, c1 in acc.items():
-                for e2, c2 in series.items():
-                    e = e1 + e2
-                    prod = el_mul(tw, depth, c1, c2)
-                    if e in new:
-                        new[e] = el_add(depth, new[e], prod)
-                    else:
-                        new[e] = prod
-            acc = new
-        pj = p.coeff_v(j)
-        if not pj.is_zero():
-            acc = gp_add(tw, depth, acc, gp_from_unipoly(pj, depth, scale))
-    order = gp_order(tw, depth, acc)
+        coeffs = _substitute(tw, depth, coeffs, int((e - last) * scale), 0,
+                             el_lift(c.rep, c.depth, depth))
+        last = e
+    order = gp_order(tw, depth, coeffs[0])
     return float("inf") if order is None else Fraction(order, scale)

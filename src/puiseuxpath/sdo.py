@@ -257,8 +257,14 @@ def load_instance(path_or_name: str) -> SDOInstance:
     extension is tried against the builtin registry.
     """
     if os.path.exists(path_or_name):
-        with open(path_or_name, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path_or_name, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as err:
+            raise InputError(
+                f"cannot read instance {path_or_name!r}: "
+                f"{getattr(err, 'strerror', None) or err}"
+            ) from err
         stem = os.path.splitext(os.path.basename(path_or_name))[0]
         return SDOInstance.from_text(text, name=stem)
     stem = os.path.splitext(os.path.basename(path_or_name))[0]
@@ -487,8 +493,8 @@ def central_point(
     start is X = S = I, y = 0; if no interior step exists from there the
     instance is reported infeasible.
     """
-    if not mu > 0:
-        raise InputError("mu must be positive")
+    if not 0 < mu < math.inf:
+        raise InputError("mu must be finite and positive")
     _check_tol(tol)
     n, m = inst.n, inst.m
     if start is None and mu < 1e-2:
@@ -607,6 +613,9 @@ def trace_path(
     if not (0 < grid_ratio < 1):
         raise InputError("grid ratio must lie in (0, 1)")
     _check_tol(tol)
+    # a residual at or above the smallest mu does not resolve XS = mu I
+    if not tol < mu_end:
+        raise InputError(f"tol must lie below mu_end = {mu_end!r}, got {tol!r}")
     mus = []
     kk = 0
     while True:
@@ -675,12 +684,14 @@ def fit_order_raw(trace: TraceResult, coordinate: int) -> float:
     return float((xs @ (ys - ys.mean())) / (xs @ xs))
 
 
-def fit_order(
-    trace: TraceResult, coordinate: int, max_denominator: int = 16
-) -> Fraction:
+# largest denominator fit_order snaps a slope to
+_ORDER_DENOMINATOR = 16
+
+
+def fit_order(trace: TraceResult, coordinate: int) -> Fraction:
     """Decay exponent of one coordinate, snapped to a small denominator."""
     slope = fit_order_raw(trace, coordinate)
-    return Fraction(slope).limit_denominator(max_denominator)
+    return Fraction(slope).limit_denominator(_ORDER_DENOMINATOR)
 
 
 # heuristic resolution of a solved coordinate, used to floor the
@@ -692,10 +703,9 @@ class ReparametrizationReport:
     """Finite-difference boundedness evidence for v(t^rho) as t -> 0.
 
     d1 and d2 hold |first| and |second| centered differences per level
-    and coordinate; res1/res2 are the corresponding noise floors. A
-    coordinate is bounded when neither difference grows over the last
-    levels beyond slack plus floor. growth holds the log-log slope of
-    the first difference over the last levels.
+    and coordinate. A coordinate is bounded when neither difference grows
+    over the last levels beyond slack plus noise floor. growth holds the
+    log-log slope of the first difference over the last levels.
     """
 
     __slots__ = (
@@ -703,20 +713,16 @@ class ReparametrizationReport:
         "t_levels",
         "d1",
         "d2",
-        "res1",
-        "res2",
         "coordinate_bounded",
         "bounded",
         "growth",
     )
 
-    def __init__(self, rho, t_levels, d1, d2, res1, res2, coordinate_bounded, growth):
+    def __init__(self, rho, t_levels, d1, d2, coordinate_bounded, growth):
         self.rho = rho
         self.t_levels = t_levels
         self.d1 = d1
         self.d2 = d2
-        self.res1 = res1
-        self.res2 = res2
         self.coordinate_bounded = coordinate_bounded
         self.bounded = bool(all(coordinate_bounded))
         self.growth = growth
@@ -785,5 +791,5 @@ def verify_reparametrization(
         ys = np.log(np.maximum(d1[-tail:, i], 1e-300))
         growth[i] = float((xs_c @ (ys - ys.mean())) / denom)
     return ReparametrizationReport(
-        rho, tuple(ts), d1, d2, res1, res2, tuple(coordinate_bounded), growth
+        rho, tuple(ts), d1, d2, tuple(coordinate_bounded), growth
     )

@@ -563,8 +563,7 @@ def _reversed_isolation():
     def reversed_boxes(tw, depth, p):
         return isolate_roots(tw, depth, p)[::-1]
 
-    with mock.patch.object(algebraic, "isolate_roots", reversed_boxes), \
-            mock.patch.object(puiseux, "isolate_roots", reversed_boxes):
+    with mock.patch.object(algebraic, "isolate_roots", reversed_boxes):
         yield
 
 
@@ -788,6 +787,6 @@ class TestRootIsolation:
         assert all(_same_root(x, y) for (x, _), (y, _) in zip(roots, again))
         if case[0] == "binomial":
             xi, n = -coeffs[0], case[1]
-            rep = puiseux._w_root_representative(xi, n)
+            rep = algebraic.nth_root_representative(xi, n)
             with _reversed_isolation():
-                assert _same_root(rep, puiseux._w_root_representative(xi, n))
+                assert _same_root(rep, algebraic.nth_root_representative(xi, n))

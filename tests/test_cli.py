@@ -216,6 +216,18 @@ class TestErrors:
         assert code == 2
         assert "error [input]" in cap.err
 
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_instance_path_exits_2(self, capsys, tmp_path, kind):
+        # both used to end in a traceback and exit 1, the closed-pipe code
+        path = tmp_path
+        if kind == "not_utf8":
+            path = tmp_path / "bad.sdo"
+            path.write_bytes(b"\xff")
+        code, cap = run(capsys, "rho-sdo", "--instance", str(path))
+        assert code == 2
+        assert cap.out == ""
+        assert f"error [input]: cannot read instance {str(path)!r}" in cap.err
+
     def test_no_matching_branch(self, capsys):
         code, cap = run(capsys, "rho-curve", "--poly", "V - 5*mu",
                         "--limit", "3")
@@ -244,6 +256,16 @@ class TestErrors:
         assert code == 2
         assert cap.out == ""
         assert "error [input]: tol must be finite and positive" in cap.err
+
+    @pytest.mark.parametrize("command", ["rho-sdo", "trace"])
+    def test_tol_must_lie_below_mu_end(self, capsys, command):
+        # a residual of 1e300 took every start as converged, and rho-sdo
+        # printed rho = 1 for kl02_3, whose rho is 2
+        code, cap = run(capsys, command, "--instance", "kl02_3",
+                        "--tol", "1e300")
+        assert code == 2
+        assert cap.out == ""
+        assert "error [input]: tol must lie below mu_end" in cap.err
 
     def test_infinite_mu_start_exits_2(self, capsys):
         # inf * ratio^k never drops below mu_end, so the grid never ended

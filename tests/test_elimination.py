@@ -273,25 +273,34 @@ class TestCentralSystem:
         )
 
 
+def _trace(inst):
+    """A short trace of inst, enough for the zero pins and the gate."""
+    return trace_path(inst, 1.0, 1e-6, 0.25)
+
+
 class TestEliminateCoordinate:
     def test_identity_x11(self):
-        assert eliminate_coordinate(identity_instance(3), 0) == parse_bipoly(
+        inst = identity_instance(3)
+        assert eliminate_coordinate(inst, 0, _trace(inst)) == parse_bipoly(
             "V - 1"
         )
 
     def test_identity_s11(self):
-        assert eliminate_coordinate(identity_instance(3), 10) == parse_bipoly(
+        inst = identity_instance(3)
+        assert eliminate_coordinate(inst, 10, _trace(inst)) == parse_bipoly(
             "V - mu"
         )
 
     def test_identity_y(self):
-        P = eliminate_coordinate(identity_instance(3), 9)
+        inst = identity_instance(3)
+        P = eliminate_coordinate(inst, 9, _trace(inst))
         assert P == parse_bipoly("V^2 + (mu - 2)*V + (1 - mu)")
         # the true branch 1 - mu is a factor
         assert P.pseudo_rem(parse_bipoly("V - 1 + mu")).is_zero()
 
     def test_elliptope_x12_divisible_by_cubic(self):
-        P = eliminate_coordinate(elliptope_instance(), 1)
+        inst = elliptope_instance()
+        P = eliminate_coordinate(inst, 1, _trace(inst))
         assert P.deg_v == 5
         assert P.pseudo_rem(F_ELL).is_zero()
 
@@ -310,22 +319,29 @@ class TestEliminateCoordinate:
 
     def test_identically_zero_coordinate(self):
         # kl02 X_12 vanishes along the whole path
-        assert eliminate_coordinate(kl02_instance(3), 5) == parse_bipoly("V")
+        inst = kl02_instance(3)
+        assert eliminate_coordinate(inst, 5, _trace(inst)) == parse_bipoly("V")
 
     def test_kl02_4_blows_up_fast(self):
+        inst = kl02_instance(4)
+        tr = _trace(inst)
         with pytest.raises(EliminationBlowUpError, match="cap"):
-            eliminate_coordinate(kl02_instance(4), 17)
+            eliminate_coordinate(inst, 17, tr)
 
     def test_degree_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("PUISEUXPATH_DEGREE_CAP", "4")
+        inst = elliptope_instance()
+        tr = _trace(inst)
         with pytest.raises(EliminationBlowUpError):
-            eliminate_coordinate(elliptope_instance(), 1)
+            eliminate_coordinate(inst, 1, tr)
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
     def test_degree_cap_env_malformed(self, monkeypatch, raw):
         monkeypatch.setenv("PUISEUXPATH_DEGREE_CAP", raw)
+        inst = elliptope_instance()
+        tr = _trace(inst)
         with pytest.raises(InputError, match="PUISEUXPATH_DEGREE_CAP"):
-            eliminate_coordinate(elliptope_instance(), 1)
+            eliminate_coordinate(inst, 1, tr)
 
     def test_validation_gate(self):
         # a trace that disagrees with the instance must be rejected
@@ -338,5 +354,7 @@ class TestEliminateCoordinate:
             eliminate_coordinate(inst, 9, trace=fake)
 
     def test_out_of_range_coordinate(self):
+        inst = identity_instance(2)
+        tr = _trace(inst)
         with pytest.raises(InputError):
-            eliminate_coordinate(identity_instance(2), 99)
+            eliminate_coordinate(inst, 99, tr)

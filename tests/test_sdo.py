@@ -233,8 +233,10 @@ class TestCentralPoint:
             central_point(bad, 0.5)
 
     def test_bad_mu(self):
-        with pytest.raises(InputError):
-            central_point(identity_instance(2), 0.0)
+        # an infinite mu used to run every Newton step on NaNs
+        for mu in (0.0, math.inf, math.nan):
+            with pytest.raises(InputError, match="mu must be finite"):
+                central_point(identity_instance(2), mu)
 
     @pytest.mark.parametrize("tol", [math.inf, -1.0, math.nan, 0.0])
     def test_bad_tol(self, tol):
@@ -346,6 +348,9 @@ class TestTracePath:
         for start in (math.inf, math.nan):
             with pytest.raises(InputError, match="mu_start < inf"):
                 trace_path(identity_instance(2), start, 1e-4, 0.5)
+        # a residual as large as the smallest mu does not resolve XS = mu I
+        with pytest.raises(InputError, match="tol must lie below mu_end"):
+            trace_path(identity_instance(2), 1.0, 1e-4, 0.5, tol=1e-4)
 
 
 class TestFitOrder:
@@ -358,7 +363,7 @@ class TestFitOrder:
         tr = trace_path(elliptope_instance(), 1.0, 1e-8, 0.5)
         from fractions import Fraction
 
-        assert fit_order(tr, 1, max_denominator=16) == Fraction(1, 2)
+        assert fit_order(tr, 1) == Fraction(1, 2)
 
     def test_constant_coordinate(self):
         tr = trace_path(identity_instance(3), 1.0, 1e-8, 0.5)
