@@ -4,7 +4,8 @@ The commands are exercised in-process through main(argv) with captured
 stdout; the byte-determinism check runs the installed module twice in
 subprocesses with different hash seeds. The golden files under
 ``tests/data`` pin the stdout of ``rho-sdo --format json`` and of
-``verify --format csv`` on the builtin instances byte for byte, and the
+``verify --format csv`` on the builtin instances byte for byte (and
+``rho-sdo`` on kl02_4 at ``PUISEUXPATH_DEGREE_CAP=100000``), and the
 ``trace_*`` files that of ``trace --format csv``, which prints every
 traced sample; their digits are those of x86 80-bit extended precision. The ``curve_*`` files
 pin ``polygon --format csv``, ``expand`` and ``rho-curve`` on a list of
@@ -316,6 +317,14 @@ class TestGoldenOutput:
         code, cap = run(capsys, "rho-sdo", "--instance", name, "--format", "json")
         assert code == 0
         assert cap.out.encode() == (DATA / f"rho_sdo_{name}.json").read_bytes()
+
+    def test_rho_sdo_kl02_4_json_at_raised_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("PUISEUXPATH_DEGREE_CAP", "100000")
+        code, cap = run(capsys, "rho-sdo", "--instance", "kl02_4",
+                        "--format", "json")
+        assert code == 0
+        golden = DATA / "rho_sdo_kl02_4_raised_cap.json"
+        assert cap.out.encode() == golden.read_bytes()
 
     @pytest.mark.parametrize("name, rho", BUILTIN_RHO.items())
     def test_verify_csv(self, capsys, name, rho):

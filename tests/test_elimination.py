@@ -11,6 +11,10 @@ Hand-checked fixtures:
 * kl02 n = 3: the path has x_12 = y_1 = 0 identically, x_02 = -y_2 and
   2 y_2^2 = mu, y_3 = 3mu/2 (substitute into X*S = mu*I and read off
   the diagonal), so the minimal curves below come out in closed form.
+* S-pin instance: A = (E00, E01 + E10), b = (1, 0), C = [[0, 1], [1, 1]].
+  The primal rows force X_01 = 0, so X and S are diagonal on the path:
+  X = diag(1, mu), y = (-mu, 1), S = diag(mu, 1). Its S_01 = 1 - y_1 is
+  zero on the path without being the zero polynomial.
 """
 
 import math
@@ -39,6 +43,7 @@ from puiseuxpath.errors import (
 )
 from puiseuxpath.polynomials import parse_bipoly, resultant
 from puiseuxpath.sdo import (
+    SDOInstance,
     elliptope_instance,
     identity_instance,
     kl02_instance,
@@ -46,6 +51,12 @@ from puiseuxpath.sdo import (
 )
 
 F_ELL = parse_bipoly("2*T^3 + (2 - 1/2*mu)*T^2 - (mu + 2)*T - 2")
+
+
+def s_pin_instance() -> SDOInstance:
+    """The S-pin instance of the module docstring."""
+    return SDOInstance([[[1, 0], [0, 0]], [[0, 1], [1, 0]]], [1, 0],
+                       [[0, 1], [1, 1]], name="s_pin")
 
 
 class TestMPoly:
@@ -352,6 +363,16 @@ class TestEliminateCoordinate:
         fake = SimpleNamespace(samples=tr.samples, values=values)
         with pytest.raises(ExtraneousVanishingError, match="misses"):
             eliminate_coordinate(inst, 9, trace=fake)
+
+    def test_s_pin_instance_curves(self):
+        # S_01 = 1 - y_1 is the only known entry whose zero pin is not
+        # the zero polynomial; every canonical curve is linear in V
+        inst = s_pin_instance()
+        tr = _trace(inst)
+        curves = [eliminate_coordinate(inst, c, tr)
+                  for c in canonical_coordinates(inst)]
+        assert curves == [parse_bipoly(t) for t in (
+            "V - 1", "V", "V - mu", "V + mu", "V - 1", "V - mu", "V", "V - 1")]
 
     def test_out_of_range_coordinate(self):
         inst = identity_instance(2)

@@ -11,6 +11,9 @@ Hand-checked expectations:
   every one irreducible, so the certificate survives; rho = 2.
 * kl02 n = 4: elimination is pre-guarded away and the fitted orders
   (slowest y_2 ~ mu^(1/4)) drive the heuristic answer rho = 4.
+* S-pin instance, A = (E00, E01 + E10), b = (1, 0), C = [[0, 1], [1, 1]]:
+  X = diag(1, mu), y = (-mu, 1), S = diag(mu, 1), every curve linear,
+  so rho = 1, certified.
 """
 
 import pytest
@@ -20,6 +23,7 @@ from puiseuxpath.errors import EliminationBlowUpError, NoMatchError
 from puiseuxpath.pipeline import compute_rho_sdo
 from puiseuxpath.polynomials import parse_bipoly
 from puiseuxpath.sdo import (
+    SDOInstance,
     elliptope_instance,
     identity_instance,
     kl02_instance,
@@ -116,6 +120,15 @@ class TestKl02:
         short = trace_path(kl02_instance(4), 1.0, 0.1, 0.5)
         with pytest.raises(EliminationBlowUpError, match="coordinate"):
             compute_rho_sdo(kl02_instance(4), trace=short)
+
+
+class TestSPin:
+    def test_rho_and_note(self):
+        inst = SDOInstance([[[1, 0], [0, 0]], [[0, 1], [1, 0]]], [1, 0],
+                           [[0, 1], [1, 1]], name="s_pin")
+        rep = compute_rho_sdo(inst)
+        assert rep.rho == 1
+        assert rep.optimality_note == "irreducible-certified"
 
 
 class TestReuse:
