@@ -1,13 +1,14 @@
 """Exact elimination of central-path coordinates down to plane curves.
 
 The central-path equations for an instance form a polynomial system in
-mu, the entries of X and S, and the multipliers y. For one chosen
-coordinate this module eliminates every other unknown and returns a
-nonzero P in Q[mu, V] vanishing along the path, ready for the curve
-pipeline. Linear unknowns are removed by exact substitution first;
-the rest fall to iterated resultants with the lowest-degree variable
-picked at each step. Degrees are capped so hopeless instances fail
-fast instead of filling memory.
+mu, the entries of X and the multipliers y; S = C - sum_i y_i A_i is an
+affine form in y, not an unknown. For one chosen coordinate this module
+adds a row V - (coordinate), eliminates every unknown but mu and V, and
+returns a nonzero P in Q[mu, V] vanishing along the path, ready for the
+curve pipeline. Linear unknowns are removed by exact substitution
+first; the rest fall to iterated resultants with the lowest-degree
+variable picked at each step. Degrees are capped so hopeless instances
+fail fast instead of filling memory.
 """
 
 from __future__ import annotations
@@ -231,105 +232,45 @@ def _strip(p: MPoly) -> MPoly:
     return out
 
 
-def _pair_index(n: int) -> dict[tuple[int, int], int]:
-    out = {}
-    for i in range(n):
-        for j in range(i, n):
-            out[(i, j)] = len(out)
-    return out
-
-
-def central_system(inst) -> tuple[list[MPoly], dict]:
+def central_system(inst) -> tuple[list[MPoly], list[MPoly]]:
     """Polynomial equations of the central path of one instance.
 
-    Variables are mu, then the upper-triangle entries of X, then y,
-    then the upper-triangle entries of S. Returns the equations and a
-    layout dict with the variable indices.
+    The unknowns are mu, the upper triangle of X in row-major order (a
+    mirrored entry shares its unknown), the multipliers y, and a last
+    unknown V for the coordinate to isolate. S is not an unknown: on the
+    path S = C - sum_i y_i A_i, so each entry is an affine polynomial in
+    y. Returns the m primal rows A_i . X - b_i followed by the n^2 rows
+    of X S - mu I in (p, q) order, and the polynomial of every flat
+    (vec X, y, vec S) coordinate.
     """
     n, m = inst.n, inst.m
-    pairs = _pair_index(n)
-    k = len(pairs)
-    nv = 1 + 2 * k + m
-
-    def xvar(i, j):
-        return 1 + pairs[(min(i, j), max(i, j))]
-
-    def yvar(i):
-        return 1 + k + i
-
-    def svar(i, j):
-        return 1 + k + m + pairs[(min(i, j), max(i, j))]
-
+    k = n * (n + 1) // 2
+    nv = k + m + 2
     A = [[[int(v) for v in row] for row in Ai] for Ai in inst.A]
     b = [int(v) for v in inst.b]
     C = [[int(v) for v in row] for row in inst.C]
-    polys: list[MPoly] = []
+    X = [[None] * n for _ in range(n)]
+    for t, (p, q) in enumerate((p, q) for p in range(n) for q in range(p, n)):
+        X[p][q] = X[q][p] = MPoly.variable(nv, 1 + t)
+    y = [MPoly.variable(nv, 1 + k + i) for i in range(m)]
+    S = [[MPoly.const(nv, C[p][q]) for q in range(n)] for p in range(n)]
+    rows = []
     for i in range(m):
-        terms: dict = {}
+        row = MPoly.const(nv, -b[i])
         for p in range(n):
-            for q in range(p, n):
-                a = A[i][p][q] * (2 if p != q else 1)
-                if a:
-                    e = [0] * nv
-                    e[xvar(p, q)] = 1
-                    terms[tuple(e)] = a
-        if b[i]:
-            terms[(0,) * nv] = -b[i]
-        polys.append(MPoly(nv, terms))
-    for p in range(n):
-        for q in range(p, n):
-            terms = {}
-            for i in range(m):
-                if A[i][p][q]:
-                    e = [0] * nv
-                    e[yvar(i)] = 1
-                    terms[tuple(e)] = A[i][p][q]
-            e = [0] * nv
-            e[svar(p, q)] = 1
-            terms[tuple(e)] = terms.get(tuple(e), 0) + 1
-            if C[p][q]:
-                terms[(0,) * nv] = -C[p][q]
-            polys.append(MPoly(nv, {e: c for e, c in terms.items() if c}))
+            for q in range(n):
+                S[p][q] = S[p][q] - y[i].scale(A[i][p][q])
+                row = row + X[p][q].scale(A[i][p][q])
+        rows.append(row)
+    mu = MPoly.variable(nv, 0)
     for p in range(n):
         for q in range(n):
-            terms = {}
+            row = mu.scale(-1) if p == q else MPoly.const(nv, 0)
             for t in range(n):
-                e = [0] * nv
-                xi = xvar(p, t)
-                si = svar(t, q)
-                e[xi] += 1
-                e[si] += 1
-                key = tuple(e)
-                terms[key] = terms.get(key, 0) + 1
-            if p == q:
-                e = [0] * nv
-                e[0] = 1
-                key = tuple(e)
-                terms[key] = terms.get(key, 0) - 1
-            polys.append(MPoly(nv, {e: c for e, c in terms.items() if c}))
-    layout = {
-        "nv": nv,
-        "k": k,
-        "xvar": xvar,
-        "yvar": yvar,
-        "svar": svar,
-    }
-    return polys, layout
-
-
-def coordinate_variable(inst, coordinate: int, layout: dict) -> int:
-    """Variable index of a flat (vec X, y, vec S) coordinate."""
-    n, m = inst.n, inst.m
-    nsq = n * n
-    if 0 <= coordinate < nsq:
-        i, j = divmod(coordinate, n)
-        return layout["xvar"](i, j)
-    if nsq <= coordinate < nsq + m:
-        return layout["yvar"](coordinate - nsq)
-    if nsq + m <= coordinate < 2 * nsq + m:
-        i, j = divmod(coordinate - nsq - m, n)
-        return layout["svar"](i, j)
-    raise InputError(f"coordinate {coordinate} out of range for this instance")
+                row = row + X[p][t] * S[t][q]
+            rows.append(row)
+    coords = [e for r in X for e in r] + y + [e for r in S for e in r]
+    return rows, coords
 
 
 def canonical_coordinates(inst) -> list[int]:
@@ -375,6 +316,10 @@ def _linear_pivot(eqs: list[MPoly], elim: set[int]):
     return None
 
 
+def _traced_zero(trace, coordinate: int) -> bool:
+    return float(np.max(np.abs(trace.values[:, coordinate]))) <= _ZERO_COORD_TOL
+
+
 def _validate(P: BiPoly, coordinate: int, trace) -> None:
     norm = 1.0 + sum(abs(float(c)) for c in P.to_dict().values())
     worst = 0.0
@@ -391,11 +336,13 @@ def _validate(P: BiPoly, coordinate: int, trace) -> None:
 def eliminate_coordinate(inst, coordinate: int, trace) -> BiPoly:
     """Project the central-path system onto (mu, one coordinate).
 
-    Exact linear substitutions clear the dual and primal blocks, then
-    iterated resultants remove the remaining unknowns, lowest degree
-    first. The surviving polynomials are reduced to a single square-free
-    P in Q[mu, V], which is checked against a numeric trace before it is
-    returned.
+    The system gets the rows V - (coordinate) and, for every other
+    canonical coordinate the trace shows to be zero, the coordinate
+    itself. Exact linear substitutions then clear what they can, mostly
+    the primal block, and iterated resultants remove the remaining
+    unknowns but mu and V, lowest degree first. The surviving
+    polynomials are reduced to a single square-free P in Q[mu, V], which
+    is checked against a numeric trace before it is returned.
     """
     cap = degree_cap()
     hard = inst.n * (inst.n + 1) // 2 - 1
@@ -404,28 +351,23 @@ def eliminate_coordinate(inst, coordinate: int, trace) -> BiPoly:
             f"projected resultant degree 2^{hard + 1} exceeds the cap {cap};"
             " raise PUISEUXPATH_DEGREE_CAP to force the attempt"
         )
-    polys, layout = central_system(inst)
-    target = coordinate_variable(inst, coordinate, layout)
-    if float(np.max(np.abs(trace.values[:, coordinate]))) <= _ZERO_COORD_TOL:
+    rows, coords = central_system(inst)
+    if not 0 <= coordinate < len(coords):
+        raise InputError(f"coordinate {coordinate} out of range for this instance")
+    if _traced_zero(trace, coordinate):
         # the graph of an identically-zero coordinate is the zero set of V
         return BiPoly.from_dict({(1, 0): 1})
-    nv = layout["nv"]
-    eqs = [_strip(p) for p in polys if not p.is_zero()]
-    elim = set(range(1, nv))
-    elim.discard(target)
-
-    # Coordinates the trace shows to be identically zero are pinned before
-    # any resultant runs. Without this, a path living on the zero set of a
-    # variable leaves every equation divisible by it and the chain degrades
-    # to 0 = 0. The final validation gate still checks the outcome.
-    zero = MPoly.const(nv, 0)
-    for c in canonical_coordinates(inst):
-        w = coordinate_variable(inst, c, layout)
-        if w == target or w not in elim:
-            continue
-        if float(np.max(np.abs(trace.values[:, c]))) <= _ZERO_COORD_TOL:
-            eqs = _substitute_all(eqs, w, zero)
-            elim.discard(w)
+    nv = coords[0].nv
+    target = nv - 1
+    # Coordinates the trace shows to be identically zero are pinned by a
+    # row of their own. Without this, a path living on the zero set of a
+    # coordinate leaves every equation divisible by it and the chain
+    # degrades to 0 = 0. The final validation gate still checks the outcome.
+    pins = [coords[c] for c in canonical_coordinates(inst)
+            if c != coordinate and _traced_zero(trace, c)]
+    isolate = MPoly.variable(nv, target) - coords[coordinate]
+    eqs = [_strip(p) for p in [isolate, *pins, *rows] if not p.is_zero()]
+    elim = set(range(1, target))
 
     # exact substitutions for variables with a constant linear pivot; the
     # pivot equation is used up by its substitution
@@ -455,16 +397,7 @@ def eliminate_coordinate(inst, coordinate: int, trace) -> BiPoly:
                 continue
             r = _strip(resultant(f.coeffs_in(w), pivot.coeffs_in(w)))
             if r.is_zero():
-                # shared factor with the pivot; another partner may still
-                # extract independent information from f
-                for g in occ:
-                    if g is f or g is pivot:
-                        continue
-                    r = _strip(resultant(f.coeffs_in(w), g.coeffs_in(w)))
-                    if not r.is_zero():
-                        break
-                if r.is_zero():
-                    continue
+                continue
             if r.max_degree() > cap:
                 raise EliminationBlowUpError(
                     f"degree {r.max_degree()} after eliminating a variable"

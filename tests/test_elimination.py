@@ -33,7 +33,6 @@ from puiseuxpath.elimination import (
     _strip,
     canonical_coordinates,
     central_system,
-    coordinate_variable,
     eliminate_coordinate,
 )
 from puiseuxpath.errors import (
@@ -240,32 +239,40 @@ class TestSharedResultant:
 class TestCentralSystem:
     def test_counts(self):
         inst = elliptope_instance()
-        polys, layout = central_system(inst)
+        rows, coords = central_system(inst)
         k = inst.n * (inst.n + 1) // 2
-        assert len(polys) == inst.m + k + inst.n * inst.n
-        assert layout["nv"] == 1 + 2 * k + inst.m
+        assert len(rows) == inst.m + inst.n * inst.n
+        assert len(coords) == inst.dim
+        # mu, the upper triangle of X, y and V; S is affine in y
+        assert {p.nv for p in rows + coords} == {2 + k + inst.m}
 
     def test_identity_path_is_a_zero(self):
-        # substitute X = I, y = 1 - mu, S = mu*I; every equation vanishes
+        # substitute X = I, y = 1 - mu; every equation vanishes, S = mu*I
         inst = identity_instance(3)
-        polys, layout = central_system(inst)
-        nv = layout["nv"]
+        rows, coords = central_system(inst)
+        nv = coords[0].nv
         mu = MPoly.variable(nv, 0)
         one = MPoly.const(nv, 1)
+        zero = MPoly.const(nv, 0)
         subs = {}
         for i in range(3):
             for j in range(i, 3):
-                subs[layout["xvar"](i, j)] = (
-                    one if i == j else MPoly.const(nv, 0)
-                )
-                subs[layout["svar"](i, j)] = (
-                    mu if i == j else MPoly.const(nv, 0)
-                )
-        subs[layout["yvar"](0)] = one - mu
-        for p in polys:
+                (w,) = coords[3 * i + j].variables()
+                subs[w] = one if i == j else zero
+        (w,) = coords[9].variables()
+        subs[w] = one - mu
+
+        def at_path(p):
             for var, expr in subs.items():
                 p = p.substitute(var, expr)
-            assert p.is_zero()
+            return p
+
+        for p in rows:
+            assert at_path(p).is_zero()
+        for i in range(3):
+            for j in range(3):
+                s = at_path(coords[10 + 3 * i + j])
+                assert (s - (mu if i == j else zero)).is_zero()
 
     def test_canonical_coordinates(self):
         inst = identity_instance(3)
@@ -273,15 +280,19 @@ class TestCentralSystem:
             0, 1, 2, 4, 5, 8, 9, 10, 11, 12, 14, 15, 18,
         ]
 
-    def test_coordinate_variable_bounds(self):
-        inst = identity_instance(2)
-        _, layout = central_system(inst)
-        with pytest.raises(InputError):
-            coordinate_variable(inst, inst.dim, layout)
-        # mirrored entries share one variable
-        assert coordinate_variable(inst, 1, layout) == coordinate_variable(
-            inst, 2, layout
-        )
+    def test_mirrored_x_entries_share_one_unknown(self):
+        inst = identity_instance(3)
+        _, coords = central_system(inst)
+        unknowns = set()
+        for i in range(3):
+            for j in range(3):
+                x = coords[3 * i + j]
+                assert x.terms == coords[3 * j + i].terms
+                (w,) = x.variables()
+                unknowns.add(w)
+        # row-major upper triangle, right after mu
+        assert coords[1].variables() == {2}
+        assert unknowns == set(range(1, 7))
 
 
 def _trace(inst):
