@@ -16,7 +16,6 @@ from .curve import (
     RhoReport,
     aggregate_rho,
     expand_curve,
-    is_irreducible_over_Cmu,
     limit_center,
     match_branches,
     normalize_curve,
@@ -66,7 +65,6 @@ __all__ = [
     "expand_curve",
     "fit_order",
     "fit_order_raw",
-    "is_irreducible_over_Cmu",
     "limit_center",
     "load_instance",
     "match_branches",

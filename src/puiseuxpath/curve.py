@@ -24,7 +24,6 @@ __all__ = [
     "RhoReport",
     "aggregate_rho",
     "expand_curve",
-    "is_irreducible_over_Cmu",
     "limit_center",
     "match_branches",
     "normalize_curve",
@@ -66,12 +65,11 @@ class RhoReport:
 
     ``per_coordinate`` holds (coordinate index, matched branches, rho_i)
     triples; ``rho`` is their lcm.  ``optimality_note`` is
-    "irreducible-certified" when every coordinate's exponent is known to be
-    exactly the local ramification index (unique matched branch, or the
-    coordinate polynomial had a full-degree branch), "product-fallback"
-    when some exponent is only a feasible product of candidate indices,
-    and "order-fit-heuristic" when any coordinate had to fall back on a
-    numeric decay fit with no exact curve behind it.
+    "irreducible-certified" when every matched branch of each coordinate
+    has one q, so every exponent is exactly the local ramification index,
+    "product-fallback" when some exponent is only a feasible product of
+    candidate indices, and "order-fit-heuristic" when any coordinate had
+    to fall back on a numeric decay fit with no exact curve behind it.
 
     ``details`` is optional per-coordinate bookkeeping (route taken, limit,
     cross-checks) attached by the instance-level pipeline.
@@ -267,7 +265,10 @@ def is_irreducible_over_Cmu(nc: NormalizedCurve, branches) -> bool:
     """Full-degree ramification of one branch certifies irreducibility.
 
     A degree-d curve splits over the Puiseux field into branches whose
-    conjugate counts sum to d, so q = d forces a single orbit.
+    conjugate counts sum to d, so q = d forces a single orbit. The
+    pipeline no longer calls this: its one-q rule covers the case, since
+    such a branch is the only one to match. The name stays because the
+    perfbench tracer wraps it.
     """
     d = nc.normalized.deg_v
     return any(b.q == d for b in branches)

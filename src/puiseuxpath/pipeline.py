@@ -21,7 +21,6 @@ from .curve import (
     RhoReport,
     aggregate_rho,
     expand_curve,
-    is_irreducible_over_Cmu,
     match_branches,
     normalize_curve,
     rho_for_coordinate,
@@ -127,7 +126,9 @@ def compute_rho_sdo(
         except PuiseuxPathError as err:
             raise _attribute(err, label)
 
-        certified = len(matched) == 1 or is_irreducible_over_Cmu(nc, branches)
+        # the path's branch is among the matched ones, so one shared q
+        # is its ramification index
+        certified = len({b.q for b in matched}) == 1
         all_certified = all_certified and certified
 
         cross = None

@@ -4,9 +4,10 @@ Hand-checked expectations:
 
 * identity: only y and the S diagonal move, both analytically, so
   rho = 1. The eliminated y curve carries a co-centered extraneous
-  branch, which costs the certificate but not the exponent.
+  branch; both branches have q = 1, so the certificate holds.
 * elliptope: every moving coordinate decays like sqrt(mu) through the
-  cubic's ramified branch; rho = 2.
+  cubic's ramified branch; rho = 2. y[1] also matches the exact branch
+  V = -1 (q = 1), so its q set {1, 2} is not certified.
 * kl02 n = 3: exact curves all the way down (2V^2 - mu and friends),
   every one irreducible, so the certificate survives; rho = 2.
 * kl02 n = 4: elimination is pre-guarded away and the fitted orders
@@ -37,6 +38,12 @@ def detail_for(report: RhoReport, label: str) -> dict:
     return next(d for d in report.details if d["label"] == label)
 
 
+def matched_qs(report: RhoReport, label: str) -> list[int]:
+    index = detail_for(report, label)["index"]
+    matched = next(m for i, m, _ in report.per_coordinate if i == index)
+    return sorted(b.q for b in matched)
+
+
 @pytest.fixture(scope="module")
 def elliptope_report():
     return compute_rho_sdo(elliptope_instance())
@@ -56,6 +63,13 @@ class TestIdentity:
         assert y["order"] == "1"
         assert "divides" in y["cross_check"]
 
+    def test_one_shared_q_certifies(self):
+        # two matched branches, both q = 1: the path's branch has q = 1
+        rep = compute_rho_sdo(identity_instance(3))
+        assert matched_qs(rep, "y[0]") == [1, 1]
+        assert detail_for(rep, "y[0]")["certified"]
+        assert rep.optimality_note == "irreducible-certified"
+
 
 class TestElliptope:
     def test_rho(self, elliptope_report):
@@ -67,6 +81,11 @@ class TestElliptope:
                 assert d["rho_i"] == 2
             else:
                 assert d["route"] == "constant" and d["rho_i"] == 1
+
+    def test_mixed_qs_are_not_certified(self, elliptope_report):
+        assert matched_qs(elliptope_report, "y[1]") == [1, 2]
+        assert not detail_for(elliptope_report, "y[1]")["certified"]
+        assert elliptope_report.optimality_note == "product-fallback"
 
     def test_cross_checks_pass(self, elliptope_report):
         for d in elliptope_report.details:
