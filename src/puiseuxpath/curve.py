@@ -14,6 +14,7 @@ from .errors import (
     AmbiguousMatchError,
     ComputationError,
     DegenerateInputError,
+    InputError,
     NoMatchError,
 )
 from .polynomials import BiPoly, UniPoly
@@ -252,7 +253,7 @@ def match_branches(branches, limit_value, tol=DEFAULT_MATCH_TOL,
     lo, hi = _as_interval(limit_value)
     tol = Fraction(tol)
     if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+        raise InputError("tolerance must be nonnegative")
     out = []
     for b in branches:
         c = limit_center(b, theta)

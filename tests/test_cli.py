@@ -235,6 +235,14 @@ class TestErrors:
         assert code == 3
         assert "error [matching]" in cap.err
 
+    def test_negative_match_tol_exits_2(self, capsys):
+        # used to end in a ValueError traceback and exit 1
+        code, cap = run(capsys, "rho-curve", "--poly", "V^2-mu",
+                        "--limit", "0", "--tol", "-1")
+        assert code == 2
+        assert cap.out == ""
+        assert "error [input]: tolerance must be nonnegative" in cap.err
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["expand", "--nope", "x"])
