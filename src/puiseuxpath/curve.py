@@ -267,9 +267,9 @@ def is_irreducible_over_Cmu(nc: NormalizedCurve, branches) -> bool:
 
     A degree-d curve splits over the Puiseux field into branches whose
     conjugate counts sum to d, so q = d forces a single orbit. The
-    pipeline no longer calls this: its one-q rule covers the case, since
-    such a branch is the only one to match. The name stays because the
-    perfbench tracer wraps it.
+    pipeline certifies by its one-q rule instead, which covers this case
+    because such a branch is the only one to match; the function is kept
+    because the perfbench tracer wraps it by name.
     """
     d = nc.normalized.deg_v
     return any(b.q == d for b in branches)
