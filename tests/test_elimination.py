@@ -52,12 +52,6 @@ from puiseuxpath.sdo import (
 F_ELL = parse_bipoly("2*T^3 + (2 - 1/2*mu)*T^2 - (mu + 2)*T - 2")
 
 
-def s_pin_instance() -> SDOInstance:
-    """The S-pin instance of the module docstring."""
-    return SDOInstance([[[1, 0], [0, 0]], [[0, 1], [1, 0]]], [1, 0],
-                       [[0, 1], [1, 1]], name="s_pin")
-
-
 class TestMPoly:
     def test_arithmetic(self):
         x = MPoly.variable(3, 1)
@@ -376,9 +370,10 @@ class TestEliminateCoordinate:
             eliminate_coordinate(inst, 9, trace=fake)
 
     def test_s_pin_instance_curves(self):
-        # S_01 = 1 - y_1 is the only known entry whose zero pin is not
-        # the zero polynomial; every canonical curve is linear in V
-        inst = s_pin_instance()
+        # S_01 = 1 - y_1 is the only known zero pin that is not a single
+        # unknown; every canonical curve is linear in V
+        inst = SDOInstance([[[1, 0], [0, 0]], [[0, 1], [1, 0]]], [1, 0],
+                           [[0, 1], [1, 1]], name="s_pin")
         tr = _trace(inst)
         curves = [eliminate_coordinate(inst, c, tr)
                   for c in canonical_coordinates(inst)]
