@@ -15,11 +15,18 @@ Hand-checked fixtures:
   The primal rows force X_01 = 0, so X and S are diagonal on the path:
   X = diag(1, mu), y = (-mu, 1), S = diag(mu, 1). Its S_01 = 1 - y_1 is
   zero on the path without being the zero polynomial.
+* random instances: ``_random_instance(seed)`` draws a small instance
+  whose X = I is feasible. ``data/eliminants_random.txt`` holds the
+  eliminant or error of every canonical coordinate of seeds 1000-1059,
+  without the seeds the constructor rejects and four whose chains take
+  seconds. Their chains mix linear and higher-degree pivots.
 """
 
 import math
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,6 +46,7 @@ from puiseuxpath.errors import (
     EliminationBlowUpError,
     ExtraneousVanishingError,
     InputError,
+    PuiseuxPathError,
 )
 from puiseuxpath.polynomials import parse_bipoly, resultant
 from puiseuxpath.sdo import (
@@ -50,6 +58,9 @@ from puiseuxpath.sdo import (
 )
 
 F_ELL = parse_bipoly("2*T^3 + (2 - 1/2*mu)*T^2 - (mu + 2)*T - 2")
+RANDOM_GOLDEN = Path(__file__).parent / "data" / "eliminants_random.txt"
+# seeds 1000-1059 whose slowest coordinate takes seconds to eliminate
+SLOW_SEEDS = {1008, 1033, 1039, 1049}
 
 
 class TestMPoly:
@@ -212,6 +223,22 @@ class TestSharedResultant:
             ours = self.check(f, g)
             assert ours.terms == (f**3).terms
             assert self.check(g, f).terms == ours.terms
+
+    def test_constant_linear_pivot_is_a_substitution(self):
+        # for g = c1*x + c0 with a constant c1, res(f, g) is
+        # (-c1)^m f(-c0/c1): the resultant step does the substitution's work
+        rng = random.Random(17)
+        x = self.SYMS[self.W]
+        for _ in range(10):
+            m = rng.randint(1, 3)
+            f = self.random_poly(rng, m)
+            c0 = self.random_poly(rng, 0)
+            c1 = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))
+            pivot = MPoly.variable(self.NV, self.W).scale(c1) + c0
+            ours = resultant(f.coeffs_in(self.W), pivot.coeffs_in(self.W))
+            c1s = sp.Rational(c1.numerator, c1.denominator)
+            expect = (-c1s) ** m * self.to_sympy(f).subs(x, -self.to_sympy(c0) / c1s)
+            assert ours.terms == self.from_sympy(sp.expand(expect)).terms
 
     def test_odd_degrees_swapped(self):
         # deg f < deg g, both odd: the routine swaps its operands and must
@@ -385,3 +412,71 @@ class TestEliminateCoordinate:
         tr = _trace(inst)
         with pytest.raises(InputError):
             eliminate_coordinate(inst, 99, tr)
+
+
+def _random_instance(seed: int) -> SDOInstance:
+    """A small instance with integer data for which X = I is feasible.
+
+    Each entry of each symmetric A_i is, with probability 1/2, an integer
+    in [-2, 2]; b_i = tr A_i and C = I + sum y0_i A_i for an integer y0.
+    """
+    rng = random.Random(seed)
+    n = rng.choice([2, 2, 3])
+    m = rng.randint(1, n * (n + 1) // 2 - 1)
+    A = []
+    for _ in range(m):
+        Ai = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < 0.5:
+                    Ai[i][j] = Ai[j][i] = rng.randint(-2, 2)
+        A.append(Ai)
+    y0 = [rng.randint(-1, 1) for _ in range(m)]
+    b = [sum(Ai[i][i] for i in range(n)) for Ai in A]
+    C = [[int(i == j) + sum(y0[k] * A[k][i][j] for k in range(m))
+          for j in range(n)] for i in range(n)]
+    return SDOInstance(A, b, C, name=f"r{seed}")
+
+
+def _random_golden() -> dict[int, dict[str, str]]:
+    out: dict[int, dict[str, str]] = {}
+    for line in RANDOM_GOLDEN.read_text().splitlines():
+        name, label, text = re.fullmatch(r"r(\d+) (\S+): (.*)", line).groups()
+        out.setdefault(int(name), {})[label] = text
+    return out
+
+
+class TestRandomInstances:
+    GOLDEN = _random_golden()
+
+    def test_golden_seeds_are_every_accepted_seed(self):
+        accepted = []
+        for seed in range(1000, 1060):
+            try:
+                _random_instance(seed)
+            except InputError:
+                continue
+            accepted.append(seed)
+        assert sorted(self.GOLDEN) == [s for s in accepted if s not in SLOW_SEEDS]
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_eliminants_match_golden(self, seed):
+        # a curve may differ from its golden line by a nonzero rational
+        # factor; an error must keep its class and message
+        inst = _random_instance(seed)
+        tr = trace_path(inst)
+        labels = inst.coordinate_labels()
+        golden = self.GOLDEN[seed]
+        coords = canonical_coordinates(inst)
+        assert sorted(golden) == sorted(labels[c] for c in coords)
+        for c in coords:
+            expect = golden[labels[c]]
+            try:
+                P = eliminate_coordinate(inst, c, tr)
+            except PuiseuxPathError as e:
+                assert f"{type(e).__name__}: {e}" == expect, labels[c]
+                continue
+            G = parse_bipoly(expect)
+            assert P.deg_v == G.deg_v, labels[c]
+            scaled = P.scale(G.lc_v().lc()) - G.scale(P.lc_v().lc())
+            assert scaled.is_zero(), labels[c]
