@@ -564,12 +564,16 @@ def _subresultant_prs(a: Sequence, b: Sequence) -> tuple[list, list, object, int
     a, b = list(a), list(b)
     g = h = b[-1] ** 0  # the ring's one
     sign = 1
+    first = True  # g * h^delta is the ring's one on the first step
     while len(b) > 1:
         delta = len(a) - len(b)
         if (len(a) - 1) & (len(b) - 1) & 1:
             sign = -sign
-        div = g * h**delta
-        r = [c.exact_div(div) for c in _prem(a, b)]
+        r = _prem(a, b)
+        if not first:
+            div = g * h**delta
+            r = [c.exact_div(div) for c in r]
+        first = False
         a, b = b, r
         g = a[-1]
         if delta == 1:
