@@ -266,6 +266,15 @@ def cmd_verify(args, out) -> int:
 # wiring
 
 
+def _rational(text: str) -> Fraction:
+    """An exact rational flag value; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"not a rational number: {text!r}") from None
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call and reused after it."""
@@ -296,9 +305,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rho-curve",
                        help="exponent for one coordinate curve")
     p.add_argument("--poly", required=True)
-    p.add_argument("--limit", type=Fraction, required=True,
+    p.add_argument("--limit", type=_rational, required=True,
                    help="observed coordinate limit (rational)")
-    p.add_argument("--tol", type=Fraction, default=Fraction(1, 10**6),
+    p.add_argument("--tol", type=_rational, default=Fraction(1, 10**6),
                    help="center matching tolerance")
     p.add_argument("--terms", type=int, default=4)
     fmt(p)

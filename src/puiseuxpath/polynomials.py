@@ -723,6 +723,8 @@ def _parse_factor(toks: _Tokens) -> BiPoly:
         toks.next()
         kind, val = toks.next()
         if kind == "num":
+            if not int(val):
+                raise ParseError("division by zero")
             base = base.scale(Fraction(1, int(val)))
         else:
             toks.pos = save

@@ -243,6 +243,22 @@ class TestErrors:
         assert cap.out == ""
         assert "error [input]: tolerance must be nonnegative" in cap.err
 
+    def test_zero_denominator_in_poly_exits_2(self, capsys):
+        # used to end in a ZeroDivisionError traceback and exit 1
+        code, cap = run(capsys, "expand", "--poly", "V^2/0")
+        assert code == 2
+        assert cap.out == ""
+        assert "error [parser]: division by zero" in cap.err
+
+    @pytest.mark.parametrize("flag", ["--limit", "--tol"])
+    def test_zero_denominator_in_rational_flag_exits_2(self, capsys, flag):
+        # argparse let Fraction's ZeroDivisionError through as a traceback
+        argv = ["rho-curve", "--poly", "V^2-mu", "--limit", "0", flag, "1/0"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "not a rational number: '1/0'" in capsys.readouterr().err
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["expand", "--nope", "x"])
