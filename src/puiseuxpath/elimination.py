@@ -5,10 +5,11 @@ mu, the entries of X and the multipliers y; S = C - sum_i y_i A_i is an
 affine form in y, not an unknown. For one chosen coordinate this module
 adds a row V - (coordinate), eliminates every unknown but mu and V, and
 returns a nonzero P in Q[mu, V] vanishing along the path, ready for the
-curve pipeline. Linear unknowns are removed by exact substitution
-first; the rest fall to iterated resultants with the lowest-degree
-variable picked at each step. Degrees are capped so hopeless instances
-fail fast instead of filling memory.
+curve pipeline. One loop removes the unknowns by resultants, one unknown
+per step. An unknown with a constant linear pivot goes first: its
+resultant is the exact substitution times a constant. Otherwise the
+lowest-degree unknown goes next. Degrees are capped so hopeless
+instances fail fast instead of filling memory.
 """
 
 from __future__ import annotations
@@ -198,15 +199,6 @@ class MPoly:
             out.append(p)
         return out
 
-    def substitute(self, var: int, expr: "MPoly") -> "MPoly":
-        coeffs = self.coeffs_in(var)
-        if not coeffs:
-            return self
-        acc = coeffs[-1]
-        for k in range(len(coeffs) - 2, -1, -1):
-            acc = acc * expr + coeffs[k]
-        return acc
-
     def __repr__(self):
         return f"MPoly(nv={self.nv}, {len(self.terms)} terms)"
 
@@ -293,27 +285,32 @@ def _dedup(eqs: list[MPoly]) -> list[MPoly]:
     return out
 
 
-def _substitute_all(eqs: list[MPoly], w: int, expr: MPoly) -> list[MPoly]:
-    """Substitute w := expr in every equation; drop zeros and duplicates."""
-    return _dedup([q for q in (_strip(e.substitute(w, expr)) for e in eqs)
-                   if not q.is_zero()])
+def _pivot(eqs: list[MPoly], elim: set[int]) -> tuple[MPoly, int] | None:
+    """The next pivot equation and the unknown it eliminates, or None.
 
-
-def _linear_pivot(eqs: list[MPoly], elim: set[int]):
-    """First (equation index, variable, value) with a constant linear pivot.
-
-    Equations are scanned in order and each one's variables in increasing
-    index; the value solves the equation for the variable.
+    A constant linear pivot wins: the first equation, in list order, with
+    an unknown of degree 1 and a constant coefficient, taking its lowest
+    such unknown. For f of degree m in w and a pivot c1*w + c0, the
+    resultant is (-c1)^m f(-c0/c1), an exact substitution up to a
+    constant. Otherwise the unknown is the one of least degree among its
+    equations, then with the fewest equations, then the lowest index, and
+    the pivot its equation of least degree, then fewest terms.
     """
-    for ei, eq in enumerate(eqs):
-        for w in sorted(v for v in eq.variables() if v in elim):
-            if eq.deg(w) != 1:
-                continue
-            c0, c1 = eq.coeffs_in(w)
-            if c1.is_const():
-                lead = c1.terms[(0,) * eq.nv]
-                return ei, w, c0.scale(qdiv(-1, lead))
-    return None
+    for eq in eqs:
+        for w in sorted(eq.variables() & elim):
+            if eq.deg(w) == 1 and eq.coeffs_in(w)[1].is_const():
+                return eq, w
+    present: dict[int, list[MPoly]] = {}
+    for eq in eqs:
+        for w in eq.variables() & elim:
+            present.setdefault(w, []).append(eq)
+    if not present:
+        return None
+    w = min(
+        present,
+        key=lambda v: (min(e.deg(v) for e in present[v]), len(present[v]), v),
+    )
+    return min(present[w], key=lambda e: (e.deg(w), len(e.terms))), w
 
 
 def _traced_zero(trace, coordinate: int) -> bool:
@@ -338,11 +335,13 @@ def eliminate_coordinate(inst, coordinate: int, trace) -> BiPoly:
 
     The system gets the rows V - (coordinate) and, for every other
     canonical coordinate the trace shows to be zero, the coordinate
-    itself. Exact linear substitutions then clear what they can, mostly
-    the primal block, and iterated resultants remove the remaining
-    unknowns but mu and V, lowest degree first. The surviving
-    polynomials are reduced to a single square-free P in Q[mu, V], which
-    is checked against a numeric trace before it is returned.
+    itself. One loop then removes every unknown but mu and V. Each step
+    takes a pivot from ``_pivot`` and replaces, in place, every other
+    equation that holds the unknown by its resultant with the pivot; the
+    constant linear pivots, mostly of the primal block, go first. The
+    surviving polynomials are reduced to a single square-free P in
+    Q[mu, V], which is checked against a numeric trace before it is
+    returned.
     """
     cap = degree_cap()
     hard = inst.n * (inst.n + 1) // 2 - 1
@@ -369,33 +368,19 @@ def eliminate_coordinate(inst, coordinate: int, trace) -> BiPoly:
     eqs = [_strip(p) for p in [isolate, *pins, *rows] if not p.is_zero()]
     elim = set(range(1, target))
 
-    # exact substitutions for variables with a constant linear pivot; the
-    # pivot equation is used up by its substitution
-    while (pivot := _linear_pivot(eqs, elim)) is not None:
-        ei, w, expr = pivot
-        eqs = _substitute_all(eqs[:ei] + eqs[ei + 1:], w, expr)
-        elim.discard(w)
-
-    # iterated resultants on what is left
-    while True:
-        present: dict[int, list[MPoly]] = {}
-        for eq in eqs:
-            for w in eq.variables():
-                if w in elim:
-                    present.setdefault(w, []).append(eq)
-        if not present:
-            break
-        w = min(
-            present,
-            key=lambda v: (min(e.deg(v) for e in present[v]), len(present[v]), v),
-        )
-        occ = present[w]
-        pivot = min(occ, key=lambda e: (e.deg(w), len(e.terms)))
+    # the pivot is used up; every other equation with w gives way, where
+    # it stands, to its resultant with the pivot
+    while (choice := _pivot(eqs, elim)) is not None:
+        pivot, w = choice
+        g = pivot.coeffs_in(w)
         new = []
-        for f in occ:
+        for f in eqs:
             if f is pivot:
                 continue
-            r = _strip(resultant(f.coeffs_in(w), pivot.coeffs_in(w)))
+            if f.deg(w) == 0:
+                new.append(f)
+                continue
+            r = _strip(resultant(f.coeffs_in(w), g))
             if r.is_zero():
                 continue
             if r.max_degree() > cap:
@@ -404,7 +389,7 @@ def eliminate_coordinate(inst, coordinate: int, trace) -> BiPoly:
                     f" exceeds the cap {cap}"
                 )
             new.append(r)
-        eqs = _dedup([e for e in eqs if e.deg(w) <= 0] + new)
+        eqs = _dedup(new)
         elim.discard(w)
         if not eqs:
             raise ExtraneousVanishingError(
