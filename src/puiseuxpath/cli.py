@@ -271,8 +271,7 @@ def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f"not a rational number: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
 @functools.cache

@@ -6,9 +6,10 @@ affine form in y, not an unknown. For one chosen coordinate this module
 adds a row V - (coordinate), eliminates every unknown but mu and V, and
 returns a nonzero P in Q[mu, V] vanishing along the path, ready for the
 curve pipeline. One loop removes the unknowns by resultants, one unknown
-per step. An unknown with a constant linear pivot goes first: its
-resultant is the exact substitution times a constant. Otherwise the
-lowest-degree unknown goes next. Degrees are capped so hopeless
+per step. An unknown with a constant linear pivot c1*w + c0 goes first:
+the resultant of f, of degree m in w, with the pivot is
+(-c1)^m f(-c0/c1), the exact substitution up to a constant. Otherwise
+the lowest-degree unknown goes next. Degrees are capped so hopeless
 instances fail fast instead of filling memory.
 """
 
@@ -288,13 +289,10 @@ def _dedup(eqs: list[MPoly]) -> list[MPoly]:
 def _pivot(eqs: list[MPoly], elim: set[int]) -> tuple[MPoly, int] | None:
     """The next pivot equation and the unknown it eliminates, or None.
 
-    A constant linear pivot wins: the first equation, in list order, with
-    an unknown of degree 1 and a constant coefficient, taking its lowest
-    such unknown. For f of degree m in w and a pivot c1*w + c0, the
-    resultant is (-c1)^m f(-c0/c1), an exact substitution up to a
-    constant. Otherwise the unknown is the one of least degree among its
-    equations, then with the fewest equations, then the lowest index, and
-    the pivot its equation of least degree, then fewest terms.
+    First the first equation, in list order, with an unknown of degree 1
+    and a constant coefficient, at its lowest such unknown. Otherwise the
+    unknown of least degree, then fewest equations, then lowest index,
+    with its equation of least degree, then fewest terms.
     """
     for eq in eqs:
         for w in sorted(eq.variables() & elim):
@@ -335,13 +333,11 @@ def eliminate_coordinate(inst, coordinate: int, trace) -> BiPoly:
 
     The system gets the rows V - (coordinate) and, for every other
     canonical coordinate the trace shows to be zero, the coordinate
-    itself. One loop then removes every unknown but mu and V. Each step
-    takes a pivot from ``_pivot`` and replaces, in place, every other
-    equation that holds the unknown by its resultant with the pivot; the
-    constant linear pivots, mostly of the primal block, go first. The
-    surviving polynomials are reduced to a single square-free P in
-    Q[mu, V], which is checked against a numeric trace before it is
-    returned.
+    itself. One loop of resultants then removes every unknown but mu and
+    V, in the order ``_pivot`` picks; its constant linear pivots, mostly
+    of the primal block, go first. The surviving polynomials are reduced
+    to a single square-free P in Q[mu, V], which is checked against a
+    numeric trace before it is returned.
     """
     cap = degree_cap()
     hard = inst.n * (inst.n + 1) // 2 - 1
@@ -369,7 +365,8 @@ def eliminate_coordinate(inst, coordinate: int, trace) -> BiPoly:
     elim = set(range(1, target))
 
     # the pivot is used up; every other equation with w gives way, where
-    # it stands, to its resultant with the pivot
+    # it stands, to its resultant with the pivot (the list order decides
+    # the later pivots, and with them which extraneous factors survive)
     while (choice := _pivot(eqs, elim)) is not None:
         pivot, w = choice
         g = pivot.coeffs_in(w)
@@ -377,18 +374,15 @@ def eliminate_coordinate(inst, coordinate: int, trace) -> BiPoly:
         for f in eqs:
             if f is pivot:
                 continue
-            if f.deg(w) == 0:
+            if f.deg(w):
+                f = _strip(resultant(f.coeffs_in(w), g))
+                if f.max_degree() > cap:
+                    raise EliminationBlowUpError(
+                        f"degree {f.max_degree()} after eliminating a variable"
+                        f" exceeds the cap {cap}"
+                    )
+            if not f.is_zero():
                 new.append(f)
-                continue
-            r = _strip(resultant(f.coeffs_in(w), g))
-            if r.is_zero():
-                continue
-            if r.max_degree() > cap:
-                raise EliminationBlowUpError(
-                    f"degree {r.max_degree()} after eliminating a variable"
-                    f" exceeds the cap {cap}"
-                )
-            new.append(r)
         eqs = _dedup(new)
         elim.discard(w)
         if not eqs:

@@ -571,8 +571,7 @@ def _subresultant_prs(a: Sequence, b: Sequence) -> tuple[list, list, object, int
             sign = -sign
         r = _prem(a, b)
         if not first:
-            div = g * h**delta
-            r = [c.exact_div(div) for c in r]
+            r = [c.exact_div(g * h**delta) for c in r]
         first = False
         a, b = b, r
         g = a[-1]
