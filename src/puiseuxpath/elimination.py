@@ -289,10 +289,11 @@ def _dedup(eqs: list[MPoly]) -> list[MPoly]:
 def _pivot(eqs: list[MPoly], elim: set[int]) -> tuple[MPoly, int] | None:
     """The next pivot equation and the unknown it eliminates, or None.
 
-    First the first equation, in list order, with an unknown of degree 1
-    and a constant coefficient, at its lowest such unknown. Otherwise the
-    unknown of least degree, then fewest equations, then lowest index,
-    with its equation of least degree, then fewest terms.
+    A constant linear pivot comes first: the first equation, in list
+    order, with an unknown of degree 1 and a constant coefficient, at its
+    lowest such unknown. Otherwise the unknown of least degree, then
+    fewest equations, then lowest index, with its equation of least
+    degree, then fewest terms.
     """
     for eq in eqs:
         for w in sorted(eq.variables() & elim):
