@@ -11,12 +11,19 @@ the resultant of f, of degree m in w, with the pivot is
 (-c1)^m f(-c0/c1), the exact substitution up to a constant. Otherwise
 the lowest-degree unknown goes next. Degrees are capped so hopeless
 instances fail fast instead of filling memory.
+
+Every coordinate of an instance starts from the same system and often
+repeats the same steps, so the first ``eliminate_coordinate`` call stores
+the stripped rows on the instance together with a memo from each step
+(f, pivot, unknown) to its stripped resultant. Later coordinates reuse
+both, and each distinct step is computed once per instance. The memo is
+keyed by exact term sets, which is sound because an ``MPoly`` is never
+mutated after construction.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import add
 
 import numpy as np
@@ -46,12 +53,17 @@ class MPoly:
     integral and a Fraction otherwise (see ``polynomials.exact``), so the
     integer systems of the elimination run on int arithmetic. Variable 0
     is always mu by convention of the callers here.
+
+    An MPoly is never mutated after construction: the operations return
+    new objects, and the few that build one by hand fill ``terms`` right
+    after ``MPoly(nv)``. ``key`` and the elimination memo rely on this.
     """
 
-    __slots__ = ("nv", "terms")
+    __slots__ = ("nv", "terms", "_key")
 
     def __init__(self, nv: int, terms: dict | None = None):
         self.nv = nv
+        self._key = None
         clean = {}
         if terms:
             for e, c in terms.items():
@@ -68,6 +80,12 @@ class MPoly:
         e = [0] * nv
         e[idx] = 1
         return cls(nv, {tuple(e): 1})
+
+    def key(self) -> frozenset:
+        """The exact term set, computed once: equal keys, equal polynomials."""
+        if self._key is None:
+            self._key = frozenset(self.terms.items())
+        return self._key
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -275,11 +293,34 @@ def canonical_coordinates(inst) -> list[int]:
     return out
 
 
+class _System:
+    """The stripped central system of one instance and its resultant memo.
+
+    ``rows`` are the nonzero rows of ``central_system`` after ``_strip``,
+    ``coords`` its coordinate polynomials, and ``resultants`` maps a step
+    (f key, pivot key, unknown) to the stripped resultant of f and the
+    pivot in that unknown.
+    """
+
+    __slots__ = ("rows", "coords", "resultants")
+
+    def __init__(self, inst):
+        rows, self.coords = central_system(inst)
+        self.rows = [_strip(p) for p in rows if not p.is_zero()]
+        self.resultants: dict[tuple, MPoly] = {}
+
+
+def _system(inst) -> _System:
+    if inst._elimination is None:
+        inst._elimination = _System(inst)
+    return inst._elimination
+
+
 def _dedup(eqs: list[MPoly]) -> list[MPoly]:
     seen = set()
     out = []
     for e in eqs:
-        key = frozenset(e.terms.items())
+        key = e.key()
         if key not in seen:
             seen.add(key)
             out.append(e)
@@ -316,12 +357,37 @@ def _traced_zero(trace, coordinate: int) -> bool:
     return float(np.max(np.abs(trace.values[:, coordinate]))) <= _ZERO_COORD_TOL
 
 
+def _float_evaluator(P: BiPoly):
+    """A function giving float(P(mu, v)) at floats mu, v, in int arithmetic.
+
+    With mu = a/b and v = c/d exactly (``float.as_integer_ratio``), deg_mu
+    dm, deg_v dv and D the lcm of P's denominators, D b^dm d^dv P(mu, v)
+    is an integer. One int true division then gives the value, rounded
+    correctly just as ``float(Fraction)`` rounds it. P must be nonzero.
+    """
+    dm, dv = P.deg_mu, P.deg_v
+    coeffs = P.to_dict()
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    terms = [(j, k, c.numerator * (den // c.denominator))
+             for (j, k), c in coeffs.items()]
+
+    def value(mu: float, v: float) -> float:
+        a, b = mu.as_integer_ratio()
+        c, d = v.as_integer_ratio()
+        mus = [a**k * b ** (dm - k) for k in range(dm + 1)]
+        vs = [c**j * d ** (dv - j) for j in range(dv + 1)]
+        num = sum(x * mus[k] * vs[j] for j, k, x in terms)
+        return num / (den * b**dm * d**dv)
+
+    return value
+
+
 def _validate(P: BiPoly, coordinate: int, trace) -> None:
     norm = 1.0 + sum(abs(float(c)) for c in P.to_dict().values())
+    value = _float_evaluator(P)
     worst = 0.0
     for s, v in zip(trace.samples, trace.values[:, coordinate]):
-        val = P.eval(Fraction(float(s.mu)), Fraction(float(v)))
-        worst = max(worst, abs(float(val)))
+        worst = max(worst, abs(value(float(s.mu), float(v))))
     if worst / norm > _VALIDATION_TOL:
         raise ExtraneousVanishingError(
             f"eliminant misses the traced path: residual {worst / norm:.2e}"
@@ -339,6 +405,13 @@ def eliminate_coordinate(inst, coordinate: int, trace) -> BiPoly:
     of the primal block, go first. The surviving polynomials are reduced
     to a single square-free P in Q[mu, V], which is checked against a
     numeric trace before it is returned.
+
+    The first call on an instance builds ``central_system`` once and
+    stores its stripped rows, with a memo of the resultant steps, on the
+    instance (``inst._elimination``); later calls reuse both and build
+    only the isolating row and the pins. A step with the same f, pivot
+    and unknown as an earlier one, from any coordinate, takes its
+    resultant from the memo. Both live as long as the instance.
     """
     cap = degree_cap()
     hard = inst.n * (inst.n + 1) // 2 - 1
@@ -347,7 +420,8 @@ def eliminate_coordinate(inst, coordinate: int, trace) -> BiPoly:
             f"projected resultant degree 2^{hard + 1} exceeds the cap {cap};"
             " raise PUISEUXPATH_DEGREE_CAP to force the attempt"
         )
-    rows, coords = central_system(inst)
+    system = _system(inst)
+    coords = system.coords
     if not 0 <= coordinate < len(coords):
         raise InputError(f"coordinate {coordinate} out of range for this instance")
     if _traced_zero(trace, coordinate):
@@ -362,21 +436,29 @@ def eliminate_coordinate(inst, coordinate: int, trace) -> BiPoly:
     pins = [coords[c] for c in canonical_coordinates(inst)
             if c != coordinate and _traced_zero(trace, c)]
     isolate = MPoly.variable(nv, target) - coords[coordinate]
-    eqs = [_strip(p) for p in [isolate, *pins, *rows] if not p.is_zero()]
+    eqs = [_strip(p) for p in [isolate, *pins] if not p.is_zero()]
+    eqs += system.rows
     elim = set(range(1, target))
+    memo = system.resultants
 
     # the pivot is used up; every other equation with w gives way, where
     # it stands, to its resultant with the pivot (the list order decides
     # the later pivots, and with them which extraneous factors survive)
     while (choice := _pivot(eqs, elim)) is not None:
         pivot, w = choice
-        g = pivot.coeffs_in(w)
+        g = None
         new = []
         for f in eqs:
             if f is pivot:
                 continue
             if f.deg(w):
-                f = _strip(resultant(f.coeffs_in(w), g))
+                key = (f.key(), pivot.key(), w)
+                r = memo.get(key)
+                if r is None:
+                    if g is None:
+                        g = pivot.coeffs_in(w)
+                    r = memo[key] = _strip(resultant(f.coeffs_in(w), g))
+                f = r
                 if f.max_degree() > cap:
                     raise EliminationBlowUpError(
                         f"degree {f.max_degree()} after eliminating a variable"

@@ -63,10 +63,16 @@ def compute_rho_sdo(
     triangle of X, y, upper triangle of S) are processed; the rest are
     mirror images.
 
+    Equal curves are normalized and expanded once per call: coordinates
+    often share an eliminant, and only the matching against each
+    coordinate's limit interval is repeated.
+
     Returns a RhoReport whose details list one dict per canonical
     coordinate: route taken ("constant", "eliminated", "supplied",
     "order-fit"), traced limit and interval width, fitted decay order,
-    rho_i, and the order-vs-ramification cross-check.
+    rho_i, and the order-vs-ramification cross-check. A coordinate is
+    certified only when its matched branches share one q and, where an
+    order was fitted, that order's denominator divides q.
     """
     if trace is None:
         trace = trace_path(inst)
@@ -74,6 +80,7 @@ def compute_rho_sdo(
 
     per_coordinate = []
     details = []
+    expansions: dict[BiPoly, tuple] = {}
     any_fallback = False
     all_certified = True
 
@@ -116,8 +123,11 @@ def compute_rho_sdo(
                 continue
 
         try:
-            nc = normalize_curve(P)
-            branches = expand_curve(nc)
+            expansion = expansions.get(P)
+            if expansion is None:
+                nc = normalize_curve(P)
+                expansion = expansions[P] = nc, expand_curve(nc)
+            nc, branches = expansion
             lim = Fraction(limit)
             half = Fraction(max(width, _MIN_HALF_WIDTH))
             matched = match_branches(branches, (lim - half, lim + half),
@@ -129,15 +139,18 @@ def compute_rho_sdo(
         # the path's branch is among the matched ones, so one shared q
         # is its ramification index
         certified = len({b.q for b in matched}) == 1
-        all_certified = all_certified and certified
 
         cross = None
         if order is not None:
             q_lcm = math.lcm(*(b.q for b in matched))
             ok = q_lcm % order.denominator == 0
+            # a decay order the curve cannot produce: the curve or the
+            # trace is off, and nothing is certified
+            certified = certified and ok
             cross = (f"fit order {order}: denominator "
                      f"{'divides' if ok else 'DOES NOT divide'} "
                      f"matched index lcm {q_lcm}")
+        all_certified = all_certified and certified
         entry.update(route=route, rho_i=rho_i, certified=certified,
                      cross_check=cross, curve=render_bipoly(P))
         per_coordinate.append((i, tuple(matched), rho_i))

@@ -78,7 +78,7 @@ class SDOInstance:
     constraint matrices, b the right-hand side, C the cost matrix.
     """
 
-    __slots__ = ("n", "m", "A", "b", "C", "name", "_newton")
+    __slots__ = ("n", "m", "A", "b", "C", "name", "_newton", "_elimination")
 
     def __init__(self, A, b, C, name: str = "instance"):
         C_arr = np.array(C, dtype=_LD)
@@ -109,6 +109,8 @@ class SDOInstance:
         self.C = C_arr
         self.name = name
         self._newton = None  # _NewtonLayout, built by the first Newton step
+        # elimination._System, built by the first eliminate_coordinate
+        self._elimination = None
 
     @property
     def dim(self) -> int:

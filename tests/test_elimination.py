@@ -32,11 +32,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from puiseuxpath import elimination
 from puiseuxpath.elimination import (
     MPoly,
+    _float_evaluator,
     _strip,
     canonical_coordinates,
     central_system,
@@ -48,7 +50,7 @@ from puiseuxpath.errors import (
     InputError,
     PuiseuxPathError,
 )
-from puiseuxpath.polynomials import parse_bipoly, resultant
+from puiseuxpath.polynomials import BiPoly, parse_bipoly, resultant
 from puiseuxpath.sdo import (
     SDOInstance,
     elliptope_instance,
@@ -404,6 +406,66 @@ class TestEliminateCoordinate:
         tr = _trace(inst)
         with pytest.raises(InputError):
             eliminate_coordinate(inst, 99, tr)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 4), st.integers(0, 4)),
+            st.fractions(min_value=-50, max_value=50,
+                         max_denominator=40).filter(bool),
+            min_size=1, max_size=8,
+        ),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    @example({(1, 0): 1, (0, 2): Fraction(-3, 7)}, 5e-324, 2.5e-308)
+    @example({(3, 1): Fraction(1, 3), (0, 0): 2}, 1e300, -1.7e-300)
+    @example({(4, 4): 1}, 1e200, 1e200)
+    def test_float_evaluator_matches_fraction_eval(self, terms, mu, v):
+        # the validation gate's int evaluation rounds exactly like the
+        # Fraction one, overflow included
+        P = BiPoly.from_dict(terms)
+
+        def outcome(f):
+            try:
+                return repr(f())
+            except OverflowError:
+                return "OverflowError"
+
+        got = outcome(lambda: _float_evaluator(P)(mu, v))
+        want = outcome(lambda: float(P.eval(Fraction(mu), Fraction(v))))
+        assert got == want
+
+    def test_system_is_built_once_per_instance(self, monkeypatch):
+        built = []
+        real = elimination.central_system
+        monkeypatch.setattr(elimination, "central_system",
+                            lambda inst: built.append(inst) or real(inst))
+        inst = identity_instance(3)
+        tr = _trace(inst)
+        for c in canonical_coordinates(inst):
+            eliminate_coordinate(inst, c, tr)
+        assert built == [inst]
+
+    @pytest.mark.parametrize("name,cap", [("elliptope", None), ("kl02_4", "100000")])
+    def test_shared_caches_do_not_depend_on_order(self, monkeypatch, name, cap):
+        # one instance eliminates every coordinate in reverse order; each
+        # outcome must match a fresh instance that eliminates only it
+        if cap is not None:
+            monkeypatch.setenv("PUISEUXPATH_DEGREE_CAP", cap)
+        make = elliptope_instance if name == "elliptope" else lambda: kl02_instance(4)
+        shared = make()
+        tr = _trace(shared)
+
+        def outcome(inst, c):
+            try:
+                return eliminate_coordinate(inst, c, tr)
+            except PuiseuxPathError as e:
+                return type(e), str(e)
+
+        coords = canonical_coordinates(shared)
+        got = {c: outcome(shared, c) for c in reversed(coords)}
+        assert got == {c: outcome(make(), c) for c in coords}
 
 
 def _random_instance(seed: int) -> SDOInstance:

@@ -28,6 +28,7 @@ from puiseuxpath.sdo import (
     elliptope_instance,
     identity_instance,
     kl02_instance,
+    load_instance,
     trace_path,
 )
 
@@ -132,6 +133,17 @@ class TestKl02:
         assert y2["order"] == "1/4"
         assert y2["rho_i"] == 4
         assert "cap" in y2["exact_failure"]
+
+    def test_failed_cross_check_does_not_certify(self):
+        # V - mu has the one branch q = 1, but X[1,1] (on V^2 - 2*mu)
+        # decays like mu^(1/2): the fitted order contradicts the curve
+        rep = compute_rho_sdo(load_instance("kl02_3"),
+                              curves={4: parse_bipoly("V - mu")})
+        x11 = detail_for(rep, "X[1,1]")
+        assert x11["route"] == "supplied"
+        assert "DOES NOT divide" in x11["cross_check"]
+        assert x11["certified"] is False
+        assert rep.optimality_note == "product-fallback"
 
     def test_n4_without_usable_orders_propagates(self):
         # four samples are too few to fit any order, so the blow-up
