@@ -447,13 +447,15 @@ class TestEliminateCoordinate:
             eliminate_coordinate(inst, c, tr)
         assert built == [inst]
 
-    @pytest.mark.parametrize("name,cap", [("elliptope", None), ("kl02_4", "100000")])
-    def test_shared_caches_do_not_depend_on_order(self, monkeypatch, name, cap):
+    @pytest.mark.parametrize("make,cap", [
+        (elliptope_instance, None),
+        (lambda: kl02_instance(4), "100000"),
+    ], ids=["elliptope_3", "kl02_4_raised_cap"])
+    def test_shared_caches_do_not_depend_on_order(self, monkeypatch, make, cap):
         # one instance eliminates every coordinate in reverse order; each
         # outcome must match a fresh instance that eliminates only it
         if cap is not None:
             monkeypatch.setenv("PUISEUXPATH_DEGREE_CAP", cap)
-        make = elliptope_instance if name == "elliptope" else lambda: kl02_instance(4)
         shared = make()
         tr = _trace(shared)
 

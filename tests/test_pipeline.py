@@ -28,7 +28,6 @@ from puiseuxpath.sdo import (
     elliptope_instance,
     identity_instance,
     kl02_instance,
-    load_instance,
     trace_path,
 )
 
@@ -137,7 +136,7 @@ class TestKl02:
     def test_failed_cross_check_does_not_certify(self):
         # V - mu has the one branch q = 1, but X[1,1] (on V^2 - 2*mu)
         # decays like mu^(1/2): the fitted order contradicts the curve
-        rep = compute_rho_sdo(load_instance("kl02_3"),
+        rep = compute_rho_sdo(kl02_instance(3),
                               curves={4: parse_bipoly("V - mu")})
         x11 = detail_for(rep, "X[1,1]")
         assert x11["route"] == "supplied"
