@@ -362,6 +362,9 @@ class TestGoldenOutput:
         ("trace_kl02_5.csv", ("--instance", "kl02_5")),
         ("trace_elliptope_3.csv", ("--instance", "elliptope_3")),
         ("trace_kl02_4_rho4.csv", ("--instance", "kl02_4", "--rho", "4")),
+        ("trace_identity_3.csv", ("--instance", "identity_3")),
+        ("trace_kl02_3.csv", ("--instance", "kl02_3")),
+        ("trace_kl02_4.csv", ("--instance", "kl02_4")),
     ])
     def test_trace_csv(self, capsys, golden, argv):
         code, cap = run(capsys, "trace", *argv, "--format", "csv")
