@@ -16,9 +16,11 @@ Every coordinate of an instance starts from the same system and often
 repeats the same steps, so the first ``eliminate_coordinate`` call stores
 the stripped rows on the instance together with a memo from each step
 (f, pivot, unknown) to its stripped resultant. Later coordinates reuse
-both, and each distinct step is computed once per instance. The memo is
-keyed by exact term sets, which is sound because an ``MPoly`` is never
-mutated after construction.
+both, and each distinct step is computed once per pass over the
+coordinates. The rows live as long as the instance; the memo lives until
+``release_resultants``, which ``compute_rho_sdo`` calls when it returns.
+The memo is keyed by exact term sets, which is sound because an
+``MPoly`` is never mutated after construction.
 """
 
 from __future__ import annotations
@@ -316,6 +318,12 @@ def _system(inst) -> _System:
     return inst._elimination
 
 
+def release_resultants(inst) -> None:
+    """Drop the resultant memo of inst; its stripped rows are kept."""
+    if inst._elimination is not None:
+        inst._elimination.resultants = {}
+
+
 def _dedup(eqs: list[MPoly]) -> list[MPoly]:
     seen = set()
     out = []
@@ -411,7 +419,8 @@ def eliminate_coordinate(inst, coordinate: int, trace) -> BiPoly:
     instance (``inst._elimination``); later calls reuse both and build
     only the isolating row and the pins. A step with the same f, pivot
     and unknown as an earlier one, from any coordinate, takes its
-    resultant from the memo. Both live as long as the instance.
+    resultant from the memo. The rows live as long as the instance, the
+    memo until ``release_resultants``.
     """
     cap = degree_cap()
     hard = inst.n * (inst.n + 1) // 2 - 1

@@ -25,7 +25,11 @@ from .curve import (
     normalize_curve,
     rho_for_coordinate,
 )
-from .elimination import canonical_coordinates, eliminate_coordinate
+from .elimination import (
+    canonical_coordinates,
+    eliminate_coordinate,
+    release_resultants,
+)
 from .errors import (
     ConstantCoordinateError,
     EliminationBlowUpError,
@@ -65,7 +69,8 @@ def compute_rho_sdo(
 
     Equal curves are normalized and expanded once per call: coordinates
     often share an eliminant, and only the matching against each
-    coordinate's limit interval is repeated.
+    coordinate's limit interval is repeated. The instance's resultant
+    memo is released when the call returns or raises.
 
     Returns a RhoReport whose details list one dict per canonical
     coordinate: route taken ("constant", "eliminated", "supplied",
@@ -74,6 +79,13 @@ def compute_rho_sdo(
     certified only when its matched branches share one q and, where an
     order was fitted, that order's denominator divides q.
     """
+    try:
+        return _compute_rho_sdo(inst, trace, curves)
+    finally:
+        release_resultants(inst)
+
+
+def _compute_rho_sdo(inst, trace, curves) -> RhoReport:
     if trace is None:
         trace = trace_path(inst)
     labels = inst.coordinate_labels()

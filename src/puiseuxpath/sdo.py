@@ -12,12 +12,20 @@ All arithmetic runs in numpy extended precision so traces stay clean
 well below mu = 1e-6.
 
 The Newton system (size m + n(n+1); on the builtins 12-22 % of its
-entries are nonzero) is assembled as sparse rows and solved by
-partial-pivot elimination that visits only the nonzeros (Duff, Erisman
-& Reid, Direct Methods for Sparse Matrices).  Its pivots and roundings
-are those of dense elimination, so every traced value is bit for bit
-what the dense solver gave; _solve_sparse states the rules that keep it
-so.
+entries are nonzero) is solved by partial-pivot elimination that visits
+only the entries its pattern can fill (Duff, Erisman & Reid, Direct
+Methods for Sparse Matrices).  As in sparse direct solvers that analyse
+a pattern once and refactor each new matrix of it (Davis & Palamadai
+Natarajan, Algorithm 907: KLU, ACM TOMS 37(3), 2010), the symbolic work
+is done once per instance: every nonzero mask of the complementarity
+entries gets a trie of plans keyed by the pivot row chosen at each
+column, and each Newton step picks its pivots again and follows the
+trie, planning a new branch only where a pivot differs.  A slot the plan
+holds but a step leaves at +0 changes no bit, so the pivots and
+roundings are those of dense elimination and every traced value is bit
+for bit what the dense solver gave; _solve_planned states the rules that
+keep it so.  The residuals come from the constraint matrices stacked
+once per instance, with the roundings of the per-matrix loop.
 
 Coordinates of a sample are ordered as vec(X) row-major, then y, then
 vec(S) row-major, for a total length of m + 2 n^2.
@@ -305,14 +313,50 @@ def _interior(X, S) -> bool:
     return True
 
 
-def _solve_sparse(rows, rhs):
-    """Solve the system with these rows by partial-pivot elimination.
+def _plan(rows):
+    """A plan for systems whose nonzeros lie where those of rows do.
 
-    rows[r] maps a column to the np.longdouble entry of row r there; a
-    missing entry is +0, and no entry may be -0.  The maps are consumed:
-    the rhs joins them as column len(rhs), and each step swaps the pivot
-    row into place and visits only the stored entries of the pivot row
-    and of the rows below that hold the pivot column.
+    It is the pattern, each row's nonzero columns, and the root of an
+    empty trie of plans (see _solve_planned).
+    """
+    pattern = tuple(tuple(j for j, v in enumerate(row) if v) for row in rows)
+    return pattern, _node(pattern, 0)
+
+
+def _node(pat, col):
+    """A trie node for column col: the rows that may hold it, no branches."""
+    return tuple(i for i in range(col, len(pat)) if col in pat[i]), {}
+
+
+def _plan_column(pat, col, p):
+    """Eliminate column col of the symbolic pattern pat with pivot row p.
+
+    pat holds a set of columns per row position and is updated in place:
+    rows p and col swap, and every target row gains the pivot row's
+    columns.  Returns the targets, the rows below col that hold it, and
+    the pivot row's columns right of col, ascending.
+    """
+    pat[col], pat[p] = pat[p], pat[col]
+    cols = tuple(sorted(j for j in pat[col] if j > col))
+    targets = tuple(i for i in range(col + 1, len(pat)) if col in pat[i])
+    for t in targets:
+        pat[t].update(cols)
+    return targets, cols
+
+
+def _solve_planned(rows, rhs, plan):
+    """Solve the system with these dense rows by partial-pivot elimination.
+
+    rows[r] is a list holding the np.longdouble entries of row r, and no
+    entry may be -0 outside the rhs.  The lists are consumed: the rhs
+    joins them as column len(rhs).  plan comes from _plan on rows with
+    this system's nonzero pattern or a larger one.  Its trie has a node
+    per column and pivot prefix holding the candidate rows, the ones that
+    may hold the column; a branch per pivot row chosen there holds the
+    target rows and the pivot row's columns.  Each column picks its pivot
+    again and follows the matching branch.  A pivot the trie has not seen
+    grows a new branch, planned symbolically from the pattern by replaying
+    the pivots before it.
 
     The solution is bit for bit that of dense elimination on [M | rhs]
     (tests/test_sdo.py keeps that solver as the oracle):
@@ -322,29 +366,35 @@ def _solve_sparse(rows, rhs):
       maximum, is a singular system;
     * a row is updated when f = a[r, col] * (1 / pivot) is not 0, so an f
       that underflows skips it, as it does the dense row;
-    * an entry becomes a - f * v, and a new one 0 - f * v.  Since x - y is
-      -0 only when x is, no entry becomes -0, so the dense update at a
-      zero of the pivot row, a - f * 0, leaves a (or +0) as it was --
-      unless f is not finite.  That happens only when the pivot or
-      1 / pivot is not finite, when 0 * (1 / pivot) may be NaN as well;
-      such a column updates every row below on every column, as the
-      dense elimination does;
+    * an entry becomes a - f * v.  Since x - y is -0 only when x is, no
+      entry becomes -0.  A slot the plan leaves out holds +0, so the
+      dense update at such a slot of the pivot row, a - f * 0, leaves a
+      as it was; a slot the plan holds but this system leaves at +0 is
+      never a pivot, gives f = 0 in its column and adds +0 - f * v,
+      which the dense update adds too -- as long as f is finite.  As
+      |a| <= |pivot|, f is not finite only when the pivot or 1 / pivot
+      is not, when 0 * (1 / pivot) may be NaN as well; from such a
+      column on, every column updates every row below on every column,
+      as the dense elimination does;
     * every rhs entry is stored, as it may hold -0, so every updated row
       updates it;
     * back-substitution sums a[row, j] * x[j] in ascending j from +0, as
       numpy's long-double matmul does.  A sum from +0 is never -0, so the
-      missing terms, each a signed zero, change nothing while x is finite;
-      once an x is not, the missing terms are summed as well.
+      left-out terms, each a signed zero, change nothing while x is
+      finite; once an x is not, every term is summed.
     """
+    pattern, node = plan
     size = len(rhs)
     for row, bi in zip(rows, rhs.tolist()):
-        row[size] = bi  # the augmented [M | rhs], with every rhs entry stored
-    diag = []
+        row.append(bi)
+    path = []  # the pivots of the planned columns so far
+    pat = None  # the symbolic pattern, replayed once the trie runs out
+    dense = False
+    ucols = []
     for col in range(size):
-        below = [i for i in range(col, size) if col in rows[i]]
         p = None
         top = _ZERO
-        for i in below:
+        for i in range(col, size) if dense else node[0]:
             v = abs(rows[i][col])
             if v != v:
                 p = i
@@ -354,44 +404,68 @@ def _solve_sparse(rows, rhs):
         if p is None:
             raise SolveFailureError("Newton system is singular")
         prow = rows[p]
-        targets = [rows[i] for i in below if i != p]
         rows[col], rows[p] = prow, rows[col]
-        pivot = prow.pop(col)
-        diag.append(pivot)
+        pivot = prow[col]
         inv = 1 / pivot
         # x - x == 0 exactly when x is finite
-        if pivot - pivot == 0 and inv - inv == 0:
-            entries = prow.items()
+        if not dense and pivot - pivot == 0 and inv - inv == 0:
+            branches = node[1]
+            branch = branches.get(p)
+            if branch is None:
+                if pat is None:
+                    pat = [set(r) for r in pattern]
+                    for c, q in enumerate(path):
+                        _plan_column(pat, c, q)
+                targets, cols = _plan_column(pat, col, p)
+                nxt = _node(pat, col + 1) if col + 1 < size else None
+                branch = branches[p] = targets, cols, nxt
+            path.append(p)
+            targets, cols, node = branch
         else:
-            targets = rows[col + 1 :]
-            entries = [(j, prow.get(j, _ZERO)) for j in range(col + 1, size + 1)]
-        for row in targets:
-            f = row.pop(col, _ZERO) * inv
+            dense = True
+            targets = cols = range(col + 1, size)
+        for t in targets:
+            row = rows[t]
+            f = row[col] * inv
             if f != 0:
-                for j, v in entries:
-                    row[j] = row.get(j, _ZERO) - f * v
+                for j in cols:
+                    row[j] = row[j] - f * prow[j]
+                row[size] = row[size] - f * prow[size]
+        ucols.append(cols)
     x = [_ZERO] * size
     finite = True
     for i in range(size - 1, -1, -1):
         row = rows[i]
-        bi = row.pop(size)
         acc = _ZERO
-        for j in sorted(row) if finite else range(i + 1, size):
-            acc = acc + row.get(j, _ZERO) * x[j]
-        x[i] = xi = (bi - acc) / diag[i]
+        for j in ucols[i] if finite else range(i + 1, size):
+            acc = acc + row[j] * x[j]
+        x[i] = xi = (row[size] - acc) / row[i]
         finite = finite and xi - xi == 0
     return np.array(x, dtype=_LD)
 
 
+def _solve_sparse(rows, rhs):
+    """Solve the system whose rows map a column to a nonzero np.longdouble.
+
+    A missing entry is +0, and no entry may be -0.  The system is solved
+    by _solve_planned through a plan of its own pattern.
+    """
+    dense = [[_ZERO] * len(rhs) for _ in rows]
+    for full, row in zip(dense, rows):
+        for j, v in row.items():
+            full[j] = v
+    return _solve_planned(dense, rhs, _plan(dense))
+
+
 class _NewtonLayout:
-    """The sparsity pattern and the constant rows of one instance's Newton system.
+    """The constant parts of one instance's Newton system and its plans.
 
     Unknowns are the upper-triangle entries of dX, then dy, then those of
     dS; equations are the m primal constraints, then the dual and the
-    complementarity residuals at the upper-triangle pairs.  fixed holds
-    the primal and dual rows, which do not depend on the iterate, as
-    column -> value maps.  For the basis matrix B of pair (u, v) and a
-    row pair (p, q),
+    complementarity residuals at the upper-triangle pairs.  template holds
+    the rows as dense lists with the primal and dual entries, which do
+    not depend on the iterate, and +0 elsewhere.  For the basis matrix B
+    of pair (u, v) and a row pair (p, q),
 
         ((B S + S B) / 2)[p, q] = (S[ia] + S[ib]) / 2,
 
@@ -400,11 +474,20 @@ class _NewtonLayout:
     The same gathers on X give ((X B + B X) / 2)[p, q].  Only the pairs
     not both at the zero are kept: ga and gb gather them for every
     complementarity row, its dX entries and then its dS entries, from
-    vec S, then vec X, then the zero, and grow and gcol give the row and
-    the column of each.
+    vec S, then vec X, then the zero, and slots gives the row and the
+    column of each.
+
+    plans maps the nonzero mask of those gathered entries to a plan of
+    the elimination (_plan).  Every system with one mask has the same
+    pattern, so its trie of pivot paths is built once and reused by
+    every later Newton step; a slot it plans but a step's values leave at
+    +0 changes no bit (_solve_planned says why).  A3 and Af stack the
+    constraint matrices, as (m, n, n) and as m rows of vec A_i, for the
+    residuals.
     """
 
-    __slots__ = ("k", "rows", "cols", "flat", "fixed", "grow", "gcol", "ga", "gb")
+    __slots__ = ("k", "rows", "cols", "flat", "template", "slots", "ga", "gb",
+                 "plans", "A3", "Af")
 
     def __init__(self, inst: SDOInstance):
         n, m = inst.n, inst.m
@@ -412,18 +495,18 @@ class _NewtonLayout:
         k = len(pairs)
         nn = n * n
         pad = 2 * nn
-        fixed = [{} for _ in range(m + k)]
+        template = [[_ZERO] * (m + 2 * k) for _ in range(m + 2 * k)]
         for c, (u, v) in enumerate(pairs):
             for row, Ai in enumerate(inst.A):
                 a = Ai[u, u] if u == v else Ai[u, v] + Ai[v, u]
                 if a:
-                    fixed[row][c] = a
-            fixed[m + c][k + m + c] = _LD(1)
+                    template[row][c] = a
+            template[m + c][k + m + c] = _LD(1)
         for idx, Ai in enumerate(inst.A):
             for c, (i, j) in enumerate(pairs):
                 if Ai[i, j]:
-                    fixed[m + c][k + idx] = Ai[i, j]
-        grow, gcol, ga, gb = [], [], [], []
+                    template[m + c][k + idx] = Ai[i, j]
+        slots, ga, gb = [], [], []
         for r, (p, q) in enumerate(pairs):
             cols, ia, ib = [], [], []
             for c, (u, v) in enumerate(pairs):
@@ -433,19 +516,20 @@ class _NewtonLayout:
                     cols.append(c)
                     ia.append(pad if a is None else a)
                     ib.append(pad if b is None else b)
-            grow += [m + k + r] * (2 * len(cols))
-            gcol += cols + [k + m + c for c in cols]
+            slots += [(m + k + r, c) for c in cols + [k + m + c for c in cols]]
             ga += ia + [i if i == pad else nn + i for i in ia]
             gb += ib + [i if i == pad else nn + i for i in ib]
         self.k = k
         self.rows = np.array([i for i, _ in pairs], dtype=np.intp)
         self.cols = np.array([j for _, j in pairs], dtype=np.intp)
         self.flat = self.rows * n + self.cols
-        self.fixed = fixed
-        self.grow = np.array(grow, dtype=np.intp)
-        self.gcol = np.array(gcol, dtype=np.intp)
+        self.template = template
+        self.slots = slots
         self.ga = np.array(ga, dtype=np.intp)
         self.gb = np.array(gb, dtype=np.intp)
+        self.plans = {}
+        self.A3 = np.array(inst.A, dtype=_LD)
+        self.Af = self.A3.reshape(m, nn)
 
 
 def _newton_layout(inst: SDOInstance) -> _NewtonLayout:
@@ -454,28 +538,31 @@ def _newton_layout(inst: SDOInstance) -> _NewtonLayout:
     return inst._newton
 
 
-def _newton_rows(lay: _NewtonLayout, X, S):
-    """Rows of the Newton system at (X, S), as column -> value maps.
-
-    Entries that come out 0 are left out, as _solve_sparse reads a
-    missing entry as the +0 the dense Jacobian holds there.
-    """
+def _newton_system(lay: _NewtonLayout, X, S):
+    """Rows of the Newton system at (X, S), as dense lists, and their plan."""
     # a matrix product sums from +0, so a -0 entry it selects comes out
     # as +0; adding 0 does the same to the gathered entries
     g = np.concatenate((S.ravel(), X.ravel(), _PAD)) + 0
     vals = (g[lay.ga] + g[lay.gb]) / 2
-    nz = vals != 0
-    rows = [dict(row) for row in lay.fixed] + [{} for _ in range(lay.k)]
-    for r, j, v in zip(lay.grow[nz].tolist(), lay.gcol[nz].tolist(),
-                       vals[nz].tolist()):
+    rows = [list(row) for row in lay.template]
+    for (r, j), v in zip(lay.slots, vals.tolist()):
         rows[r][j] = v
-    return rows
+    key = (vals != 0).tobytes()
+    plan = lay.plans.get(key)
+    if plan is None:
+        plan = lay.plans[key] = _plan(rows)
+    return rows, plan
 
 
-def _residual_blocks(inst, X, y, S, mu):
-    rp = np.array([(Ai * X).sum() - bi for Ai, bi in zip(inst.A, inst.b)], dtype=_LD)
-    Rd = sum(yi * Ai for yi, Ai in zip(y, inst.A)) + S - inst.C
-    Rc = (X @ S + S @ X) / 2 - mu * np.eye(inst.n, dtype=_LD)
+def _residual_blocks(inst, lay, X, y, S, mu_eye):
+    """The primal, dual and complementarity residuals at (X, y, S).
+
+    Each stacked operation rounds as the per-matrix loop did: a sum over
+    one A_i * X, and sum_i y_i A_i as a matrix product from +0.
+    """
+    rp = (lay.A3 * X).sum(axis=(1, 2)) - inst.b
+    Rd = (y @ lay.Af).reshape(inst.n, inst.n) + S - inst.C
+    Rc = (X @ S + S @ X) / 2 - mu_eye
     return rp, Rd, Rc
 
 
@@ -520,10 +607,10 @@ def central_point(
         S = start.S.copy()
         cold = False
     size = m + 2 * k
-    mu_ld = _LD(mu)
+    mu_eye = _LD(mu) * np.eye(n, dtype=_LD)
     res = np.inf
     for _ in range(_MAX_NEWTON_ITER):
-        rp, Rd, Rc = _residual_blocks(inst, X, y, S, mu_ld)
+        rp, Rd, Rc = _residual_blocks(inst, lay, X, y, S, mu_eye)
         res = max(
             float(np.abs(rp).max()), float(np.abs(Rd).max()), float(np.abs(Rc).max())
         )
@@ -533,7 +620,8 @@ def central_point(
         F[:m] = rp
         F[m : m + k] = Rd.ravel()[lay.flat]
         F[m + k :] = Rc.ravel()[lay.flat]
-        step = _solve_sparse(_newton_rows(lay, X, S), -F)
+        rows, plan = _newton_system(lay, X, S)
+        step = _solve_planned(rows, -F, plan)
         dX = np.zeros((n, n), dtype=_LD)
         dS = np.zeros((n, n), dtype=_LD)
         dX[lay.rows, lay.cols] = dX[lay.cols, lay.rows] = step[:k]

@@ -166,3 +166,15 @@ class TestReuse:
         inst = elliptope_instance()
         tr = trace_path(inst, 1.0, 1e-8, 0.5)
         assert compute_rho_sdo(inst, trace=tr).rho == 2
+
+    def test_second_call_on_one_instance_repeats_the_report(self):
+        # the resultant memo is dropped when a call returns; the stripped
+        # rows stay, and a second call recomputes the same report
+        inst = elliptope_instance()
+        tr = trace_path(inst)
+        first = compute_rho_sdo(inst, trace=tr)
+        system = inst._elimination
+        assert system.rows and system.resultants == {}
+        second = compute_rho_sdo(inst, trace=tr)
+        assert inst._elimination is system and system.resultants == {}
+        assert second.as_dict() == first.as_dict()

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from puiseuxpath import sdo
@@ -35,7 +35,8 @@ from puiseuxpath.sdo import (
     CentralPathSample,
     SDOInstance,
     _newton_layout,
-    _newton_rows,
+    _newton_system,
+    _solve_planned,
     _solve_sparse,
     builtin_instance,
     central_point,
@@ -419,10 +420,11 @@ class TestVerifyReparametrization:
 # Newton kernel against the dense code it replaced
 #
 # _reference_jacobian is the loop-and-matmul assembly the Newton step ran
-# first, and _dense_solve the dense long-double elimination it ran before
-# the sparse one; both are kept as the reference.  The sparse kernel must
-# reproduce them bit for bit (signs of zeros included), since the traced
-# values are printed.
+# first, _reference_residuals the per-matrix residual loop, and
+# _dense_solve the dense long-double elimination the Newton step ran
+# before the sparse one; all are kept as the reference.  The planned
+# kernel must reproduce them bit for bit (signs of zeros included), since
+# the traced values are printed.
 
 
 def _reference_jacobian(inst, X, S):
@@ -445,6 +447,15 @@ def _reference_jacobian(inst, X, S):
     for idx, Ai in enumerate(inst.A):
         J[m : m + k, k + idx] = [Ai[i, j] for i, j in pairs]
     return J
+
+
+def _reference_residuals(inst, X, y, S, mu):
+    """The primal, dual and complementarity residuals, one A_i at a time."""
+    rp = np.array([(Ai * X).sum() - bi for Ai, bi in zip(inst.A, inst.b)],
+                  dtype=np.longdouble)
+    Rd = sum(yi * Ai for yi, Ai in zip(y, inst.A)) + S - inst.C
+    Rc = (X @ S + S @ X) / 2 - mu * np.eye(inst.n, dtype=np.longdouble)
+    return rp, Rd, Rc
 
 
 def _dense_solve(M, rhs):
@@ -486,23 +497,23 @@ def _dense(rows, size):
 def _same_bits(a, b):
     return (
         a.shape == b.shape
-        and np.array_equal(a, b)
+        and np.array_equal(a, b, equal_nan=True)
         and np.array_equal(np.signbit(a), np.signbit(b))
     )
 
 
-def _outcome(solve, system, rhs):
+def _outcome(solve, rhs):
     with np.errstate(all="ignore"):
         try:
-            return solve(system, rhs.copy())
+            return solve(rhs.copy())
         except SolveFailureError as err:
             return f"SolveFailureError: {err}"
 
 
-def _assert_same_outcome(rows, rhs):
-    """The sparse solve of rows agrees with the dense oracle, NaNs included."""
-    want = _outcome(_dense_solve, _dense(rows, len(rhs)), rhs)
-    got = _outcome(_solve_sparse, [dict(row) for row in rows], rhs)
+def _assert_same_as_dense(M, rhs, solve):
+    """solve(rhs) agrees with the dense oracle on M, NaNs included."""
+    want = _outcome(lambda b: _dense_solve(M, b), rhs)
+    got = _outcome(solve, rhs)
     if isinstance(want, str):
         assert got == want
     else:
@@ -512,27 +523,41 @@ def _assert_same_outcome(rows, rhs):
     return want
 
 
+def _assert_same_outcome(rows, rhs):
+    """The solve of these column -> value rows agrees with the dense oracle."""
+    return _assert_same_as_dense(
+        _dense(rows, len(rhs)), rhs,
+        lambda b: _solve_sparse([dict(row) for row in rows], b))
+
+
+def _assert_same_planned(rows, rhs, plan):
+    """The solve of these dense rows through plan agrees with the oracle."""
+    return _assert_same_as_dense(
+        np.array(rows, dtype=np.longdouble), rhs,
+        lambda b: _solve_planned([list(row) for row in rows], b, plan))
+
+
 BUILTINS = ("identity_3", "elliptope_3", "kl02_3", "kl02_4", "kl02_5")
 
 
 @pytest.fixture(scope="module")
 def newton_systems():
-    """Every (X, S, rows) and (rows, rhs) the Newton steps of five traces build."""
+    """Every (X, S, rows) and (rows, rhs, plan) the Newton steps of five traces build."""
     jacobians, systems = [], []
-    newton_rows, solve = sdo._newton_rows, sdo._solve_sparse
+    newton_system, solve = sdo._newton_system, sdo._solve_planned
 
-    def record_rows(lay, X, S):
-        rows = newton_rows(lay, X, S)
-        jacobians.append((lay, X.copy(), S.copy(), [dict(r) for r in rows]))
-        return rows
+    def record_system(lay, X, S):
+        rows, plan = newton_system(lay, X, S)
+        jacobians.append((lay, X.copy(), S.copy(), [list(r) for r in rows]))
+        return rows, plan
 
-    def record_solve(rows, rhs):
-        systems.append(([dict(r) for r in rows], rhs.copy()))
-        return solve(rows, rhs)
+    def record_solve(rows, rhs, plan):
+        systems.append(([list(r) for r in rows], rhs.copy(), plan))
+        return solve(rows, rhs, plan)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sdo, "_newton_rows", record_rows)
-        mp.setattr(sdo, "_solve_sparse", record_solve)
+        mp.setattr(sdo, "_newton_system", record_system)
+        mp.setattr(sdo, "_solve_planned", record_solve)
         instances = {}
         for name in BUILTINS:
             instances[name] = inst = builtin_instance(name)
@@ -547,7 +572,7 @@ class TestNewtonKernel:
         jacobians, _ = newton_systems
         assert {inst.name for inst, *_ in jacobians} == set(BUILTINS)
         for inst, X, S, rows in jacobians:
-            J = _dense(rows, inst.m + inst.n * (inst.n + 1))
+            J = np.array(rows, dtype=np.longdouble)
             assert _same_bits(J, _reference_jacobian(inst, X, S))
 
     def test_jacobian_with_signed_zeros(self):
@@ -563,18 +588,18 @@ class TestNewtonKernel:
             inst = builtin_instance(name)
             for _ in range(5):
                 X, S = symmetric(inst.n), symmetric(inst.n)
-                rows = _newton_rows(_newton_layout(inst), X, S)
-                assert not any(np.signbit(v) and v == 0
-                               for row in rows for v in row.values())
-                assert _same_bits(_dense(rows, len(rows)),
-                                  _reference_jacobian(inst, X, S))
+                rows, _ = _newton_system(_newton_layout(inst), X, S)
+                J = np.array(rows, dtype=np.longdouble)
+                assert not np.signbit(J[J == 0]).any()
+                assert _same_bits(J, _reference_jacobian(inst, X, S))
 
     def test_captured_newton_solves(self, newton_systems):
         _, systems = newton_systems
-        assert {len(rhs) for _, rhs in systems} == {13, 15, 24, 35}
-        for rows, rhs in systems:
-            want = _dense_solve(_dense(rows, len(rhs)), rhs)
-            assert _same_bits(_solve_sparse([dict(r) for r in rows], rhs), want)
+        assert {len(rhs) for _, rhs, _ in systems} == {13, 15, 24, 35}
+        for rows, rhs, plan in systems:
+            want = _dense_solve(np.array(rows, dtype=np.longdouble), rhs)
+            got = _solve_planned([list(r) for r in rows], rhs, plan)
+            assert _same_bits(got, want)
 
     def test_line_search_test_is_both_choleskys(self):
         rng = np.random.default_rng(11)
@@ -621,6 +646,8 @@ class TestNewtonKernel:
 _MANTISSAS = st.sampled_from([1, -1, 2, -2, 3, -0.5, 0.75])
 _NORMAL_SCALES = [np.longdouble(2) ** e for e in (0, 0, 0, -9000, 8000)]
 _SCALES = st.sampled_from(_NORMAL_SCALES + [np.longdouble(2) ** -16420])
+# X and S entries: mostly nonzero, so that most drawn systems are regular
+_ENTRIES = [0.0] + 2 * [1, -1, 2, -2, 3, -0.5, 0.75]
 _RHS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4, 4, width=32))
 
 
@@ -655,7 +682,8 @@ def _newton_shaped_systems(draw):
                 M[i, j] = M[j, i] = v * draw(_SCALES)
         return M
 
-    rows = _newton_rows(_newton_layout(inst), symmetric(), symmetric())
+    rows, _ = _newton_system(_newton_layout(inst), symmetric(), symmetric())
+    rows = [{j: v for j, v in enumerate(row) if v} for row in rows]
     rhs = np.array(draw(st.lists(_RHS, min_size=len(rows), max_size=len(rows))),
                    dtype=np.longdouble)
     return rows, rhs
@@ -663,7 +691,7 @@ def _newton_shaped_systems(draw):
 
 @pytest.fixture(scope="module")
 def kl02_5_systems(newton_systems):
-    return [(rows, rhs) for rows, rhs in newton_systems[1] if len(rhs) == 35]
+    return [(rows, plan) for rows, rhs, plan in newton_systems[1] if len(rhs) == 35]
 
 
 class TestSparseSolve:
@@ -712,7 +740,144 @@ class TestSparseSolve:
     def test_captured_kl02_5_systems(self, kl02_5_systems, data):
         # a captured system with a drawn right-hand side: signed zeros, and
         # magnitudes that tie
-        rows, _ = data.draw(st.sampled_from(kl02_5_systems))
+        rows, plan = data.draw(st.sampled_from(kl02_5_systems))
         rhs = np.array(data.draw(st.lists(_RHS, min_size=35, max_size=35)),
                        dtype=np.longdouble)
-        _assert_same_outcome(rows, rhs)
+        _assert_same_planned(rows, rhs, plan)
+
+
+def _plan_branches(plan):
+    """The branches of a plan's trie: one per planned column and pivot prefix."""
+    stack, count = [plan[1]], 0
+    while stack:
+        for _, _, nxt in stack.pop()[1].values():
+            count += 1
+            if nxt is not None:
+                stack.append(nxt)
+    return count
+
+
+class TestPlanReuse:
+    """Systems of one Newton layout solved in turn through one cached plan.
+
+    A drawn X, S gives the first system, which plans its pivot path.  The
+    others keep its pattern: they change values at the slots it plans,
+    so the layout's plan for its mask serves them all, and each must
+    match the dense oracle.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_sequences_through_one_plan(self, data):
+        inst = builtin_instance(data.draw(st.sampled_from(BUILTINS)))
+        lay = _newton_layout(inst)
+        n = inst.n
+
+        def symmetric():
+            M = np.zeros((n, n), dtype=np.longdouble)
+            for i in range(n):
+                for j in range(i, n):
+                    M[i, j] = M[j, i] = data.draw(st.sampled_from(_ENTRIES))
+            return M
+
+        base, plan = _newton_system(lay, symmetric(), symmetric())
+        assert any(p is plan for p in lay.plans.values())
+        size = len(base)
+        slots = [(r, j) for r, row in enumerate(base) for j, v in enumerate(row) if v]
+        two = np.longdouble(2)
+
+        def solve(rows):
+            rhs = np.array(data.draw(st.lists(_RHS, min_size=size, max_size=size)),
+                           dtype=np.longdouble)
+            return _assert_same_planned(rows, rhs, plan)
+
+        def scaled(rows=(), cols=(), scale=two):
+            # + 0 keeps a product that underflows from turning into -0
+            out = [list(row) for row in base]
+            for r in rows:
+                out[r] = [v * scale + 0 for v in out[r]]
+            for j in cols:
+                for row in out:
+                    row[j] = row[j] * scale + 0
+            return out
+
+        def diverge():
+            # the row that took column col in the first system, scaled by
+            # 2^-60, loses that column unless every other candidate there
+            # is 0; before col it only ever lost, so the pivots leave the
+            # planned path at col
+            before = _plan_branches(plan)
+            for col in data.draw(st.permutations(range(size))):
+                solve(scaled(rows=[pivot_rows[col]], scale=two**-60))
+                if _plan_branches(plan) > before:
+                    return
+            assume(False)
+
+        def not_finite():
+            # after the planned column 0: NaN or inf on every planned slot
+            # of a column, or a column so small that 1 / pivot overflows
+            col = data.draw(st.integers(1, size - 1))
+            kind = data.draw(st.sampled_from(["nan", "-nan", "inf", "-inf", "tiny"]))
+            if kind == "tiny":
+                solve(scaled(cols=[col], scale=two**-16400))
+                return
+            rows = [list(row) for row in base]
+            for r, j in slots:
+                if j == col:
+                    rows[r][j] = np.longdouble(kind)
+            solve(rows)
+
+        def underflow():
+            # a row scaled up takes column 0 and a row scaled down holds it
+            # too, so its multiplier underflows to 0
+            cands = [r for r in range(size) if base[r][0]]
+            assume(len(cands) >= 2)
+            big, small = data.draw(st.permutations(cands))[:2]
+            rows = scaled(rows=[big], scale=two**8000)
+            rows[small] = [v * two**-9000 + 0 for v in rows[small]]
+            solve(rows)
+
+        def zero():
+            r, j = data.draw(st.sampled_from(slots))
+            rows = [list(row) for row in base]
+            rows[r][j] = np.longdouble(0)
+            solve(rows)
+
+        assume(not isinstance(solve(base), str))
+        assert _plan_branches(plan) == size
+        # the original row each column of the first system pivots on
+        order, pivot_rows, node = list(range(size)), [], plan[1]
+        for col in range(size):
+            (p, (_, _, node)), = node[1].items()
+            order[col], order[p] = order[p], order[col]
+            pivot_rows.append(order[col])
+        for case in data.draw(st.permutations([diverge, not_finite, underflow, zero])):
+            case()
+        assert _plan_branches(plan) > size
+
+
+class TestResiduals:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(BUILTINS), st.data())
+    def test_stacked_residuals_match_per_matrix_loop(self, name, data):
+        inst = builtin_instance(name)
+        lay = _newton_layout(inst)
+        entries = st.one_of(
+            st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf]),
+            st.floats(-1e4, 1e4),
+            st.builds(lambda v, s: v * s, _MANTISSAS, _SCALES),
+        )
+
+        def draw(shape):
+            count = int(np.prod(shape))
+            values = data.draw(st.lists(entries, min_size=count, max_size=count))
+            return np.array(values, dtype=np.longdouble).reshape(shape)
+
+        X, y, S = draw((inst.n, inst.n)), draw((inst.m,)), draw((inst.n, inst.n))
+        mu = np.longdouble(data.draw(st.floats(1e-12, 1.0)))
+        with np.errstate(all="ignore"):
+            got = sdo._residual_blocks(inst, lay, X, y, S,
+                                       mu * np.eye(inst.n, dtype=np.longdouble))
+            want = _reference_residuals(inst, X, y, S, mu)
+        for g, w in zip(got, want):
+            assert _same_bits(g, w)
