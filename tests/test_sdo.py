@@ -791,7 +791,7 @@ class TestPlanReuse:
                            dtype=np.longdouble)
             return _assert_same_planned(rows, rhs, plan)
 
-        def scaled(rows=(), cols=(), scale=two):
+        def scaled(scale, rows=(), cols=()):
             # + 0 keeps a product that underflows from turning into -0
             out = [list(row) for row in base]
             for r in rows:
@@ -801,6 +801,15 @@ class TestPlanReuse:
                     row[j] = row[j] * scale + 0
             return out
 
+        assume(not isinstance(solve(base), str))
+        assert _plan_branches(plan) == size
+        # the original row each column of the first system pivots on
+        order, pivot_rows, node = list(range(size)), [], plan[1]
+        for col in range(size):
+            (p, (_, _, node)), = node[1].items()
+            order[col], order[p] = order[p], order[col]
+            pivot_rows.append(order[col])
+
         def diverge():
             # the row that took column col in the first system, scaled by
             # 2^-60, loses that column unless every other candidate there
@@ -808,7 +817,7 @@ class TestPlanReuse:
             # planned path at col
             before = _plan_branches(plan)
             for col in data.draw(st.permutations(range(size))):
-                solve(scaled(rows=[pivot_rows[col]], scale=two**-60))
+                solve(scaled(two**-60, rows=[pivot_rows[col]]))
                 if _plan_branches(plan) > before:
                     return
             assume(False)
@@ -819,7 +828,7 @@ class TestPlanReuse:
             col = data.draw(st.integers(1, size - 1))
             kind = data.draw(st.sampled_from(["nan", "-nan", "inf", "-inf", "tiny"]))
             if kind == "tiny":
-                solve(scaled(cols=[col], scale=two**-16400))
+                solve(scaled(two**-16400, cols=[col]))
                 return
             rows = [list(row) for row in base]
             for r, j in slots:
@@ -833,7 +842,7 @@ class TestPlanReuse:
             cands = [r for r in range(size) if base[r][0]]
             assume(len(cands) >= 2)
             big, small = data.draw(st.permutations(cands))[:2]
-            rows = scaled(rows=[big], scale=two**8000)
+            rows = scaled(two**8000, rows=[big])
             rows[small] = [v * two**-9000 + 0 for v in rows[small]]
             solve(rows)
 
@@ -843,14 +852,6 @@ class TestPlanReuse:
             rows[r][j] = np.longdouble(0)
             solve(rows)
 
-        assume(not isinstance(solve(base), str))
-        assert _plan_branches(plan) == size
-        # the original row each column of the first system pivots on
-        order, pivot_rows, node = list(range(size)), [], plan[1]
-        for col in range(size):
-            (p, (_, _, node)), = node[1].items()
-            order[col], order[p] = order[p], order[col]
-            pivot_rows.append(order[col])
         for case in data.draw(st.permutations([diverge, not_finite, underflow, zero])):
             case()
         assert _plan_branches(plan) > size
