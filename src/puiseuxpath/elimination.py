@@ -9,8 +9,18 @@ curve pipeline. One loop removes the unknowns by resultants, one unknown
 per step. An unknown with a constant linear pivot c1*w + c0 goes first:
 the resultant of f, of degree m in w, with the pivot is
 (-c1)^m f(-c0/c1), the exact substitution up to a constant. Otherwise
-the lowest-degree unknown goes next. Degrees are capped so hopeless
-instances fail fast instead of filling memory.
+the lowest-degree unknown goes next. A step whose f or pivot has degree
+1 in w, most of them, takes the degree-1 case of
+``polynomials.resultant``: a homogeneous Horner sum with no
+pseudo-division. The other steps run the subresultant sequence. Degrees
+are capped so hopeless instances fail fast instead of filling memory.
+
+The equations are ``MPoly``s on packed monomials. An exponent vector is
+one int with a 64-bit field per variable and mu's field on top, so a
+product of two terms is one integer addition and integer order is lex
+order. For a cap D, no exponent of a resultant step reaches 2D^2(D + 1).
+That is below the fields' guard bits for every cap that ``degree_cap``
+admits, D <= 2^20; ``MPoly`` derives the bound.
 
 Every coordinate of an instance starts from the same system and often
 repeats the same steps, so the first ``eliminate_coordinate`` call stores
@@ -19,14 +29,14 @@ the stripped rows on the instance together with a memo from each step
 both, and each distinct step is computed once per pass over the
 coordinates. The rows live as long as the instance; the memo lives until
 ``release_resultants``, which ``compute_rho_sdo`` calls when it returns.
-The memo is keyed by exact term sets, which is sound because an
-``MPoly`` is never mutated after construction.
+The memo compares polynomials by their exact term sets, which is sound
+because an ``MPoly`` is never mutated after construction.
 """
 
 from __future__ import annotations
 
 import math
-from operator import add
+from struct import pack, unpack
 
 import numpy as np
 
@@ -46,32 +56,83 @@ _ZERO_COORD_TOL = 1e-9
 # largest residual, relative to the coefficient norm, that the eliminant
 # may leave on the traced samples
 _VALIDATION_TOL = 1e-6
+# MPoly packs each exponent into a 64-bit field whose top bit is a guard
+_FIELD = (1 << 64) - 1
+_GUARD = 1 << 63
+_GUARD_FIELD = _GUARD.to_bytes(8, "big")
 
 
 class MPoly:
-    """Sparse polynomial over Q in a fixed tuple of variables.
+    """Sparse polynomial over Q in nv variables, on packed monomials.
 
-    Terms map exponent tuples to nonzero coefficients, each an int when
-    integral and a Fraction otherwise (see ``polynomials.exact``), so the
-    integer systems of the elimination run on int arithmetic. Variable 0
-    is always mu by convention of the callers here.
+    A term's exponent vector is packed into one Python int: variable i
+    takes the 64-bit field at bit 64*(nv - 1 - i), so mu (variable 0, by
+    convention of the callers here) sits in the top field and the integer
+    order of the keys is the lex order of the exponent vectors, mu first.
+    Multiplying two terms adds their keys; ``exact_div`` tests that one
+    term divides another with one subtraction from the key with every
+    field's top bit, its guard bit, set: a field that would go negative
+    borrows its guard bit. An exponent stays below 2^63, the guard bit.
+    Coefficients are an int when integral and a Fraction otherwise (see
+    ``polynomials.exact``), so the integer systems of the elimination run
+    on int arithmetic.
 
-    An MPoly is never mutated after construction: the operations return
-    new objects, and the few that build one by hand fill ``terms`` right
-    after ``MPoly(nv)``. ``key`` and the elimination memo rely on this.
+    Only this class knows the packing. ``MPoly(nv, terms)`` and
+    ``to_dict`` speak exponent tuples. An MPoly is never mutated after
+    construction: every operation builds a new one with all its terms at
+    once. So the per-variable degree vector is computed once, on first
+    use, and the hash, which ``_dedup`` and the elimination memo use,
+    once too.
+
+    No exponent reaches a guard bit. Let every operand of a resultant
+    step have degree at most D in each variable: the rows of the central
+    system have degree at most 2, and the cap gate of
+    ``eliminate_coordinate`` makes D >= 2 and checks every resultant
+    against D before it joins the system. For f and g of degrees m, n <= D
+    in the eliminated variable, every element of the subresultant
+    sequence, and each g and h it keeps, is a subresultant or one of its
+    coefficients: a minor of the Sylvester matrix with n - j rows of f and
+    m - j of g, so of degree E <= (m + n)D <= 2D^2 in any other variable.
+    A pseudo-remainder multiplies its dividend by at most m factors of a
+    leading coefficient, so it and its partial results have degree at
+    most (m + 1)E <= 2D^2(D + 1); so do the powers g^delta and h^(d-1)
+    and the divisors g*h^delta. An exact
+    division never exceeds the degree of its dividend: each of its
+    intermediate terms is the product of a term of the quotient and one
+    of the divisor. The degree-1 case of ``polynomials.resultant`` stays
+    within D + mD, the degree-0 case within D^2. So no exponent of a step
+    exceeds 2D^2(D + 1), which is below 2^62 for D <= 2^20, and
+    ``degree_cap`` rejects a cap above 2^20. Where no cap applies, two
+    checks still stop an overflow: a product that would set a guard bit
+    raises OverflowError, and a division whose remainder would set one
+    raises ArithmeticError, as an exact division never does.
     """
 
-    __slots__ = ("nv", "terms", "_key")
+    __slots__ = ("nv", "_guards", "_terms", "_degs", "_hash")
 
     def __init__(self, nv: int, terms: dict | None = None):
+        fmt = f">{nv}Q"
+        packed = {}
+        for e, c in (terms or {}).items():
+            if len(e) != nv or not all(0 <= k < _GUARD for k in e):
+                raise ValueError(f"exponent {e!r} is not {nv} integers in [0, 2^63)")
+            if c:
+                packed[int.from_bytes(pack(fmt, *e), "big")] = exact(c)
         self.nv = nv
-        self._key = None
-        clean = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    clean[e] = exact(c)
-        self.terms = clean
+        self._guards = int.from_bytes(_GUARD_FIELD * nv, "big")
+        self._terms = packed
+        self._degs = None
+        self._hash = None
+
+    def _new(self, terms: dict, degs: tuple | None = None) -> "MPoly":
+        """An MPoly in the variables of self, on packed terms."""
+        out = object.__new__(MPoly)
+        out.nv = self.nv
+        out._guards = self._guards
+        out._terms = terms
+        out._degs = degs
+        out._hash = None
+        return out
 
     @classmethod
     def const(cls, nv: int, value) -> "MPoly":
@@ -83,39 +144,63 @@ class MPoly:
         e[idx] = 1
         return cls(nv, {tuple(e): 1})
 
-    def key(self) -> frozenset:
-        """The exact term set, computed once: equal keys, equal polynomials."""
-        if self._key is None:
-            self._key = frozenset(self.terms.items())
-        return self._key
+    def to_dict(self) -> dict:
+        """The terms as {exponent tuple: coefficient}."""
+        fmt, size = f">{self.nv}Q", self.nv << 3
+        return {unpack(fmt, e.to_bytes(size, "big")): c
+                for e, c in self._terms.items()}
+
+    def coefficients(self):
+        """The nonzero coefficients, in no particular order."""
+        return self._terms.values()
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, MPoly) and self.nv == other.nv
+                and self._terms == other._terms)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self._terms.items()))
+        return self._hash
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and (0,) * self.nv in self.terms)
+        t = self._terms
+        return not t or (len(t) == 1 and 0 in t)
+
+    def _degrees(self) -> tuple:
+        """The per-variable degrees, -1 for zero; stored for later calls."""
+        if not self._terms:
+            degs = (-1,) * self.nv
+        else:
+            fmt, size = f">{self.nv}Q", self.nv << 3
+            vecs = [unpack(fmt, e.to_bytes(size, "big")) for e in self._terms]
+            degs = vecs[0] if len(vecs) == 1 else tuple(map(max, *vecs))
+        self._degs = degs
+        return degs
 
     def deg(self, var: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[var] for e in self.terms)
+        return (self._degs or self._degrees())[var]
 
     def max_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(max(e) for e in self.terms)
+        return max(self._degs or self._degrees())
 
     def variables(self) -> set[int]:
-        out: set[int] = set()
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    out.add(i)
-        return out
+        return {i for i, k in enumerate(self._degs or self._degrees()) if k > 0}
+
+    def is_const_linear_in(self, var: int) -> bool:
+        """Whether self = c*x + (terms free of x), x the variable var, c in Q."""
+        if self.deg(var) != 1:
+            return False
+        shift = (self.nv - 1 - var) << 6
+        field = _FIELD << shift
+        return [e for e in self._terms if e & field] == [1 << shift]
 
     def __add__(self, other: "MPoly") -> "MPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        out = dict(self._terms)
+        for e, c in other._terms.items():
             cur = out.get(e)
             if cur is None:
                 out[e] = c
@@ -125,26 +210,26 @@ class MPoly:
                     out[e] = s if type(s) is int else exact(s)
                 else:
                     del out[e]
-        res = MPoly(self.nv)
-        res.terms = out
-        return res
+        return self._new(out)
 
     def __neg__(self) -> "MPoly":
-        res = MPoly(self.nv)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return self._new({e: -c for e, c in self._terms.items()}, self._degs)
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
+        guards = self._guards
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
+        pairs = other._terms.items()
+        for e1, c1 in self._terms.items():
+            for e2, c2 in pairs:
+                e = e1 + e2
                 c = c1 * c2
                 cur = out.get(e)
                 if cur is None:
+                    if e & guards:
+                        raise OverflowError("an exponent reached 2^63")
                     out[e] = c if type(c) is int else exact(c)
                 else:
                     s = cur + c
@@ -152,19 +237,17 @@ class MPoly:
                         out[e] = s if type(s) is int else exact(s)
                     else:
                         del out[e]
-        res = MPoly(self.nv)
-        res.terms = out
-        return res
+        return self._new(out)
 
     def scale(self, r) -> "MPoly":
         r = exact(r)
-        res = MPoly(self.nv)
-        if r:
-            res.terms = {e: exact(c * r) for e, c in self.terms.items()}
-        return res
+        if not r:
+            return self._new({})
+        return self._new({e: exact(c * r) for e, c in self._terms.items()},
+                         self._degs)
 
     def __pow__(self, k: int) -> "MPoly":
-        out = MPoly.const(self.nv, 1)
+        out = self._new({0: 1})
         base = self
         while k:
             if k & 1:
@@ -181,47 +264,75 @@ class MPoly:
         coefficients divide by ``qdiv``, so a quotient stays int unless a
         coefficient really leaves a remainder.
         """
-        if not other.terms:
+        if not other._terms:
             raise ZeroDivisionError("polynomial division by zero")
-        lead = max(other.terms)
-        lc = other.terms[lead]
-        rem = dict(self.terms)
+        guards = self._guards
+        lead = max(other._terms)
+        lc = other._terms[lead]
+        pairs = other._terms.items()
+        rem = dict(self._terms)
         quot = {}
         while rem:
             e = max(rem)
-            qe = tuple(a - b for a, b in zip(e, lead))
-            if min(qe) < 0:
+            # every field keeps its guard bit iff lead divides e
+            qe = (e | guards) - lead
+            if qe & guards != guards:
                 raise ArithmeticError("division was expected to be exact")
+            qe ^= guards
             qc = qdiv(rem[e], lc)
             quot[qe] = qc
-            for e2, c2 in other.terms.items():
-                t = tuple(map(add, qe, e2))
+            for e2, c2 in pairs:
+                t = qe + e2
+                if t & guards:
+                    raise ArithmeticError("division was expected to be exact")
                 s = rem.get(t, 0) - qc * c2
                 if s:
                     rem[t] = s if type(s) is int else exact(s)
                 else:
                     del rem[t]
-        res = MPoly(self.nv)
-        res.terms = quot
-        return res
+        return self._new(quot)
 
     def coeffs_in(self, var: int) -> list["MPoly"]:
         """Coefficients as polynomials in the other variables, ascending."""
-        d = self.deg(var)
-        buckets: list[dict] = [{} for _ in range(d + 1)]
-        for e, c in self.terms.items():
-            k = e[var]
-            stripped = e[:var] + (0,) + e[var + 1 :]
-            buckets[k][stripped] = c
-        out = []
-        for b in buckets:
-            p = MPoly(self.nv)
-            p.terms = b
-            out.append(p)
-        return out
+        shift = (self.nv - 1 - var) << 6
+        field = _FIELD << shift
+        buckets: list[dict] = [{} for _ in range(self.deg(var) + 1)]
+        for e, c in self._terms.items():
+            k = e & field
+            buckets[k >> shift][e ^ k] = c
+        return [self._new(b) for b in buckets]
+
+    def without_mu_power(self, num: int, den: int) -> "MPoly":
+        """self * num / den, divided by the largest power of mu dividing it.
+
+        Every coefficient c must make c * num / den an integer, as it is
+        computed as c.numerator * (num // c.denominator) // den.
+        """
+        if not self._terms:
+            return self
+        top = (self.nv - 1) << 6
+        low = min(self._terms) >> top
+        drop = low << top
+        terms = {e - drop: c.numerator * (num // c.denominator) // den
+                 for e, c in self._terms.items()}
+        degs = self._degs
+        return self._new(terms, degs and (degs[0] - low,) + degs[1:])
+
+    def to_bipoly(self, var: int) -> BiPoly:
+        """This polynomial in mu and V = variable var, divided by V^k.
+
+        k is the lowest exponent of var. Every other variable must be
+        absent.
+        """
+        top = (self.nv - 1) << 6
+        shift = (self.nv - 1 - var) << 6
+        vs = {e: (e >> shift) & _FIELD for e in self._terms}
+        vmin = min(vs.values())
+        return BiPoly.from_dict({(vs[e] - vmin, e >> top): c
+                                 for e, c in self._terms.items()})
 
     def __repr__(self):
-        return f"MPoly(nv={self.nv}, {len(self.terms)} terms)"
+        return f"MPoly(nv={self.nv}, {len(self._terms)} terms)"
 
 
 def _strip(p: MPoly) -> MPoly:
@@ -231,18 +342,13 @@ def _strip(p: MPoly) -> MPoly:
     keeps its zero set there; nothing else may be cancelled safely. The
     result has coprime int coefficients.
     """
-    if not p.terms:
+    if p.is_zero():
         return p
-    g = math.gcd(*(c.numerator for c in p.terms.values()))
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    mu_min = min(e[0] for e in p.terms)
-    out = MPoly(p.nv)
+    cs = p.coefficients()
+    g = math.gcd(*(c.numerator for c in cs))
+    den = math.lcm(*(c.denominator for c in cs))
     # c / (g / den) = c.numerator * (den / c.denominator) / g, all integral
-    out.terms = {
-        (e[0] - mu_min,) + e[1:]: c.numerator * (den // c.denominator) // g
-        for e, c in p.terms.items()
-    }
-    return out
+    return p.without_mu_power(den, g)
 
 
 def central_system(inst) -> tuple[list[MPoly], list[MPoly]]:
@@ -300,8 +406,8 @@ class _System:
 
     ``rows`` are the nonzero rows of ``central_system`` after ``_strip``,
     ``coords`` its coordinate polynomials, and ``resultants`` maps a step
-    (f key, pivot key, unknown) to the stripped resultant of f and the
-    pivot in that unknown.
+    (f, pivot, unknown) to the stripped resultant of f and the pivot in
+    that unknown.
     """
 
     __slots__ = ("rows", "coords", "resultants")
@@ -328,9 +434,8 @@ def _dedup(eqs: list[MPoly]) -> list[MPoly]:
     seen = set()
     out = []
     for e in eqs:
-        key = e.key()
-        if key not in seen:
-            seen.add(key)
+        if e not in seen:
+            seen.add(e)
             out.append(e)
     return out
 
@@ -346,7 +451,7 @@ def _pivot(eqs: list[MPoly], elim: set[int]) -> tuple[MPoly, int] | None:
     """
     for eq in eqs:
         for w in sorted(eq.variables() & elim):
-            if eq.deg(w) == 1 and eq.coeffs_in(w)[1].is_const():
+            if eq.is_const_linear_in(w):
                 return eq, w
     present: dict[int, list[MPoly]] = {}
     for eq in eqs:
@@ -358,11 +463,18 @@ def _pivot(eqs: list[MPoly], elim: set[int]) -> tuple[MPoly, int] | None:
         present,
         key=lambda v: (min(e.deg(v) for e in present[v]), len(present[v]), v),
     )
-    return min(present[w], key=lambda e: (e.deg(w), len(e.terms))), w
+    return min(present[w], key=lambda e: (e.deg(w), len(e.coefficients()))), w
 
 
-def _traced_zero(trace, coordinate: int) -> bool:
-    return float(np.max(np.abs(trace.values[:, coordinate]))) <= _ZERO_COORD_TOL
+def _traced_zeros(trace) -> np.ndarray:
+    """Which coordinates the trace never moves out of the zero band.
+
+    Each column's largest magnitude is rounded to a float before the
+    compare, as the band is a float: in long double, a value just above
+    1e-9 can round to 1e-9.
+    """
+    peak = np.max(np.abs(trace.values), axis=0).astype(float)
+    return peak <= _ZERO_COORD_TOL
 
 
 def _float_evaluator(P: BiPoly):
@@ -433,7 +545,8 @@ def eliminate_coordinate(inst, coordinate: int, trace) -> BiPoly:
     coords = system.coords
     if not 0 <= coordinate < len(coords):
         raise InputError(f"coordinate {coordinate} out of range for this instance")
-    if _traced_zero(trace, coordinate):
+    zero = _traced_zeros(trace)
+    if zero[coordinate]:
         # the graph of an identically-zero coordinate is the zero set of V
         return BiPoly.from_dict({(1, 0): 1})
     nv = coords[0].nv
@@ -443,7 +556,7 @@ def eliminate_coordinate(inst, coordinate: int, trace) -> BiPoly:
     # coordinate leaves every equation divisible by it and the chain
     # degrades to 0 = 0. The final validation gate still checks the outcome.
     pins = [coords[c] for c in canonical_coordinates(inst)
-            if c != coordinate and _traced_zero(trace, c)]
+            if c != coordinate and zero[c]]
     isolate = MPoly.variable(nv, target) - coords[coordinate]
     eqs = [_strip(p) for p in [isolate, *pins] if not p.is_zero()]
     eqs += system.rows
@@ -461,7 +574,7 @@ def eliminate_coordinate(inst, coordinate: int, trace) -> BiPoly:
             if f is pivot:
                 continue
             if f.deg(w):
-                key = (f.key(), pivot.key(), w)
+                key = (f, pivot, w)
                 r = memo.get(key)
                 if r is None:
                     if g is None:
@@ -487,13 +600,7 @@ def eliminate_coordinate(inst, coordinate: int, trace) -> BiPoly:
         raise ExtraneousVanishingError(
             "no equation involving the coordinate survived elimination"
         )
-    bips = []
-    for e in finals:
-        vmin = min(t[target] for t in e.terms)
-        d = {}
-        for t, c in e.terms.items():
-            d[(t[target] - vmin, t[0])] = c
-        bips.append(BiPoly.from_dict(d))
+    bips = [e.to_bipoly(target) for e in finals]
     bips.sort(key=lambda p: (p.deg_v, p.deg_mu))
     P = bips[0]
     for q in bips[1:]:

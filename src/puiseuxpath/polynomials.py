@@ -398,15 +398,17 @@ class BiPoly:
         The content is the monic gcd of the V-coefficients (the monic
         convention pushes any overall rational scale into the primitive
         part).  Returns (content, primitive) with P = content * primitive.
+        A unit content returns P itself: when some V-coefficient is a
+        nonzero constant, and as soon as the running gcd is one.
         """
-        if self.is_zero():
-            return UniPoly.const(1), self
+        one = UniPoly.const(1)
+        if self.is_zero() or any(p.degree == 0 for p in self.cv):
+            return one, self
         g = UniPoly()
         for p in self.cv:
             g = g.gcd(p)
-            if g.is_const() and not g.is_zero():
-                g = UniPoly.const(1)
-                break
+            if g.degree == 0:
+                return one, self
         return g, BiPoly([p.exact_div(g) for p in self.cv])
 
     def _denominators_cleared(self) -> "BiPoly":
@@ -582,12 +584,37 @@ def _subresultant_prs(a: Sequence, b: Sequence) -> tuple[list, list, object, int
     return a, b, h, sign
 
 
+def _linear_resultant(f: Sequence, g: Sequence):
+    """Resultant of f, of degree m >= 1, and g = g1*w + g0, rows of f first.
+
+    res(f, g) = (-1)^m g1^m f(-g0/g1) = (-1)^m sum_i f_i (-g0)^i g1^(m-i),
+    evaluated by homogeneous Horner: H = f_m, then H = H*(-g0) + f_i*g1^(m-i)
+    for i = m-1, ..., 0.
+    """
+    m = len(f) - 1
+    g0, g1 = g
+    neg_g0 = -g0
+    acc = f[m]
+    power = g1
+    for i in range(m - 1, -1, -1):
+        acc = acc * neg_g0
+        if not f[i].is_zero():
+            acc = acc + f[i] * power
+        if i:
+            power = power * g1
+    return -acc if m & 1 else acc
+
+
 def resultant(f: Sequence, g: Sequence):
     """Determinant of the Sylvester matrix of f and g, rows of f first.
 
     ``f`` and ``g`` are nonzero coefficient lists, low degree first, over
     any ring that ``_subresultant_prs`` accepts.  A degree-0 operand gives
-    the other operand's degree as a power of its constant.
+    the other operand's degree as a power of its constant.  A degree-1
+    operand g = g1*w + g0 gives (-1)^m sum_i f_i (-g0)^i g1^(m-i) by
+    homogeneous Horner, with no pseudo-division; if f is the linear
+    operand, the two swap and the swap's sign (-1)^(mn) applies.  Every
+    other pair runs the subresultant sequence.
     """
     m, n = len(f) - 1, len(g) - 1
     if m == 0:
@@ -596,17 +623,21 @@ def resultant(f: Sequence, g: Sequence):
         return g[0] ** m
     sign = 1
     if m < n:
-        f, g = g, f
+        f, g, m, n = g, f, n, m
         if m & n & 1:
             sign = -1
-    last, tail, h, s = _subresultant_prs(f, g)
-    if not tail:
-        return f[-1] - f[-1]  # the ring's zero: f and g share a factor
-    d = len(last) - 1
-    res = tail[0] ** d
-    if d > 1:
-        res = res.exact_div(h ** (d - 1))
-    return res if sign * s > 0 else -res
+    if n == 1:
+        res = _linear_resultant(f, g)
+    else:
+        last, tail, h, s = _subresultant_prs(f, g)
+        if not tail:
+            return f[-1] - f[-1]  # the ring's zero: f and g share a factor
+        d = len(last) - 1
+        res = tail[0] ** d
+        if d > 1:
+            res = res.exact_div(h ** (d - 1))
+        sign *= s
+    return res if sign > 0 else -res
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,11 @@ Hand-checked fixtures:
   seconds. Their chains mix linear and higher-degree pivots.
 """
 
+import contextlib
 import math
 import random
 import re
+import signal
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -36,6 +38,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from puiseuxpath import elimination
+from puiseuxpath.config import MAX_DEGREE_CAP, degree_cap
 from puiseuxpath.elimination import (
     MPoly,
     _float_evaluator,
@@ -50,7 +53,13 @@ from puiseuxpath.errors import (
     InputError,
     PuiseuxPathError,
 )
-from puiseuxpath.polynomials import BiPoly, parse_bipoly, render_bipoly, resultant
+from puiseuxpath.polynomials import (
+    BiPoly,
+    UniPoly,
+    parse_bipoly,
+    render_bipoly,
+    resultant,
+)
 from puiseuxpath.sdo import (
     SDOInstance,
     elliptope_instance,
@@ -65,28 +74,154 @@ RANDOM_GOLDEN = Path(__file__).parent / "data" / "eliminants_random.txt"
 SLOW_SEEDS = {1008, 1033, 1039, 1049}
 
 
+# the largest exponent a packed MPoly field holds
+FIELD_MAX = 2**63 - 1
+
+
+class TupleMPoly:
+    """Reference MPoly on exponent tuples: the oracle of the packed one.
+
+    The same classical algorithms on {exponent tuple: coefficient}, with
+    unbounded exponents. ``exact_div`` gives up, returning None, after
+    ``budget`` quotient terms, as a division with exponents near the field
+    bound can need about 2^63 of them.
+    """
+
+    def __init__(self, nv, terms):
+        self.nv = nv
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return TupleMPoly(self.nv, out)
+
+    def __neg__(self):
+        return TupleMPoly(self.nv, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return TupleMPoly(self.nv, out)
+
+    def __pow__(self, k):
+        out = TupleMPoly(self.nv, {(0,) * self.nv: 1})
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def scale(self, r):
+        return TupleMPoly(self.nv, {e: c * r for e, c in self.terms.items()})
+
+    def exact_div(self, other, budget=64):
+        lead = max(other.terms)
+        rem = dict(self.terms)
+        quot = {}
+        while rem:
+            if len(quot) == budget:
+                return None
+            e = max(rem)
+            qe = tuple(a - b for a, b in zip(e, lead))
+            if min(qe) < 0:
+                raise ArithmeticError("division was expected to be exact")
+            qc = Fraction(rem[e]) / other.terms[lead]
+            quot[qe] = qc
+            for e2, c2 in other.terms.items():
+                t = tuple(a + b for a, b in zip(qe, e2))
+                rem[t] = rem.get(t, 0) - qc * c2
+                if not rem[t]:
+                    del rem[t]
+        return TupleMPoly(self.nv, quot)
+
+    def coeffs_in(self, var):
+        out = [{} for _ in range(self.deg(var) + 1)]
+        for e, c in self.terms.items():
+            out[e[var]][e[:var] + (0,) + e[var + 1:]] = c
+        return [TupleMPoly(self.nv, b) for b in out]
+
+    def deg(self, var):
+        return max((e[var] for e in self.terms), default=-1)
+
+    def max_degree(self):
+        return max((max(e) for e in self.terms), default=-1)
+
+    def variables(self):
+        return {i for e in self.terms for i, k in enumerate(e) if k}
+
+    def strip(self):
+        # the content and the mu power off, as _strip does
+        if not self.terms:
+            return self
+        cs = [Fraction(c) for c in self.terms.values()]
+        content = Fraction(math.gcd(*(c.numerator for c in cs)),
+                           math.lcm(*(c.denominator for c in cs)))
+        k = min(e[0] for e in self.terms)
+        return TupleMPoly(self.nv, {(e[0] - k,) + e[1:]: c / content
+                                    for e, c in self.terms.items()})
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the block after ``seconds``.
+
+    A division whose remainder check is lost can loop on wrapped
+    exponents instead of failing; this turns that into a failure.
+    """
+    def stop(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _same(packed, ref):
+    """Whether a packed MPoly and a reference hold the same terms."""
+    return packed.to_dict() == ref.terms
+
+
+# exponents small, or at the top of a packed field
+_exponents = st.one_of(st.integers(0, 3), st.integers(FIELD_MAX - 3, FIELD_MAX))
+_term_dicts = st.dictionaries(
+    st.tuples(_exponents, _exponents, _exponents),
+    st.fractions(min_value=-9, max_value=9, max_denominator=4).filter(bool),
+    max_size=4,
+)
+
+
 class TestMPoly:
     def test_arithmetic(self):
         x = MPoly.variable(3, 1)
         y = MPoly.variable(3, 2)
         p = x * x - y.scale(Fraction(2))  # x^2 - 2y
         assert p.deg(1) == 2 and p.deg(2) == 1
-        assert p.terms[(0, 2, 0)] == 1
-        assert p.terms[(0, 0, 1)] == -2
+        assert p.to_dict()[(0, 2, 0)] == 1
+        assert p.to_dict()[(0, 0, 1)] == -2
 
     def test_pow(self):
         x = MPoly.variable(2, 1)
         p = (x + MPoly.const(2, 1)) ** 3  # (x + 1)^3
-        assert p.terms[(0, 2)] == 3
-        assert p.terms[(0, 0)] == 1
+        assert p.to_dict()[(0, 2)] == 3
+        assert p.to_dict()[(0, 0)] == 1
 
     def test_coeffs_in(self):
         x = MPoly.variable(2, 1)
         p = (x * x).scale(Fraction(2)) + MPoly.const(2, 5)
         lo, mid, hi = p.coeffs_in(1)
-        assert lo.terms == {(0, 0): 5}
+        assert lo.to_dict() == {(0, 0): 5}
         assert mid.is_zero()
-        assert hi.terms == {(0, 0): 2}
+        assert hi.to_dict() == {(0, 0): 2}
 
     def test_exact_div(self):
         x = MPoly.variable(3, 1)
@@ -94,10 +229,10 @@ class TestMPoly:
         mu = MPoly.variable(3, 0)
         a = x * x - y.scale(Fraction(1, 3)) + mu
         b = x * y + mu * mu - MPoly.const(3, 2)
-        assert (a * b).exact_div(b).terms == a.terms
-        assert (a * b).exact_div(a).terms == b.terms
+        assert (a * b).exact_div(b) == a
+        assert (a * b).exact_div(a) == b
         five = MPoly.const(3, 5)
-        assert (a * b).exact_div(five).terms == (a * b).scale(Fraction(1, 5)).terms
+        assert (a * b).exact_div(five) == (a * b).scale(Fraction(1, 5))
 
     def test_exact_div_keeps_int_coefficients(self):
         x = MPoly.variable(3, 1)
@@ -106,11 +241,11 @@ class TestMPoly:
         a = x * x.scale(3) - y + mu.scale(2)
         b = x * y - mu * mu.scale(4) + MPoly.const(3, 6)
         for q in ((a * b).exact_div(b), (a * b).exact_div(a)):
-            assert all(type(c) is int for c in q.terms.values())
-        third = (a * b).exact_div(MPoly.const(3, 3))
-        assert third.terms[(0, 3, 1)] == 1  # 3 x^3 y / 3
-        assert type(third.terms[(0, 3, 1)]) is int
-        assert third.terms[(0, 1, 2)] == Fraction(-1, 3)
+            assert all(type(c) is int for c in q.to_dict().values())
+        third = (a * b).exact_div(MPoly.const(3, 3)).to_dict()
+        assert third[(0, 3, 1)] == 1  # 3 x^3 y / 3
+        assert type(third[(0, 3, 1)]) is int
+        assert third[(0, 1, 2)] == Fraction(-1, 3)
 
     @settings(deadline=None, max_examples=100)
     @given(st.dictionaries(
@@ -120,14 +255,14 @@ class TestMPoly:
     ))
     def test_strip_gives_coprime_ints(self, terms):
         p = MPoly(3, terms)
-        out = _strip(p)
-        assert all(type(c) is int for c in out.terms.values())
-        assert math.gcd(*out.terms.values()) == 1
+        out = _strip(p).to_dict()
+        assert all(type(c) is int for c in out.values())
+        assert math.gcd(*out.values()) == 1
         # out is p / mu^k times one positive rational
-        k = min(e[0] for e in p.terms)
-        assert min(e[0] for e in out.terms) == 0
-        ratios = {Fraction(c) / out.terms[(e[0] - k,) + e[1:]]
-                  for e, c in p.terms.items()}
+        k = min(e[0] for e in p.to_dict())
+        assert min(e[0] for e in out) == 0
+        ratios = {Fraction(c) / out[(e[0] - k,) + e[1:]]
+                  for e, c in p.to_dict().items()}
         assert len(ratios) == 1 and ratios.pop() > 0
 
     def test_exact_div_raises_on_remainder(self):
@@ -135,10 +270,70 @@ class TestMPoly:
         y = MPoly.variable(3, 2)
         one = MPoly.const(3, 1)
         # the first two quotient terms divide, the remainder 1 + y^2 does not
-        with pytest.raises(ArithmeticError):
+        with _time_limit(5), pytest.raises(ArithmeticError):
             (x * x + one).exact_div(x + y)
-        with pytest.raises(ArithmeticError):
+        with _time_limit(5), pytest.raises(ArithmeticError):
             (x * x + y).exact_div(x)
+
+    def test_field_bound(self):
+        top = MPoly(2, {(0, FIELD_MAX): 1})
+        with pytest.raises(ValueError):
+            MPoly(2, {(0, FIELD_MAX + 1): 1})
+        with pytest.raises(OverflowError):
+            top * MPoly.variable(2, 1)
+        # mu does not divide y^FIELD_MAX; the guard-bit test must see it
+        with _time_limit(5), pytest.raises(ArithmeticError):
+            top.exact_div(MPoly.variable(2, 0))
+        assert (top * MPoly.variable(2, 0)).exact_div(top) == MPoly.variable(2, 0)
+
+    @settings(deadline=None, max_examples=300)
+    @given(_term_dicts, _term_dicts, st.integers(0, 3),
+           st.fractions(min_value=-5, max_value=5, max_denominator=3))
+    @example({(FIELD_MAX, 0, 1): 1}, {(1, FIELD_MAX, 0): 2}, 2, Fraction(1))
+    @example({(1, FIELD_MAX, 0): 3, (0, 1, 2): 1}, {(0, 0, 1): 1}, 1, Fraction(0))
+    def test_packed_against_tuples(self, ta, tb, k, r):
+        a, b = MPoly(3, ta), MPoly(3, tb)
+        ra, rb = TupleMPoly(3, ta), TupleMPoly(3, tb)
+
+        def agree(packed, ref):
+            # a result past the field bound must raise, never wrap
+            if ref.max_degree() > FIELD_MAX:
+                with pytest.raises(OverflowError):
+                    packed()
+            else:
+                assert _same(packed(), ref)
+
+        assert _same(a + b, ra + rb) and _same(a - b, ra - rb)
+        assert _same(a.scale(r), ra.scale(r))
+        agree(lambda: a * b, ra * rb)
+        agree(lambda: a**k, ra**k)
+        for v in range(3):
+            assert a.deg(v) == ra.deg(v)
+            if ra.deg(v) <= 8:
+                assert [p.to_dict() for p in a.coeffs_in(v)] == [
+                    p.terms for p in ra.coeffs_in(v)]
+        assert a.variables() == ra.variables()
+        assert a.max_degree() == ra.max_degree()
+        assert _same(_strip(a), ra.strip())
+        if ta:
+            # the largest packed key is the lex-leading exponent tuple
+            keys = list(a._terms)
+            lead = list(a.to_dict())[keys.index(max(keys))]
+            assert lead == max(ta)
+        if not tb:
+            return
+        # a quotient, or the ArithmeticError of a remainder, as the oracle
+        try:
+            want = ra.exact_div(rb)
+        except ArithmeticError:
+            with _time_limit(1), pytest.raises(ArithmeticError):
+                a.exact_div(b)
+        else:
+            if want is not None:
+                with _time_limit(1):
+                    assert _same(a.exact_div(b), want)
+        if (ra * rb).max_degree() <= FIELD_MAX:
+            assert (a * b).exact_div(b) == a
 
 
 class TestSharedResultant:
@@ -147,7 +342,8 @@ class TestSharedResultant:
     Four variables (mu, x, y, z); x is eliminated. sympy.resultant is
     always asked with the higher degree first and the swap sign
     (-1)^(deg f * deg g) applied here: for deg f < deg g, both odd,
-    sympy 1.14 returns the negated Sylvester determinant.
+    sympy 1.14 returns the negated Sylvester determinant. Draws in mu and
+    x alone also run on UniPoly coefficient lists, as ``BiPoly`` does.
     """
 
     NV = 4
@@ -158,7 +354,7 @@ class TestSharedResultant:
         return sum(
             sp.Rational(c.numerator, c.denominator)
             * sp.Mul(*(s**k for s, k in zip(self.SYMS, e)))
-            for e, c in p.terms.items()
+            for e, c in p.to_dict().items()
         )
 
     def from_sympy(self, expr):
@@ -170,27 +366,42 @@ class TestSharedResultant:
             {e: Fraction(int(c.p), int(c.q)) for e, c in poly.terms()},
         )
 
-    def random_poly(self, rng, deg_w, spread=2):
+    def random_poly(self, rng, deg_w, spread=2, bivariate=False):
         terms = {}
         for k in range(deg_w + 1):
             for _ in range(rng.randint(1, 2) if k == deg_w else rng.randint(0, 2)):
                 e = [rng.randint(0, spread) for _ in range(self.NV)]
                 e[self.W] = k
+                if bivariate:
+                    e[self.W + 1:] = [0] * (self.NV - self.W - 1)
                 terms[tuple(e)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
                                            rng.randint(1, 2))
         return MPoly(self.NV, terms)
 
-    def check(self, f, g):
+    def expected(self, f, g):
         x = self.SYMS[self.W]
         m, n = f.deg(self.W), g.deg(self.W)
-        ours = resultant(f.coeffs_in(self.W), g.coeffs_in(self.W))
         F, G = self.to_sympy(f), self.to_sympy(g)
         if m < n:
-            expect = (-1) ** (m * n) * sp.resultant(G, F, x)
-        else:
-            expect = sp.resultant(F, G, x)
-        assert ours.terms == self.from_sympy(sp.expand(expect)).terms
+            return sp.expand((-1) ** (m * n) * sp.resultant(G, F, x))
+        return sp.expand(sp.resultant(F, G, x))
+
+    def check(self, f, g):
+        ours = resultant(f.coeffs_in(self.W), g.coeffs_in(self.W))
+        assert ours == self.from_sympy(self.expected(f, g))
         return ours
+
+    def check_unipoly(self, f, g):
+        # f and g in mu and x only, as BiPolys with V = x
+        def bipoly(p):
+            return BiPoly.from_dict({(e[self.W], e[0]): c
+                                     for e, c in p.to_dict().items()})
+
+        ours = resultant(bipoly(f).cv, bipoly(g).cv)
+        expect = self.expected(f, g)
+        mu = self.SYMS[0]
+        coeffs = sp.Poly(expect, mu).all_coeffs()[::-1] if expect != 0 else []
+        assert ours == UniPoly([Fraction(int(c.p), int(c.q)) for c in coeffs])
 
     def test_random_against_sympy(self):
         rng = random.Random(20240817)
@@ -200,6 +411,15 @@ class TestSharedResultant:
             if f.deg(self.W) < 1 or g.deg(self.W) < 1:
                 continue
             self.check(f, g)
+        # a degree-1 operand on either side, with odd and even m, over
+        # MPoly and over UniPoly coefficients
+        linear = [(m, 1) for m in (1, 2, 3, 4)] + [(1, n) for n in (2, 3, 4, 5)]
+        for m, n in linear * 2:
+            self.check(self.random_poly(rng, m), self.random_poly(rng, n))
+            f = self.random_poly(rng, m, bivariate=True)
+            g = self.random_poly(rng, n, bivariate=True)
+            self.check(f, g)
+            self.check_unipoly(f, g)
 
     def test_shared_factor_gives_zero(self):
         rng = random.Random(7)
@@ -215,8 +435,8 @@ class TestSharedResultant:
             f = self.random_poly(rng, 0)
             g = self.random_poly(rng, 3)
             ours = self.check(f, g)
-            assert ours.terms == (f**3).terms
-            assert self.check(g, f).terms == ours.terms
+            assert ours == f**3
+            assert self.check(g, f) == ours
 
     def test_constant_linear_pivot_is_a_substitution(self):
         # for g = c1*x + c0 with a constant c1, res(f, g) is
@@ -232,7 +452,7 @@ class TestSharedResultant:
             ours = resultant(f.coeffs_in(self.W), pivot.coeffs_in(self.W))
             c1s = sp.Rational(c1.numerator, c1.denominator)
             expect = (-c1s) ** m * self.to_sympy(f).subs(x, -self.to_sympy(c0) / c1s)
-            assert ours.terms == self.from_sympy(sp.expand(expect)).terms
+            assert ours == self.from_sympy(sp.expand(expect))
 
     def test_odd_degrees_swapped(self):
         # deg f < deg g, both odd: the routine swaps its operands and must
@@ -248,7 +468,7 @@ class TestSharedResultant:
             rows = [[0] * i + fc + [0] * (n - 1 - i) for i in range(n)]
             rows += [[0] * i + gc + [0] * (m - 1 - i) for i in range(m)]
             det = sp.expand(sp.Matrix(rows).det(method="berkowitz"))
-            assert ours.terms == self.from_sympy(det).terms
+            assert ours == self.from_sympy(det)
 
 
 class TestCentralSystem:
@@ -279,7 +499,7 @@ class TestCentralSystem:
             expr = sp.Add(*(
                 sp.Rational(c.numerator, c.denominator)
                 * sp.Mul(*(s**k for s, k in zip(syms, e)))
-                for e, c in p.terms.items()
+                for e, c in p.to_dict().items()
             ))
             return sp.expand(expr.subs(subs))
 
@@ -302,7 +522,7 @@ class TestCentralSystem:
         for i in range(3):
             for j in range(3):
                 x = coords[3 * i + j]
-                assert x.terms == coords[3 * j + i].terms
+                assert x == coords[3 * j + i]
                 (w,) = x.variables()
                 unknowns.add(w)
         # row-major upper triangle, right after mu
@@ -372,7 +592,12 @@ class TestEliminateCoordinate:
         with pytest.raises(EliminationBlowUpError):
             eliminate_coordinate(inst, 1, tr)
 
-    @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+    def test_degree_cap_upper_bound(self, monkeypatch):
+        # the largest cap whose exponents MPoly's fields provably hold
+        monkeypatch.setenv("PUISEUXPATH_DEGREE_CAP", str(MAX_DEGREE_CAP))
+        assert degree_cap() == MAX_DEGREE_CAP == 2**20
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", str(MAX_DEGREE_CAP + 1)])
     def test_degree_cap_env_malformed(self, monkeypatch, raw):
         monkeypatch.setenv("PUISEUXPATH_DEGREE_CAP", raw)
         inst = elliptope_instance()
@@ -468,6 +693,25 @@ class TestEliminateCoordinate:
         coords = canonical_coordinates(shared)
         got = {c: outcome(shared, c) for c in reversed(coords)}
         assert got == {c: outcome(make(), c) for c in coords}
+
+    @pytest.mark.parametrize("make,cap,steps", [
+        (elliptope_instance, None, 330),
+        (lambda: kl02_instance(4), "100000", 431),
+    ], ids=["elliptope_3", "kl02_4_raised_cap"])
+    def test_distinct_resultant_steps(self, monkeypatch, make, cap, steps):
+        # every canonical coordinate, in order, on a fresh instance: a
+        # change to the pivots or to the memo's hits changes the number of
+        # distinct steps even where the eliminants agree
+        if cap is not None:
+            monkeypatch.setenv("PUISEUXPATH_DEGREE_CAP", cap)
+        inst = make()
+        tr = _trace(inst)
+        for c in canonical_coordinates(inst):
+            try:
+                eliminate_coordinate(inst, c, tr)
+            except PuiseuxPathError:
+                pass
+        assert len(inst._elimination.resultants) == steps
 
 
 def _random_instance(seed: int) -> SDOInstance:
