@@ -14,8 +14,9 @@ All operations are pure: every method returns a fresh object and never
 mutates its operands, so values can be shared freely.  Gcds in Q[mu][V]
 and resultants share one subresultant pseudo-remainder sequence, which
 keeps intermediate coefficient growth polynomial instead of exponential
-and divides only exactly.  It runs on coefficient lists over any exact
-ring, so the multivariate eliminations of ``elimination`` use it too.
+and divides only exactly; a resultant with an operand of degree 1 is a
+Horner sum instead.  Both run on coefficient lists over any exact ring,
+so the multivariate eliminations of ``elimination`` use them too.
 """
 
 from __future__ import annotations
