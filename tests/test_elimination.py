@@ -626,6 +626,17 @@ class TestEliminateCoordinate:
         assert curves == [parse_bipoly(t) for t in (
             "V - 1", "V", "V - mu", "V + mu", "V - 1", "V - mu", "V", "V - 1")]
 
+    def test_traced_zero_mask_rounds_like_float(self):
+        # a long-double peak just above the band rounds onto it as a float,
+        # as float(max|column|) <= tol does column by column
+        tol = elimination._ZERO_COORD_TOL
+        above = np.longdouble(tol) * (1 + np.longdouble(2) ** -60)
+        values = np.array([[above, 0, 2 * tol, 0, tol * 1.001],
+                           [0, -above, 0, 0, 0]], dtype=np.longdouble)
+        mask = elimination._traced_zeros(SimpleNamespace(values=values))
+        want = [float(np.max(np.abs(values[:, c]))) <= tol for c in range(5)]
+        assert mask.tolist() == want == [True, True, False, True, False]
+
     def test_out_of_range_coordinate(self):
         inst = identity_instance(2)
         tr = _trace(inst)
