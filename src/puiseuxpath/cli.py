@@ -274,6 +274,17 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
+def _count(text: str) -> int:
+    """A nonnegative integer flag value."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative: {text!r}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call and reused after it."""
@@ -296,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="Puiseux branches at mu = 0")
     p.add_argument("--poly", required=True)
-    p.add_argument("--terms", type=int, default=4,
+    p.add_argument("--terms", type=_count, default=4,
                    help="extra series terms per branch")
     fmt(p)
     p.set_defaults(run=cmd_expand)
@@ -308,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="observed coordinate limit (rational)")
     p.add_argument("--tol", type=_rational, default=Fraction(1, 10**6),
                    help="center matching tolerance")
-    p.add_argument("--terms", type=int, default=4)
+    p.add_argument("--terms", type=_count, default=4)
     fmt(p)
     p.set_defaults(run=cmd_rho_curve)
 

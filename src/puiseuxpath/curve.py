@@ -65,7 +65,9 @@ class RhoReport:
     """Per-coordinate ramification data and the aggregate exponent.
 
     ``per_coordinate`` holds (coordinate index, matched branches, rho_i)
-    triples; ``rho`` is their lcm.  ``optimality_note`` is
+    triples; ``rho`` is their lcm. From ``compute_rho_sdo`` the matched
+    branches stop where their q is settled (or at exponent theta), with
+    no further series terms.  ``optimality_note`` is
     "irreducible-certified" when every matched branch of each coordinate
     has one q, so every exponent is exactly the local ramification index,
     "product-fallback" when some exponent is only a feasible product of
@@ -173,20 +175,34 @@ def expand_curve(nc: NormalizedCurve,
                  max_extra_terms: int = 4) -> list[Branch]:
     """Expand the normalized curve far enough to read original limits.
 
-    When theta > 0 the original coordinate limit is the series coefficient
-    at exponent theta, so every non-terminating branch must be computed at
-    least that far; the term budget is doubled until it is.
+    The curve is expanded once with max_extra_terms terms past each
+    branch's simple root. When theta > 0 the original coordinate limit is
+    the series coefficient at exponent theta, so every non-terminating
+    branch must be computed at least that far; while one falls short, the
+    budget doubles (from 1 when it was 0), up to seven doublings past the
+    larger of 4 and max_extra_terms.
+
+    Extra terms never change a branch's q. Once the root is simple, the
+    lcm of the exponent denominators equals the grid scale: a segment of
+    slope u/w in lowest terms adds an exponent whose numerator is prime
+    to w, and every later term lies on that grid. So 0 extra terms gives
+    the same branches, q, multiplicities, centers and iterations_used as
+    any other budget; only the series length and a termination seen
+    within it (``exact``) differ. At theta = 0 matching reads only the
+    first term. A negative max_extra_terms raises InputError from expand.
     """
-    k = max(1, max_extra_terms)
-    for _ in range(8):
+    k = max_extra_terms
+    last = max(4, k) << 7
+    while True:
         branches = expand(nc.normalized, max_extra_terms=k)
         if all(_covers_theta(b, nc.theta) for b in branches):
             return branches
-        k *= 2
-    raise ComputationError(
-        f"branch series did not reach exponent theta={nc.theta} "
-        f"within {k} extra terms"
-    )
+        if k >= last:
+            raise ComputationError(
+                f"branch series did not reach exponent theta={nc.theta} "
+                f"within {k} extra terms"
+            )
+        k = max(1, 2 * k)
 
 
 def limit_center(branch: Branch, theta: int = 0) -> AlgebraicNumber | None:

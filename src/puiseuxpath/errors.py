@@ -41,10 +41,14 @@ class PrecisionExhaustedError(ComputationError):
     component = "algebraic"
 
 
-class IterationGuardError(ComputationError):
-    """The expansion loop exceeded its iteration cap."""
+class ExpansionError(ComputationError):
+    """The Puiseux expansion lost an invariant it relies on."""
 
     component = "expansion"
+
+
+class IterationGuardError(ExpansionError):
+    """The expansion loop exceeded its iteration cap."""
 
 
 class AmbiguousMatchError(ComputationError):

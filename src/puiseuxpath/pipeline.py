@@ -72,6 +72,12 @@ def compute_rho_sdo(
     coordinate's limit interval is repeated. The instance's resultant
     memo is released when the call returns or raises.
 
+    Each curve is expanded with no terms past a branch's simple root
+    (more only where theta > 0 asks for them): a simple root settles q,
+    and matching reads only q and the center at exponent theta, so later
+    terms change nothing here (see ``expand_curve``). The matched
+    branches in ``per_coordinate`` therefore stop at that point.
+
     Returns a RhoReport whose details list one dict per canonical
     coordinate: route taken ("constant", "eliminated", "supplied",
     "order-fit"), traced limit and interval width, fitted decay order,
@@ -138,7 +144,8 @@ def _compute_rho_sdo(inst, trace, curves) -> RhoReport:
             expansion = expansions.get(P)
             if expansion is None:
                 nc = normalize_curve(P)
-                expansion = expansions[P] = nc, expand_curve(nc)
+                expansion = expansions[P] = nc, expand_curve(
+                    nc, max_extra_terms=0)
             nc, branches = expansion
             lim = Fraction(limit)
             half = Fraction(max(width, _MIN_HALF_WIDTH))

@@ -7,7 +7,8 @@ exponents are kept as exact fractions on a common grid (1/L)Z instead of
 rescaling the parameter, so every recorded exponent is an exponent of the
 actual series in mu.  Once the working root becomes simple the branch is
 analytic in mu^(1/q) with q = lcm of the exponent denominators seen so
-far, and a few more terms are collected by linear steps.
+far, and up to ``max_extra_terms`` more terms are collected by linear
+steps; with none, a branch stops where its q is settled.
 
 The iteration is one loop over an explicit stack of open polygon nodes,
 so a repeated factor, whose root keeps multiplicity 2 until the guard
@@ -38,7 +39,12 @@ from .algebraic import (
     rational_number,
     roots_with_multiplicity,
 )
-from .errors import DegenerateInputError, IterationGuardError
+from .errors import (
+    DegenerateInputError,
+    ExpansionError,
+    InputError,
+    IterationGuardError,
+)
 from .polynomials import BiPoly, UniPoly, lower_hull
 
 __all__ = [
@@ -198,6 +204,8 @@ class Branch:
     conjugate counts over all branches of a separable curve sum to deg_V.
     iterations_used counts guarded polygon substitutions only; the
     post-stabilization terms come from a loop bounded by max_extra_terms.
+    exact reports only a termination seen within the terms computed: a
+    series cut short may still end a few terms later.
     """
 
     __slots__ = (
@@ -344,7 +352,7 @@ def _continue_stabilized(tw, depth, coeffs, scale, prefix, terms,
             break
         c1 = gp_coeff(tw, depth, coeffs[1], 0)
         if c1 is None:
-            raise ArithmeticError(
+            raise ExpansionError(
                 "stabilized branch lost its simple-root certificate"
             )
         c0 = coeffs[0][m0]
@@ -378,7 +386,15 @@ def expand(p: BiPoly, max_extra_terms: int = 4) -> list[Branch]:
     IterationGuardError when the polygon iteration fails to stabilize
     within 4*deg_mu*deg_V^2 substitutions, which is the signature of a
     repeated factor in V.
+
+    A simple root fixes q: every later term lies on the grid its branch
+    has reached, so max_extra_terms only lengthens the series. It must be
+    nonnegative; 0 stops each branch where its q is settled.
     """
+    if max_extra_terms < 0:
+        raise InputError(
+            f"max_extra_terms must be nonnegative, got {max_extra_terms}"
+        )
     if p.is_zero():
         raise DegenerateInputError("cannot expand the zero polynomial")
     if p.deg_v < 1:
@@ -401,7 +417,7 @@ def expand(p: BiPoly, max_extra_terms: int = 4) -> list[Branch]:
         while k < len(coeffs) and gp_is_zero(tw, depth, coeffs[k]):
             k += 1
         if k == len(coeffs):
-            raise ArithmeticError("working polynomial collapsed to zero")
+            raise ExpansionError("working polynomial collapsed to zero")
         if k > 0:
             out.append(Branch(
                 terms=terms,

@@ -665,18 +665,32 @@ class TraceResult:
     limits and widths give an extrapolated limit per coordinate and the
     disagreement of the last two samples as its interval width.
     order_estimates maps coordinate index to a snapped decay exponent,
-    or None where no exponent could be fit.
+    or None where no exponent could be fit; it is fitted on first read,
+    since callers that fit the coordinates they need never read it.
     """
 
-    __slots__ = ("instance", "samples", "values", "limits", "widths", "order_estimates")
+    __slots__ = ("instance", "samples", "values", "limits", "widths",
+                 "_order_estimates")
 
-    def __init__(self, instance, samples, values, limits, widths, order_estimates):
+    def __init__(self, instance, samples, values, limits, widths):
         self.instance = instance
         self.samples = samples
         self.values = values
         self.limits = limits
         self.widths = widths
-        self.order_estimates = order_estimates
+        self._order_estimates = None
+
+    @property
+    def order_estimates(self) -> dict:
+        if self._order_estimates is None:
+            estimates = {}
+            for i in range(self.instance.dim):
+                try:
+                    estimates[i] = fit_order(self, i)
+                except (ConstantCoordinateError, InsufficientSamplesError):
+                    estimates[i] = None
+            self._order_estimates = estimates
+        return self._order_estimates
 
     @property
     def mus(self) -> np.ndarray:
@@ -733,13 +747,7 @@ def trace_path(
             widths[i] = max(abs(col[-1] - col[-2]), 10 * tol)
         else:
             widths[i] = 10 * tol
-    trace = TraceResult(inst, samples, values, limits, widths, {})
-    for i in range(dim):
-        try:
-            trace.order_estimates[i] = fit_order(trace, i)
-        except (ConstantCoordinateError, InsufficientSamplesError):
-            trace.order_estimates[i] = None
-    return trace
+    return TraceResult(inst, samples, values, limits, widths)
 
 
 _FIT_WINDOW = 12

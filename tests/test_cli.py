@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from puiseuxpath import puiseux
 from puiseuxpath.cli import main
 
 ELL_CUBIC = "2*T^3+(2-1/2*mu)*T^2-(mu+2)*T-2"
@@ -258,6 +259,64 @@ class TestErrors:
             main(argv)
         assert exc.value.code == 2
         assert "not a rational number: '1/0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["expand", "rho-curve"])
+    @pytest.mark.parametrize("terms", ["-3", "-1", "two"])
+    def test_bad_terms_exits_2(self, capsys, command, terms):
+        # a negative count used to be taken as 0 without a word
+        argv = [command, "--poly", "V^2-mu", "--terms", terms]
+        if command == "rho-curve":
+            argv += ["--limit", "0"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert "--terms" in cap.err
+
+    def test_rho_curve_terms_0_prints_no_extra_term(self, capsys):
+        # it used to print one extra term, where expand --terms 0 printed none
+        argv = ["--poly", ELL_CUBIC, "--terms", "0"]
+        code, cap = run(capsys, "rho-curve", *argv, "--limit", "-1")
+        assert code == 0
+        assert cap.out == (
+            "[0] center=-1 q=2 series=-1 + 0.3535533906*mu^(1/2)  matched\n"
+            "[1] center=1 q=1 series=1  -\n"
+            "rho_i = 2\n"
+        )
+        code, cap = run(capsys, "expand", *argv)
+        assert code == 0
+        assert cap.out == (
+            "[0] center=-1 q=2 series=-1 + 0.3535533906*mu^(1/2)\n"
+            "[1] center=1 q=1 series=1\n"
+            "branches: 2\n"
+        )
+
+    def test_collapsed_working_polynomial_exits_3(self, capsys, monkeypatch):
+        # used to end in an ArithmeticError traceback
+        monkeypatch.setattr(puiseux, "gp_is_zero", lambda tw, depth, a: True)
+        code, cap = run(capsys, "expand", "--poly", "V^2 - mu - mu^2")
+        assert code == 3
+        assert cap.out == ""
+        assert cap.err == ("error [expansion]: working polynomial "
+                           "collapsed to zero\n")
+
+    def test_lost_simple_root_exits_3(self, capsys, monkeypatch):
+        # used to end in an ArithmeticError traceback
+        substitute = puiseux._substitute
+
+        def drop_linear_constant(*args):
+            out = substitute(*args)
+            out[1].pop(0, None)
+            return out
+
+        monkeypatch.setattr(puiseux, "_substitute", drop_linear_constant)
+        code, cap = run(capsys, "rho-curve", "--poly", "V^2 - mu - mu^2",
+                        "--limit", "0")
+        assert code == 3
+        assert cap.out == ""
+        assert cap.err == ("error [expansion]: stabilized branch lost its "
+                           "simple-root certificate\n")
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

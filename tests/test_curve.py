@@ -16,6 +16,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from puiseuxpath.curve import (
     NormalizedCurve,
@@ -31,6 +33,7 @@ from puiseuxpath.curve import (
 from puiseuxpath.errors import (
     AmbiguousMatchError,
     DegenerateInputError,
+    InputError,
     NoMatchError,
 )
 from puiseuxpath.polynomials import BiPoly, UniPoly, parse_bipoly
@@ -45,6 +48,33 @@ QUINTIC = parse_bipoly(
 )
 POLE_LINE = parse_bipoly("mu*V - 1")
 MIXED = parse_bipoly("mu*V^2 - V + mu")
+# theta = 6: the first expansion falls short of the limit's exponent
+RETRY_THETA6 = parse_bipoly(
+    "(3*mu^7 + 9*mu^6)*V^8 - 7*V^7 + 3*mu^8*V^4 - 6*mu^2*V^2 + 9*mu^2"
+)
+NAMED_CURVES = {
+    "cusp": CUSP,
+    "nodal": NODAL,
+    "elliptope": F_ELL,
+    "weierstrass": W_CURVE,
+    "quintic": QUINTIC,
+    "pole_line": POLE_LINE,
+    "mixed": MIXED,
+    "retry_theta6": RETRY_THETA6,
+    "double_sqrt2": parse_bipoly("(V^2 - 2)^2 - mu*V^3"),
+    "sqrt2_times_cusp": parse_bipoly("(V^2 - 2)*(V^3 - mu) + mu^2"),
+    "imaginary_centers": parse_bipoly("(V^2 + 1)*(V^2 - 2*mu) - mu^2*V"),
+    "two_double_centers": parse_bipoly(
+        "(((V-1)^2 - mu)^2 - mu^5)*(((V+1)^2 - 2*mu)^2 - mu^5)"
+    ),
+}
+# the acceptance suite's random curves: up to six terms of degree 0..8
+# in V and in mu, coefficients in -10..10
+AC9_CURVES = st.dictionaries(
+    st.tuples(st.integers(0, 8), st.integers(0, 8)),
+    st.sampled_from([Fraction(c) for c in range(-10, 11) if c]),
+    min_size=1, max_size=6,
+).map(BiPoly.from_dict).filter(lambda p: p.deg_v >= 1)
 
 
 class TestNormalizeCurve:
@@ -286,3 +316,62 @@ class TestRho:
         assert d["rho"] == 2
         assert d["coordinates"][0]["q"] == [2]
         assert "rho=2" in repr(report)
+
+
+def _element(c):
+    return None if c is None else (c.depth, c.rep)
+
+
+def _settled(b):
+    """What a branch has fixed once its root is simple."""
+    lead = b.terms[0][0] if b.terms else None
+    return (b.q, b.multiplicity, b.iterations_used, lead,
+            _element(b.center), [lvl.poly for lvl in b.tower.levels])
+
+
+class TestExtraTermsChangeNothingSettled:
+    """Terms past a simple root only lengthen the series: the branch list,
+    q, multiplicity, center, leading exponent and iterations_used come out
+    the same with none, which is what rho-sdo expands with."""
+
+    def check(self, p):
+        nc = normalize_curve(p)
+        short = expand(nc.normalized, max_extra_terms=0)
+        full = expand(nc.normalized, max_extra_terms=4)
+        assert [_settled(b) for b in short] == [_settled(b) for b in full]
+        for b, f in zip(short, full):
+            prefix = [(e, _element(c)) for e, c in f.terms[:len(b.terms)]]
+            assert [(e, _element(c)) for e, c in b.terms] == prefix
+        # the limits rho-sdo matches against are the same too
+        short = expand_curve(nc, max_extra_terms=0)
+        full = expand_curve(nc, max_extra_terms=4)
+        assert [_settled(b) for b in short] == [_settled(b) for b in full]
+        assert ([_element(limit_center(b, nc.theta)) for b in short]
+                == [_element(limit_center(b, nc.theta)) for b in full])
+
+    @pytest.mark.parametrize("name", NAMED_CURVES)
+    def test_named_curves(self, name):
+        self.check(NAMED_CURVES[name])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(AC9_CURVES)
+    def test_random_curves(self, p):
+        self.check(p)
+
+    def test_no_extra_terms_still_reach_theta(self):
+        nc = normalize_curve(RETRY_THETA6)
+        assert nc.theta == 6
+        # with no extra terms some branch stops short of exponent 6
+        short = expand(nc.normalized, max_extra_terms=0)
+        assert any(not b.exact and b.terms[-1][0] < 6 for b in short)
+        branches = expand_curve(nc, max_extra_terms=0)
+        assert all(b.exact or b.terms[-1][0] >= 6 for b in branches)
+        matched = match_branches(branches, 0, theta=nc.theta)
+        assert rho_for_coordinate(matched) == 7
+
+    @pytest.mark.parametrize("terms", [-1, -3])
+    def test_negative_budget_is_bad_input(self, terms):
+        with pytest.raises(InputError, match="nonnegative"):
+            expand(CUSP, max_extra_terms=terms)
+        with pytest.raises(InputError, match="nonnegative"):
+            expand_curve(normalize_curve(CUSP), max_extra_terms=terms)

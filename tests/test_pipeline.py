@@ -19,6 +19,7 @@ Hand-checked expectations:
 
 import pytest
 
+from puiseuxpath import puiseux
 from puiseuxpath.curve import RhoReport
 from puiseuxpath.errors import EliminationBlowUpError, NoMatchError
 from puiseuxpath.pipeline import compute_rho_sdo
@@ -178,3 +179,22 @@ class TestReuse:
         second = compute_rho_sdo(inst, trace=tr)
         assert inst._elimination is system and system.resultants == {}
         assert second.as_dict() == first.as_dict()
+
+
+class TestWork:
+    def test_branches_stop_once_q_is_settled(self, monkeypatch):
+        # rho-sdo reads q and the center at exponent theta, so no branch
+        # is expanded past its simple root: 32 substitutions, where four
+        # unread extra terms per branch made 120
+        calls = 0
+        substitute = puiseux._substitute
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return substitute(*args)
+
+        monkeypatch.setattr(puiseux, "_substitute", counted)
+        rep = compute_rho_sdo(elliptope_instance())
+        assert rep.rho == 2
+        assert calls == 32

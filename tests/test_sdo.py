@@ -309,6 +309,24 @@ class TestTracePath:
         assert elliptope_trace.order_estimates[9] == half  # y[0]
         assert elliptope_trace.order_estimates[0] is None  # X[0,0] constant
 
+    def test_order_estimates_fit_on_first_read(self, monkeypatch):
+        fits = []
+        fit_order = sdo.fit_order
+
+        def counted(trace, coordinate):
+            fits.append(coordinate)
+            return fit_order(trace, coordinate)
+
+        monkeypatch.setattr(sdo, "fit_order", counted)
+        inst = elliptope_instance()
+        tr = trace_path(inst, 1.0, 1e-8, 0.5)
+        assert fits == []
+        est = tr.order_estimates
+        assert fits == list(range(inst.dim))
+        assert tr.order_estimates is est
+        assert fits == list(range(inst.dim))
+        assert est[1] == fit_order(tr, 1)
+
     def test_kl02_order_table(self, kl02_trace):
         from fractions import Fraction
 
