@@ -66,13 +66,15 @@ class RhoReport:
 
     ``per_coordinate`` holds (coordinate index, matched branches, rho_i)
     triples; ``rho`` is their lcm. From ``compute_rho_sdo`` the matched
-    branches stop where their q is settled (or at exponent theta), with
-    no further series terms.  ``optimality_note`` is
-    "irreducible-certified" when every matched branch of each coordinate
-    has one q, so every exponent is exactly the local ramification index,
-    "product-fallback" when some exponent is only a feasible product of
-    candidate indices, and "order-fit-heuristic" when any coordinate had
-    to fall back on a numeric decay fit with no exact curve behind it.
+    branches stop where their q is settled, with further series terms
+    only where they were needed to reach exponent theta.
+
+    ``optimality_note`` is "irreducible-certified" when every matched
+    branch of each coordinate has one q, so every exponent is exactly the
+    local ramification index, "product-fallback" when some exponent is
+    only a feasible product of candidate indices, and
+    "order-fit-heuristic" when any coordinate had to fall back on a
+    numeric decay fit with no exact curve behind it.
 
     ``details`` is optional per-coordinate bookkeeping (route taken, limit,
     cross-checks) attached by the instance-level pipeline.
