@@ -8,8 +8,15 @@ the central point at mu > 0 solves
 Newton's method is applied to the symmetrized complementarity block
 (XS + SX)/2 - mu I so iterates stay symmetric, with a
 fraction-to-the-boundary line search keeping X and S positive definite.
-All arithmetic runs in numpy extended precision so traces stay clean
-well below mu = 1e-6.
+The residuals, the test that stops at res <= tol, the iterates and the
+line search run in numpy extended precision, so traces stay clean well
+below mu = 1e-6.  Each Newton step is solved in IEEE double, on CPython
+floats: only the residual must be accurate, and each step corrects the
+error the one before it left, as in mixed-precision iterative refinement
+(Moler, Iterative refinement in floating point, JACM 14(2), 1967;
+Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 12).
+Python's float arithmetic rounds the same on every x86-64 host, which a
+BLAS-backed solve would not.
 
 The Newton system (size m + n(n+1); on the builtins 12-22 % of its
 entries are nonzero) is solved by partial-pivot elimination that visits
@@ -22,9 +29,9 @@ entries gets a trie of plans keyed by the pivot row chosen at each
 column, and each Newton step picks its pivots again and follows the
 trie, planning a new branch only where a pivot differs.  A slot the plan
 holds but a step leaves at +0 changes no bit, so the pivots and
-roundings are those of dense elimination and every traced value is bit
-for bit what the dense solver gave; _solve_planned states the rules that
-keep it so.  The residuals come from the constraint matrices stacked
+roundings are those of dense double elimination and every step is bit
+for bit what the dense solver gives; _solve_planned states the rules
+that keep it so.  The residuals come from the constraint matrices stacked
 once per instance, with the roundings of the per-matrix loop.
 
 Coordinates of a sample are ordered as vec(X) row-major, then y, then
@@ -66,7 +73,6 @@ __all__ = [
 ]
 
 _LD = np.longdouble
-_ZERO = _LD(0)
 _PAD = np.zeros(1, dtype=_LD)
 
 
@@ -347,19 +353,25 @@ def _plan_column(pat, col, p):
 def _solve_planned(rows, rhs, plan):
     """Solve the system with these dense rows by partial-pivot elimination.
 
-    rows[r] is a list holding the np.longdouble entries of row r, and no
-    entry may be -0 outside the rhs.  The lists are consumed: the rhs
-    joins them as column len(rhs).  plan comes from _plan on rows with
-    this system's nonzero pattern or a larger one.  Its trie has a node
-    per column and pivot prefix holding the candidate rows, the ones that
-    may hold the column; a branch per pivot row chosen there holds the
-    target rows and the pivot row's columns.  Each column picks its pivot
-    again and follows the matching branch.  A pivot the trie has not seen
-    grows a new branch, planned symbolically from the pattern by replaying
-    the pivots before it.
+    rows[r] is a list holding the entries of row r as Python floats, rhs
+    is a float64 array, and no entry may be -0 outside the rhs.  The
+    lists are consumed: the rhs joins them as column len(rhs).  plan
+    comes from _plan on rows with this system's nonzero pattern or a
+    larger one.  Its trie has a node per column and pivot prefix holding
+    the candidate rows, the ones that may hold the column; a branch per
+    pivot row chosen there holds the target rows and the pivot row's
+    columns.  Each column picks its pivot again and follows the matching
+    branch.  A pivot the trie has not seen grows a new branch, planned
+    symbolically from the pattern by replaying the pivots before it.  The
+    solution comes back as an np.longdouble array.
 
-    The solution is bit for bit that of dense elimination on [M | rhs]
-    (tests/test_sdo.py keeps that solver as the oracle):
+    The arithmetic is IEEE double, so signed zeros, NaN and inf behave as
+    in numpy's float64, except that the sign of a NaN met by two NaNs is
+    left open, as IEEE 754 leaves it.  Python's 1 / x raises only at
+    x == 0, which the pivot rule below never takes; at a subnormal pivot
+    it gives inf, as numpy does.  The solution is bit for bit that of
+    dense float64 elimination on [M | rhs] (tests/test_sdo.py keeps that
+    solver as the oracle):
 
     * the pivot is the first position at or below col with the largest
       |a|, or the first NaN, as argmax takes them; none, or a zero
@@ -378,10 +390,10 @@ def _solve_planned(rows, rhs, plan):
       as the dense elimination does;
     * every rhs entry is stored, as it may hold -0, so every updated row
       updates it;
-    * back-substitution sums a[row, j] * x[j] in ascending j from +0, as
-      numpy's long-double matmul does.  A sum from +0 is never -0, so the
-      left-out terms, each a signed zero, change nothing while x is
-      finite; once an x is not, every term is summed.
+    * back-substitution sums a[row, j] * x[j] in ascending j from +0, one
+      rounding per term.  A sum from +0 is never -0, so the left-out
+      terms, each a signed zero, change nothing while x is finite; once
+      an x is not, every term is summed.
     """
     pattern, node = plan
     size = len(rhs)
@@ -393,7 +405,7 @@ def _solve_planned(rows, rhs, plan):
     ucols = []
     for col in range(size):
         p = None
-        top = _ZERO
+        top = 0.0
         for i in range(col, size) if dense else node[0]:
             v = abs(rows[i][col])
             if v != v:
@@ -432,11 +444,11 @@ def _solve_planned(rows, rhs, plan):
                     row[j] = row[j] - f * prow[j]
                 row[size] = row[size] - f * prow[size]
         ucols.append(cols)
-    x = [_ZERO] * size
+    x = [0.0] * size
     finite = True
     for i in range(size - 1, -1, -1):
         row = rows[i]
-        acc = _ZERO
+        acc = 0.0
         for j in ucols[i] if finite else range(i + 1, size):
             acc = acc + row[j] * x[j]
         x[i] = xi = (row[size] - acc) / row[i]
@@ -445,12 +457,13 @@ def _solve_planned(rows, rhs, plan):
 
 
 def _solve_sparse(rows, rhs):
-    """Solve the system whose rows map a column to a nonzero np.longdouble.
+    """Solve the system whose rows map a column to a nonzero float.
 
-    A missing entry is +0, and no entry may be -0.  The system is solved
-    by _solve_planned through a plan of its own pattern.
+    A missing entry is +0, and no entry may be -0; rhs is a float64
+    array.  The system is solved by _solve_planned through a plan of its
+    own pattern.
     """
-    dense = [[_ZERO] * len(rhs) for _ in rows]
+    dense = [[0.0] * len(rhs) for _ in rows]
     for full, row in zip(dense, rows):
         for j, v in row.items():
             full[j] = v
@@ -463,9 +476,9 @@ class _NewtonLayout:
     Unknowns are the upper-triangle entries of dX, then dy, then those of
     dS; equations are the m primal constraints, then the dual and the
     complementarity residuals at the upper-triangle pairs.  template holds
-    the rows as dense lists with the primal and dual entries, which do
-    not depend on the iterate, and +0 elsewhere.  For the basis matrix B
-    of pair (u, v) and a row pair (p, q),
+    the rows as dense lists of Python floats with the primal and dual
+    entries, which do not depend on the iterate, and +0 elsewhere.  For
+    the basis matrix B of pair (u, v) and a row pair (p, q),
 
         ((B S + S B) / 2)[p, q] = (S[ia] + S[ib]) / 2,
 
@@ -475,9 +488,10 @@ class _NewtonLayout:
     not both at the zero are kept: ga and gb gather them for every
     complementarity row, its dX entries and then its dS entries, from
     vec S, then vec X, then the zero, and slots gives the row and the
-    column of each.
+    column of each.  Each entry is summed and halved in long double and
+    rounded once to double, the precision of the solve.
 
-    plans maps the nonzero mask of those gathered entries to a plan of
+    plans maps the nonzero mask of those rounded entries to a plan of
     the elimination (_plan).  Every system with one mask has the same
     pattern, so its trie of pivot paths is built once and reused by
     every later Newton step; a slot it plans but a step's values leave at
@@ -495,17 +509,17 @@ class _NewtonLayout:
         k = len(pairs)
         nn = n * n
         pad = 2 * nn
-        template = [[_ZERO] * (m + 2 * k) for _ in range(m + 2 * k)]
+        template = [[0.0] * (m + 2 * k) for _ in range(m + 2 * k)]
         for c, (u, v) in enumerate(pairs):
             for row, Ai in enumerate(inst.A):
                 a = Ai[u, u] if u == v else Ai[u, v] + Ai[v, u]
                 if a:
-                    template[row][c] = a
-            template[m + c][k + m + c] = _LD(1)
+                    template[row][c] = float(a)
+            template[m + c][k + m + c] = 1.0
         for idx, Ai in enumerate(inst.A):
             for c, (i, j) in enumerate(pairs):
                 if Ai[i, j]:
-                    template[m + c][k + idx] = Ai[i, j]
+                    template[m + c][k + idx] = float(Ai[i, j])
         slots, ga, gb = [], [], []
         for r, (p, q) in enumerate(pairs):
             cols, ia, ib = [], [], []
@@ -543,7 +557,10 @@ def _newton_system(lay: _NewtonLayout, X, S):
     # a matrix product sums from +0, so a -0 entry it selects comes out
     # as +0; adding 0 does the same to the gathered entries
     g = np.concatenate((S.ravel(), X.ravel(), _PAD)) + 0
-    vals = (g[lay.ga] + g[lay.gb]) / 2
+    # rounded to double once; an entry past its range becomes inf, and one
+    # that underflows to -0 becomes +0 by the same addition of 0
+    with np.errstate(over="ignore"):
+        vals = ((g[lay.ga] + g[lay.gb]) / 2).astype(np.float64) + 0
     rows = [list(row) for row in lay.template]
     for (r, j), v in zip(lay.slots, vals.tolist()):
         rows[r][j] = v
@@ -621,7 +638,9 @@ def central_point(
         F[m : m + k] = Rd.ravel()[lay.flat]
         F[m + k :] = Rc.ravel()[lay.flat]
         rows, plan = _newton_system(lay, X, S)
-        step = _solve_planned(rows, -F, plan)
+        with np.errstate(over="ignore"):
+            rhs = (-F).astype(np.float64)
+        step = _solve_planned(rows, rhs, plan)
         dX = np.zeros((n, n), dtype=_LD)
         dS = np.zeros((n, n), dtype=_LD)
         dX[lay.rows, lay.cols] = dX[lay.cols, lay.rows] = step[:k]
