@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from puiseuxpath import puiseux
+from puiseuxpath import cli, puiseux
 from puiseuxpath.cli import main
 
 ELL_CUBIC = "2*T^3+(2-1/2*mu)*T^2-(mu+2)*T-2"
@@ -261,9 +261,10 @@ class TestErrors:
         assert "not a rational number: '1/0'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["expand", "rho-curve"])
-    @pytest.mark.parametrize("terms", ["-3", "-1", "two"])
+    @pytest.mark.parametrize("terms", ["-3", "-1", "two", "101", "1000000000"])
     def test_bad_terms_exits_2(self, capsys, command, terms):
-        # a negative count used to be taken as 0 without a word
+        # a negative count used to be taken as 0 without a word, and a
+        # count of 10^9 ran without end
         argv = [command, "--poly", "V^2-mu", "--terms", terms]
         if command == "rho-curve":
             argv += ["--limit", "0"]
@@ -273,6 +274,18 @@ class TestErrors:
         cap = capsys.readouterr()
         assert cap.out == ""
         assert "--terms" in cap.err
+
+    @pytest.mark.parametrize("command", ["expand", "rho-curve"])
+    def test_largest_terms_runs(self, capsys, command):
+        assert cli.MAX_TERMS == 100
+        argv = [command, "--poly", "V^2 - mu - mu^2", "--terms", "100"]
+        if command == "rho-curve":
+            argv += ["--limit", "0"]
+        code, cap = run(capsys, *argv)
+        assert code == 0
+        # one branch, sqrt(mu + mu^2): its leading term and 100 more
+        assert cap.out.count("mu^(") == 101
+        assert cap.err == ""
 
     def test_rho_curve_terms_0_prints_no_extra_term(self, capsys):
         # it used to print one extra term, where expand --terms 0 printed none
@@ -429,6 +442,17 @@ class TestGoldenOutput:
         code, cap = run(capsys, "trace", *argv, "--format", "csv")
         assert code == 0
         assert cap.out.encode() == (DATA / golden).read_bytes()
+
+    def test_trace_csv_under_another_blas_kernel(self):
+        # the Newton step is solved on Python floats, so the traced bits do
+        # not depend on the BLAS kernel numpy loads for the host's CPU
+        env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+        proc = subprocess.run(
+            [sys.executable, "-m", "puiseuxpath.cli", "trace",
+             "--instance", "elliptope_3", "--format", "csv"],
+            capture_output=True, env=env, check=True,
+        )
+        assert proc.stdout == (DATA / "trace_elliptope_3.csv").read_bytes()
 
 
 # name -> (polynomial, rho-curve limit): the README examples and curves
