@@ -272,11 +272,12 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
-# The largest --terms. The cost of a series grows faster than its length:
-# expand at 100 terms takes about 0.3 s on V^2 - mu - mu^2, 1.1 s on the
-# README cubic and 12 s on V^5 - 2*mu*V^2 + mu^3 (2-core VM, Python 3.11,
-# process start included); at 200 terms the quintic takes 83 s.
+# The largest --terms. A series costs more than its length: at 200 terms
+# V^5 - 2*mu*V^2 + mu^3 took 83 s (README, Limits).
 MAX_TERMS = 100
+_TERMS_HELP = (f"extra series terms per branch, at most {MAX_TERMS}; expand at"
+               f" {MAX_TERMS} takes about 0.3 s on V^2 - mu - mu^2 and 12 s on"
+               " V^5 - 2*mu*V^2 + mu^3")
 
 
 def _count(text: str) -> int:
@@ -291,11 +292,6 @@ def _count(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"must be at most {MAX_TERMS}: {text!r}")
     return value
-
-
-_TERMS_HELP = (f"extra series terms per branch, at most {MAX_TERMS}; expand at"
-               f" {MAX_TERMS} takes about 0.3 s on V^2 - mu - mu^2 and 12 s on"
-               " V^5 - 2*mu*V^2 + mu^3")
 
 
 @functools.cache
