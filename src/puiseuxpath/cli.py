@@ -143,10 +143,10 @@ def _trace_of(args):
 
 
 def cmd_trace(args, out) -> int:
-    inst, tr = _trace_of(args)
-    labels = inst.coordinate_labels()
     if args.rho is not None and args.rho < 1:
         raise InputError("--rho must be a positive integer")
+    inst, tr = _trace_of(args)
+    labels = inst.coordinate_labels()
     if args.format == "csv":
         if args.rho is None:
             _print(out, ",".join(["mu"]

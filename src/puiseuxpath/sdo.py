@@ -28,10 +28,11 @@ is done once per instance: every nonzero mask of the complementarity
 entries gets a trie of plans keyed by the pivot row chosen at each
 column, and each Newton step picks its pivots again and follows the
 trie, planning a new branch only where a pivot differs.  A slot the plan
-holds but a step leaves at +0 changes no bit, so the pivots and
-roundings are those of dense double elimination and every step is bit
-for bit what the dense solver gives; _solve_planned states the rules
-that keep it so.  The residuals come from the constraint matrices stacked
+holds but a step leaves at +0 changes no bit, so on a finite system the
+pivots and roundings are those of dense double elimination and every
+step is bit for bit what the dense solver gives; a pivot or a step that
+is not finite fails the solve.  _solve_planned states the rules that
+keep it so.  The residuals come from the constraint matrices stacked
 once per instance, with the roundings of the per-matrix loop.
 
 Coordinates of a sample are ordered as vec(X) row-major, then y, then
@@ -365,17 +366,15 @@ def _solve_planned(rows, rhs, plan):
     symbolically from the pattern by replaying the pivots before it.  The
     solution comes back as an np.longdouble array.
 
-    The arithmetic is IEEE double, so signed zeros, NaN and inf behave as
-    in numpy's float64, except that the sign of a NaN met by two NaNs is
-    left open, as IEEE 754 leaves it.  Python's 1 / x raises only at
-    x == 0, which the pivot rule below never takes; at a subnormal pivot
-    it gives inf, as numpy does.  The solution is bit for bit that of
-    dense float64 elimination on [M | rhs] (tests/test_sdo.py keeps that
-    solver as the oracle):
+    The arithmetic is IEEE double.  A pivot, or its reciprocal, that is
+    not finite raises SolveFailureError, and so does a solution that is
+    not finite.  Otherwise the solution is bit for bit that of dense
+    float64 elimination on [M | rhs] (tests/test_sdo.py keeps that solver
+    as the oracle):
 
-    * the pivot is the first position at or below col with the largest
-      |a|, or the first NaN, as argmax takes them; none, or a zero
-      maximum, is a singular system;
+    * the pivot is the first candidate with the largest |a|, as argmax
+      takes it.  A NaN candidate, which argmax would take first, fails
+      the solve; no candidate, or a zero maximum, is a singular system;
     * a row is updated when f = a[r, col] * (1 / pivot) is not 0, so an f
       that underflows skips it, as it does the dense row;
     * an entry becomes a - f * v.  Since x - y is -0 only when x is, no
@@ -383,17 +382,13 @@ def _solve_planned(rows, rhs, plan):
       dense update at such a slot of the pivot row, a - f * 0, leaves a
       as it was; a slot the plan holds but this system leaves at +0 is
       never a pivot, gives f = 0 in its column and adds +0 - f * v,
-      which the dense update adds too -- as long as f is finite.  As
-      |a| <= |pivot|, f is not finite only when the pivot or 1 / pivot
-      is not, when 0 * (1 / pivot) may be NaN as well; from such a
-      column on, every column updates every row below on every column,
-      as the dense elimination does;
+      which the dense update adds too, as |a| <= |pivot| keeps f
+      finite;
     * every rhs entry is stored, as it may hold -0, so every updated row
       updates it;
     * back-substitution sums a[row, j] * x[j] in ascending j from +0, one
       rounding per term.  A sum from +0 is never -0, so the left-out
-      terms, each a signed zero, change nothing while x is finite; once
-      an x is not, every term is summed.
+      terms, each a signed zero times a finite x, change nothing.
     """
     pattern, node = plan
     size = len(rhs)
@@ -401,18 +396,16 @@ def _solve_planned(rows, rhs, plan):
         row.append(bi)
     path = []  # the pivots of the planned columns so far
     pat = None  # the symbolic pattern, replayed once the trie runs out
-    dense = False
     ucols = []
     for col in range(size):
         p = None
         top = 0.0
-        for i in range(col, size) if dense else node[0]:
+        for i in node[0]:
             v = abs(rows[i][col])
-            if v != v:
-                p = i
-                break
             if v > top:
                 p, top = i, v
+            elif v != v:
+                raise SolveFailureError("Newton pivot nan is not finite")
         if p is None:
             raise SolveFailureError("Newton system is singular")
         prow = rows[p]
@@ -420,22 +413,21 @@ def _solve_planned(rows, rhs, plan):
         pivot = prow[col]
         inv = 1 / pivot
         # x - x == 0 exactly when x is finite
-        if not dense and pivot - pivot == 0 and inv - inv == 0:
-            branches = node[1]
-            branch = branches.get(p)
-            if branch is None:
-                if pat is None:
-                    pat = [set(r) for r in pattern]
-                    for c, q in enumerate(path):
-                        _plan_column(pat, c, q)
-                targets, cols = _plan_column(pat, col, p)
-                nxt = _node(pat, col + 1) if col + 1 < size else None
-                branch = branches[p] = targets, cols, nxt
-            path.append(p)
-            targets, cols, node = branch
-        else:
-            dense = True
-            targets = cols = range(col + 1, size)
+        if not (pivot - pivot == 0 and inv - inv == 0):
+            raise SolveFailureError(
+                f"Newton pivot {pivot!r} or its reciprocal is not finite")
+        branches = node[1]
+        branch = branches.get(p)
+        if branch is None:
+            if pat is None:
+                pat = [set(r) for r in pattern]
+                for c, q in enumerate(path):
+                    _plan_column(pat, c, q)
+            targets, cols = _plan_column(pat, col, p)
+            nxt = _node(pat, col + 1) if col + 1 < size else None
+            branch = branches[p] = targets, cols, nxt
+        path.append(p)
+        targets, cols, node = branch
         for t in targets:
             row = rows[t]
             f = row[col] * inv
@@ -445,29 +437,16 @@ def _solve_planned(rows, rhs, plan):
                 row[size] = row[size] - f * prow[size]
         ucols.append(cols)
     x = [0.0] * size
-    finite = True
     for i in range(size - 1, -1, -1):
         row = rows[i]
         acc = 0.0
-        for j in ucols[i] if finite else range(i + 1, size):
+        for j in ucols[i]:
             acc = acc + row[j] * x[j]
-        x[i] = xi = (row[size] - acc) / row[i]
-        finite = finite and xi - xi == 0
-    return np.array(x, dtype=_LD)
-
-
-def _solve_sparse(rows, rhs):
-    """Solve the system whose rows map a column to a nonzero float.
-
-    A missing entry is +0, and no entry may be -0; rhs is a float64
-    array.  The system is solved by _solve_planned through a plan of its
-    own pattern.
-    """
-    dense = [[0.0] * len(rhs) for _ in rows]
-    for full, row in zip(dense, rows):
-        for j, v in row.items():
-            full[j] = v
-    return _solve_planned(dense, rhs, _plan(dense))
+        x[i] = (row[size] - acc) / row[i]
+    x = np.array(x)
+    if not np.isfinite(x).all():
+        raise SolveFailureError("Newton step is not finite")
+    return x.astype(_LD)
 
 
 class _NewtonLayout:
@@ -795,10 +774,18 @@ def fit_order_raw(trace: TraceResult, coordinate: int) -> float:
         raise InsufficientSamplesError(
             f"only {len(idx)} resolvable samples for coordinate {coordinate}"
         )
-    xs = np.log(mus[idx])
-    ys = np.log(dev[idx])
-    xs -= xs.mean()
-    return float((xs @ (ys - ys.mean())) / (xs @ xs))
+    return _slope(np.log(mus[idx]), np.log(dev[idx]))
+
+
+def _slope(xs, ys) -> float:
+    """Least-squares slope of ys against xs.
+
+    The sums are math.fsum's, rounded once: a float64 @ sums in the order
+    of the BLAS kernel numpy loads for the host's CPU, which moves the
+    last digit.
+    """
+    xs = xs - xs.mean()
+    return math.fsum(xs * (ys - ys.mean())) / math.fsum(xs * xs)
 
 
 # largest denominator fit_order snaps a slope to
@@ -900,13 +887,9 @@ def verify_reparametrization(
                     ok = False
         coordinate_bounded.append(ok)
     tail = min(4, levels)
-    growth = np.zeros(dim)
     xs = np.log(np.array(ts[-tail:]))
-    xs_c = xs - xs.mean()
-    denom = xs_c @ xs_c
-    for i in range(dim):
-        ys = np.log(np.maximum(d1[-tail:, i], 1e-300))
-        growth[i] = float((xs_c @ (ys - ys.mean())) / denom)
+    growth = np.array([_slope(xs, np.log(np.maximum(d1[-tail:, i], 1e-300)))
+                       for i in range(dim)])
     return ReparametrizationReport(
         rho, tuple(ts), d1, d2, tuple(coordinate_bounded), growth
     )

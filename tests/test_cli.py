@@ -37,6 +37,14 @@ def run(capsys, *argv):
     return code, capsys.readouterr()
 
 
+def run_under_blas_kernel(coretype, *argv):
+    """The stdout of the CLI in a subprocess that loads this OpenBLAS kernel."""
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    proc = subprocess.run([sys.executable, "-m", "puiseuxpath.cli", *argv],
+                          capture_output=True, env=env, check=True)
+    return proc.stdout
+
+
 class TestCurveCommands:
     def test_rho_curve_elliptope(self, capsys):
         code, cap = run(capsys, "rho-curve", "--poly", ELL_CUBIC,
@@ -372,10 +380,17 @@ class TestErrors:
         assert cap.out == ""
         assert "error [input]: need 0 < mu_end < mu_start < inf" in cap.err
 
-    def test_bad_rho_for_plot_data(self, capsys):
+    def test_bad_rho_for_plot_data(self, capsys, monkeypatch):
+        # --rho is checked before the path is traced
+        def no_trace(*args, **kwargs):
+            raise AssertionError("trace_path called")
+
+        monkeypatch.setattr(cli, "trace_path", no_trace)
         code, cap = run(capsys, "trace", "--instance", "identity_3",
                         "--rho", "0", "--format", "csv")
         assert code == 2
+        assert cap.out == ""
+        assert "error [input]: --rho must be a positive integer" in cap.err
 
 
 class _ClosedPipe(io.StringIO):
@@ -446,13 +461,9 @@ class TestGoldenOutput:
     def test_trace_csv_under_another_blas_kernel(self):
         # the Newton step is solved on Python floats, so the traced bits do
         # not depend on the BLAS kernel numpy loads for the host's CPU
-        env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
-        proc = subprocess.run(
-            [sys.executable, "-m", "puiseuxpath.cli", "trace",
-             "--instance", "elliptope_3", "--format", "csv"],
-            capture_output=True, env=env, check=True,
-        )
-        assert proc.stdout == (DATA / "trace_elliptope_3.csv").read_bytes()
+        out = run_under_blas_kernel("Prescott", "trace", "--instance",
+                                    "elliptope_3", "--format", "csv")
+        assert out == (DATA / "trace_elliptope_3.csv").read_bytes()
 
 
 # name -> (polynomial, rho-curve limit): the README examples and curves
@@ -524,3 +535,13 @@ class TestDeterminism:
                 )
                 outs.append(r.stdout)
             assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("coretype", ["Prescott", "Haswell"])
+    def test_verify_json_under_other_blas_kernels(self, capsys, coretype):
+        # each growth slope is summed by math.fsum, not by a BLAS dot
+        # product, so its last digit does not follow the host's CPU
+        argv = ("verify", "--instance", "kl02_3", "--rho", "2",
+                "--format", "json")
+        code, cap = run(capsys, *argv)
+        assert code == 0
+        assert run_under_blas_kernel(coretype, *argv) == cap.out.encode()

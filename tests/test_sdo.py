@@ -37,8 +37,8 @@ from puiseuxpath.sdo import (
     SDOInstance,
     _newton_layout,
     _newton_system,
+    _plan,
     _solve_planned,
-    _solve_sparse,
     builtin_instance,
     central_point,
     elliptope_instance,
@@ -250,19 +250,36 @@ class TestCentralPoint:
         with pytest.raises(InputError, match="tol must be finite and positive"):
             verify_reparametrization(inst, 1, tol=tol)
 
-    def test_start_past_double_range_fails_without_warning(self):
-        # an iterate entry past float64's range rounds to inf in the double
-        # Newton system; the step is then not finite, and the solve fails
-        # as any non-finite step does, with no numpy warning on the way
+    def _fails_at_first_solve(self, monkeypatch, entry):
+        calls = []
+        solve = sdo._solve_planned
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
         inst = elliptope_instance()
         s = central_point(inst, 0.5)
         X = s.X.copy()
-        X[0, 1] = X[1, 0] = np.longdouble("1e400")
+        X[0, 1] = X[1, 0] = np.longdouble(entry)
         start = CentralPathSample(0.5, X, s.y.copy(), s.S.copy(), 0.0)
+        monkeypatch.setattr(sdo, "_solve_planned", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SolveFailureError):
+            with pytest.raises(SolveFailureError, match="not finite"):
                 central_point(inst, 0.25, start=start)
+        assert len(calls) == 1
+
+    def test_start_past_double_range_fails_without_warning(self, monkeypatch):
+        # an iterate entry past float64's range rounds to inf in the double
+        # Newton system, a pivot that is not finite: the first solve fails,
+        # with no numpy warning on the way
+        self._fails_at_first_solve(monkeypatch, "1e400")
+
+    def test_nan_start_fails_at_first_solve(self, monkeypatch):
+        # a NaN iterate entry is a NaN pivot candidate, so no NaN step is
+        # ever taken
+        self._fails_at_first_solve(monkeypatch, "nan")
 
     def test_coords_layout(self):
         s = central_point(identity_instance(2), 0.25)
@@ -532,7 +549,7 @@ def _reference_residuals(inst, X, y, S, mu):
     return rp, Rd, Rc
 
 
-def _dense_solve(M, rhs, dtype=np.float64):
+def _dense_solve(M, rhs, dtype=np.float64, pivots=None):
     """Solve M x = rhs by partial-pivot elimination in dtype.
 
     Each column is eliminated with one outer-product update of the
@@ -540,7 +557,8 @@ def _dense_solve(M, rhs, dtype=np.float64):
     f = M[row, col] * (1 / pivot), and rows with f == 0 are left alone.
     The back-substitution goes row by row and sums each row's products in
     ascending order from +0, one rounding each (a float64 matmul would
-    take the order of the host's BLAS kernel).
+    take the order of the host's BLAS kernel).  Each pivot and its
+    reciprocal are appended to pivots, when given.
     """
     size = len(rhs)
     a = np.empty((size, size + 1), dtype=dtype)
@@ -552,6 +570,8 @@ def _dense_solve(M, rhs, dtype=np.float64):
             raise SolveFailureError("Newton system is singular")
         if piv != col:
             a[[col, piv]] = a[[piv, col]]
+        if pivots is not None:
+            pivots += [a[col, col], 1 / a[col, col]]
         f = a[col + 1 :, col] * (1 / a[col, col])
         nz = f.nonzero()[0]
         if nz.size:
@@ -573,6 +593,20 @@ def _dense(rows, size):
     return M
 
 
+def _solve_sparse(rows, rhs):
+    """Solve the system whose rows map a column to a nonzero float.
+
+    A missing entry is +0, and no entry may be -0; rhs is a float64
+    array.  The system is solved by _solve_planned through a plan of its
+    own pattern.
+    """
+    dense = [[0.0] * len(rhs) for _ in rows]
+    for full, row in zip(dense, rows):
+        for j, v in row.items():
+            full[j] = v
+    return _solve_planned(dense, rhs, _plan(dense))
+
+
 def _same_bits(a, b):
     return (
         a.shape == b.shape
@@ -590,23 +624,21 @@ def _outcome(solve, rhs):
 
 
 def _assert_same_as_dense(M, rhs, solve):
-    """solve(rhs) agrees with the dense oracle on M, NaNs included.
+    """solve(rhs) keeps the contract of the kernel against the dense oracle.
 
-    The sign of a NaN is not compared: IEEE 754 leaves it open when an
-    operation meets two NaNs, and which one CPython's float operations
-    pass on changes once its interpreter specializes them, after a few
-    calls (so one drawn system gave both signs in two solves).
+    Where every pivot of the oracle on M, its reciprocal and the oracle's
+    solution are finite, solve returns the oracle's bits; otherwise it
+    raises SolveFailureError.  Returns solve's outcome.
     """
-    want = _outcome(lambda b: _dense_solve(M, b), rhs)
+    pivots = []
+    want = _outcome(lambda b: _dense_solve(M, b, pivots=pivots), rhs)
     got = _outcome(solve, rhs)
-    if isinstance(want, str):
-        assert got == want
+    if isinstance(want, str) or not np.isfinite(pivots + list(want)).all():
+        assert isinstance(got, str) and got.startswith("SolveFailureError: ")
     else:
         assert isinstance(got, np.ndarray) and got.dtype == np.longdouble
-        assert np.array_equal(got, want, equal_nan=True)
-        num = ~np.isnan(want)
-        assert np.array_equal(np.signbit(got[num]), np.signbit(want[num]))
-    return want
+        assert _same_bits(got, want)
+    return got
 
 
 def _assert_same_outcome(rows, rhs):
@@ -628,7 +660,11 @@ BUILTINS = ("identity_3", "elliptope_3", "kl02_3", "kl02_4", "kl02_5")
 
 @pytest.fixture(scope="module")
 def newton_systems():
-    """Every (X, S, rows) and (rows, rhs, plan) the Newton steps of five traces build."""
+    """Every (X, S, rows) and (rows, rhs, plan) the Newton steps build.
+
+    They are those of trace_path and of verify_reparametrization at the
+    true rho on each builtin.
+    """
     jacobians, systems = [], []
     newton_system, solve = sdo._newton_system, sdo._solve_planned
 
@@ -648,6 +684,7 @@ def newton_systems():
         for name in BUILTINS:
             instances[name] = inst = builtin_instance(name)
             trace_path(inst)
+            verify_reparametrization(inst, TestNewtonWork.SOLVES[name][0])
     layouts = {id(inst._newton): inst for inst in instances.values()}
     jacobians = [(layouts[id(lay)], X, S, rows) for lay, X, S, rows in jacobians]
     return jacobians, systems
@@ -685,7 +722,11 @@ class TestNewtonKernel:
                 assert _same_bits(J, _rounded_jacobian(inst, X, S))
 
     def test_captured_newton_solves(self, newton_systems):
+        # every step the builtins take is finite, solves without raising
+        # and keeps the dense bits
         _, systems = newton_systems
+        solves = TestNewtonWork.SOLVES.values()
+        assert len(systems) == sum(t + v for _, t, v in solves)
         assert {len(rhs) for _, rhs, _ in systems} == {13, 15, 24, 35}
         for rows, rhs, plan in systems:
             assert rhs.dtype == np.float64
@@ -708,7 +749,7 @@ class TestNewtonKernel:
             err = float(np.abs(got - want).max() / np.abs(want).max())
             assert err <= len(rhs) * np.linalg.cond(M, np.inf) * eps
             worst = max(worst, err)
-        # on the builtin traces every step keeps 13 digits (worst 3.5e-15)
+        # on the builtins every step keeps 13 digits (worst 4.0e-15)
         assert worst < 1e-13
 
     def test_line_search_test_is_both_choleskys(self):
@@ -753,7 +794,7 @@ class TestNewtonKernel:
 # Entries are a small mantissa, so pivot magnitudes tie exactly, times a
 # row and a column scale.  The scales make multipliers and products that
 # underflow, and columns so small (subnormal) that 1 / pivot overflows,
-# which sends NaNs through the elimination.
+# which fails the solve.
 _MANTISSAS = st.sampled_from([1, -1, 2, -2, 3, -0.5, 0.75])
 _NORMAL_SCALES = [2.0**e for e in (0, 0, 0, -560, 500)]
 _SCALES = st.sampled_from(_NORMAL_SCALES + [2.0**-1050])
@@ -825,13 +866,14 @@ class TestSparseSolve:
         gone = data.draw(st.integers(0, len(rhs) - 1))
         for row in rows:
             row.pop(gone, None)
-        outcome = _assert_same_outcome(rows, rhs)
-        assert outcome == "SolveFailureError: Newton system is singular"
+        assert (_assert_same_outcome(rows, rhs)
+                == "SolveFailureError: Newton system is singular")
 
     @settings(max_examples=150, deadline=None)
     @given(_sparse_systems(), st.data())
     def test_systems_holding_nan(self, system, data):
-        # NaNs of either sign, and infinities, in the matrix or the rhs
+        # NaNs of either sign, and infinities, in the matrix or the rhs:
+        # the solve fails, whatever the values around them
         rows, rhs = system
         size = len(rhs)
         for _ in range(data.draw(st.integers(1, 3))):
@@ -842,7 +884,7 @@ class TestSparseSolve:
                 rhs[r] = bad
             else:
                 rows[r][j] = bad
-        _assert_same_outcome(rows, rhs)
+        assert isinstance(_assert_same_outcome(rows, rhs), str)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -931,7 +973,8 @@ class TestPlanReuse:
 
         def not_finite():
             # after the planned column 0: NaN or inf on every planned slot
-            # of a column, or a column so small that 1 / pivot overflows
+            # of a column, which fails the solve, or a column so small that
+            # 1 / pivot overflows
             col = data.draw(st.integers(1, size - 1))
             kind = data.draw(st.sampled_from(["nan", "-nan", "inf", "-inf", "tiny"]))
             if kind == "tiny":
@@ -941,7 +984,7 @@ class TestPlanReuse:
             for r, j in slots:
                 if j == col:
                     rows[r][j] = float(kind)
-            solve(rows)
+            assert isinstance(solve(rows), str)
 
         def underflow():
             # a row scaled up takes column 0 and a row scaled down holds it
