@@ -861,7 +861,7 @@ class TestSparseSolve:
     @given(_sparse_systems(scales=st.sampled_from(_NORMAL_SCALES)), st.data())
     def test_singular_systems(self, system, data):
         # an empty column; with no pivot so small that 1 / pivot overflows
-        # no NaN can reach it first
+        # no other failure can come first
         rows, rhs = system
         gone = data.draw(st.integers(0, len(rhs) - 1))
         for row in rows:
