@@ -1,8 +1,9 @@
 """Command-line behavior: output shape, exit codes, determinism.
 
 The commands are exercised in-process through main(argv) with captured
-stdout; the byte-determinism check runs the installed module twice in
-subprocesses with different hash seeds. The golden files under
+stdout; the byte-determinism checks run the installed module in
+subprocesses, twice with different hash seeds and under other OpenBLAS
+kernels. The golden files under
 ``tests/data`` pin the stdout of ``rho-sdo --format json`` and of
 ``verify --format csv`` on the builtin instances byte for byte (and
 ``rho-sdo`` on kl02_4 at ``PUISEUXPATH_DEGREE_CAP=100000``), and the
