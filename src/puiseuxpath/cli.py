@@ -36,7 +36,13 @@ from .errors import InputError, PuiseuxPathError
 from .pipeline import compute_rho_sdo
 from .polynomials import parse_bipoly
 from .puiseux import expand, newton_polygon, render_branch
-from .sdo import load_instance, trace_path, verify_reparametrization
+from .sdo import (
+    central_point,
+    load_instance,
+    mu_grid,
+    trace_path,
+    verify_reparametrization,
+)
 
 __all__ = ["main"]
 
@@ -145,35 +151,27 @@ def _trace_of(args):
 def cmd_trace(args, out) -> int:
     if args.rho is not None and args.rho < 1:
         raise InputError("--rho must be a positive integer")
-    inst, tr = _trace_of(args)
+    if args.format == "csv" and args.rho is not None:
+        # plot data for the reparametrized path t -> v(t^rho): solve at
+        # t^rho for t on the trace's geometric grid
+        inst = load_instance(args.instance)
+        points, warm, head = [], None, "t"
+        for t in mu_grid(args.mu_start, args.mu_end, args.ratio, args.tol):
+            warm = central_point(inst, t ** args.rho, tol=args.tol, start=warm)
+            points.append((t, warm))
+    else:
+        inst, tr = _trace_of(args)
+        points, head = [(s.mu, s) for s in tr.samples], "mu"
     labels = inst.coordinate_labels()
     if args.format == "csv":
-        if args.rho is None:
-            _print(out, ",".join(["mu"]
-                                 + [f"coord_{i}" for i in range(inst.dim)]
-                                 + ["residual"]))
-            for s in tr.samples:
-                row = [repr(float(s.mu))]
-                row += [repr(float(v)) for v in s.coords]
-                row.append(repr(float(s.residual)))
-                _print(out, ",".join(row))
-        else:
-            # plot data for the reparametrized path t -> v(t^rho): solve at
-            # t^rho for t on the same geometric grid
-            from .sdo import central_point
-
-            _print(out, ",".join(["t"]
-                                 + [f"coord_{i}" for i in range(inst.dim)]
-                                 + ["residual"]))
-            warm = None
-            for s in tr.samples:
-                t = float(s.mu)
-                warm = central_point(inst, t ** args.rho, tol=args.tol,
-                                     start=warm)
-                row = [repr(t)]
-                row += [repr(float(v)) for v in warm.coords]
-                row.append(repr(float(warm.residual)))
-                _print(out, ",".join(row))
+        _print(out, ",".join([head]
+                             + [f"coord_{i}" for i in range(inst.dim)]
+                             + ["residual"]))
+        for x, s in points:
+            row = [repr(float(x))]
+            row += [repr(float(v)) for v in s.coords]
+            row.append(repr(float(s.residual)))
+            _print(out, ",".join(row))
     elif args.format == "json":
         _dump_json(out, {
             "instance": inst.name,

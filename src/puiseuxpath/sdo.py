@@ -6,15 +6,18 @@ the central point at mu > 0 solves
     <A_i, X> = b_i,    sum_i y_i A_i + S = C,    X S = mu I.
 
 Newton's method is applied to the symmetrized complementarity block
-(XS + SX)/2 - mu I so iterates stay symmetric, with a
-fraction-to-the-boundary line search keeping X and S positive definite.
-The residuals, the test that stops at res <= tol, the iterates and the
-line search run in numpy extended precision, so traces stay clean well
-below mu = 1e-6.  Each Newton step is solved in IEEE double, on CPython
-floats: only the residual must be accurate, and each step corrects the
-error the one before it left, as in mixed-precision iterative refinement
-(Moler, Iterative refinement in floating point, JACM 14(2), 1967;
-Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 12).
+(XS + SX)/2 - mu I, with a fraction-to-the-boundary line search keeping
+X and S positive definite.  X and S are one (2, n, n) stack and stay
+exactly symmetric: each step mirrors its upper-triangle unknowns, and a
+sum of symmetric matrices rounds mirrored entries alike.  The residual
+F, the test that stops at max |F| <= tol (one max, so a NaN anywhere
+fails the solve), the iterates and the line search run in numpy
+extended precision, so traces stay clean well below mu = 1e-6.  Each
+Newton step is solved in IEEE double, on CPython floats: only the
+residual must be accurate, and each step corrects the error the one
+before it left, as in mixed-precision iterative refinement (Moler,
+Iterative refinement in floating point, JACM 14(2), 1967; Higham,
+Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 12).
 Python's float arithmetic rounds the same on every x86-64 host, which a
 BLAS-backed solve would not.
 
@@ -67,6 +70,7 @@ __all__ = [
     "builtin_instance",
     "load_instance",
     "central_point",
+    "mu_grid",
     "trace_path",
     "fit_order",
     "fit_order_raw",
@@ -311,10 +315,10 @@ class CentralPathSample:
         return f"CentralPathSample(mu={self.mu:.3e}, residual={self.residual:.2e})"
 
 
-def _interior(X, S) -> bool:
-    """Whether X and S are both positive definite, by one batched Cholesky."""
+def _interior(Z) -> bool:
+    """Whether both matrices of the stack Z are positive definite."""
     try:
-        np.linalg.cholesky(np.array((X, S), dtype=np.float64))
+        np.linalg.cholesky(Z.astype(np.float64))
     except np.linalg.LinAlgError:
         return False
     return True
@@ -476,11 +480,14 @@ class _NewtonLayout:
     every later Newton step; a slot it plans but a step's values leave at
     +0 changes no bit (_solve_planned says why).  A3 and Af stack the
     constraint matrices, as (m, n, n) and as m rows of vec A_i, for the
-    residuals.
+    residuals; fidx gathers F from them (_residual), bC holds b and the
+    upper triangle of C, and diag marks the diagonal pairs.  zidx
+    gathers the stacked step (dX, dS) of shape (2, n, n) from a solution,
+    each mirrored entry from its one upper-triangle unknown.
     """
 
-    __slots__ = ("k", "rows", "cols", "flat", "template", "slots", "ga", "gb",
-                 "plans", "A3", "Af")
+    __slots__ = ("k", "template", "slots", "ga", "gb", "plans", "A3", "Af",
+                 "fidx", "bC", "diag", "zidx")
 
     def __init__(self, inst: SDOInstance):
         n, m = inst.n, inst.m
@@ -513,9 +520,6 @@ class _NewtonLayout:
             ga += ia + [i if i == pad else nn + i for i in ia]
             gb += ib + [i if i == pad else nn + i for i in ib]
         self.k = k
-        self.rows = np.array([i for i, _ in pairs], dtype=np.intp)
-        self.cols = np.array([j for _, j in pairs], dtype=np.intp)
-        self.flat = self.rows * n + self.cols
         self.template = template
         self.slots = slots
         self.ga = np.array(ga, dtype=np.intp)
@@ -523,6 +527,14 @@ class _NewtonLayout:
         self.plans = {}
         self.A3 = np.array(inst.A, dtype=_LD)
         self.Af = self.A3.reshape(m, nn)
+        flat = [i * n + j for i, j in pairs]
+        self.fidx = np.array(list(range(m)) + [m + f for f in flat]
+                             + [m + nn + f for f in flat], dtype=np.intp)
+        self.bC = np.concatenate((inst.b, inst.C.ravel()[flat]))
+        self.diag = np.array([i == j for i, j in pairs], dtype=_LD)
+        half = [pairs.index((min(i, j), max(i, j)))
+                for i in range(n) for j in range(n)]
+        self.zidx = np.array(half + [k + m + c for c in half], dtype=np.intp)
 
 
 def _newton_layout(inst: SDOInstance) -> _NewtonLayout:
@@ -536,10 +548,10 @@ def _newton_system(lay: _NewtonLayout, X, S):
     # a matrix product sums from +0, so a -0 entry it selects comes out
     # as +0; adding 0 does the same to the gathered entries
     g = np.concatenate((S.ravel(), X.ravel(), _PAD)) + 0
-    # rounded to double once; an entry past its range becomes inf, and one
-    # that underflows to -0 becomes +0 by the same addition of 0
-    with np.errstate(over="ignore"):
-        vals = ((g[lay.ga] + g[lay.gb]) / 2).astype(np.float64) + 0
+    # rounded to double once, under the caller's np.errstate(over="ignore");
+    # an entry past its range becomes inf, and one that underflows to -0
+    # becomes +0 by the same addition of 0
+    vals = ((g[lay.ga] + g[lay.gb]) / 2).astype(np.float64) + 0
     rows = [list(row) for row in lay.template]
     for (r, j), v in zip(lay.slots, vals.tolist()):
         rows[r][j] = v
@@ -550,16 +562,18 @@ def _newton_system(lay: _NewtonLayout, X, S):
     return rows, plan
 
 
-def _residual_blocks(inst, lay, X, y, S, mu_eye):
-    """The primal, dual and complementarity residuals at (X, y, S).
+def _residual(lay, X, y, S, shift):
+    """The primal residual, then the dual and complementarity residuals at
+    the upper-triangle pairs, at (X, y, S) with X and S exactly symmetric.
 
-    Each stacked operation rounds as the per-matrix loop did: a sum over
-    one A_i * X, and sum_i y_i A_i as a matrix product from +0.
+    shift holds b, the upper triangle of C and mu at the diagonal pairs.
+    Each entry rounds as the per-matrix loop does: S X is (X S)^T bit for
+    bit, as both sum the same products in the same order.
     """
-    rp = (lay.A3 * X).sum(axis=(1, 2)) - inst.b
-    Rd = (y @ lay.Af).reshape(inst.n, inst.n) + S - inst.C
-    Rc = (X @ S + S @ X) / 2 - mu_eye
-    return rp, Rd, Rc
+    XS = X @ S
+    return np.concatenate((
+        (lay.A3 * X).sum(axis=(1, 2)), y @ lay.Af + S.ravel(),
+        ((XS + XS.T) / 2).ravel()))[lay.fidx] - shift
 
 
 # Newton steps allowed at one mu before central_point gives up
@@ -577,6 +591,11 @@ def central_point(
     A warm start reuses the matrices from a nearby sample. The default
     start is X = S = I, y = 0; if no interior step exists from there the
     instance is reported infeasible.
+
+    X and S are one (2, n, n) stack Z, symmetrized on entry; it stays
+    exactly symmetric, as the step dZ mirrors each upper-triangle unknown
+    and Z + t dZ rounds mirrored entries alike.  The stopping test is one
+    max over the residual F, so a NaN anywhere fails the first solve.
     """
     if not 0 < mu < math.inf:
         raise InputError("mu must be finite and positive")
@@ -592,55 +611,34 @@ def central_point(
         return central_point(inst, mu, tol=tol, start=warm)
     lay = _newton_layout(inst)
     k = lay.k
-    if start is None:
-        X = np.eye(n, dtype=_LD)
-        y = np.zeros(m, dtype=_LD)
-        S = np.eye(n, dtype=_LD)
-        cold = True
-    else:
-        X = start.X.copy()
-        y = start.y.copy()
-        S = start.S.copy()
-        cold = False
-    size = m + 2 * k
-    mu_eye = _LD(mu) * np.eye(n, dtype=_LD)
-    res = np.inf
-    for _ in range(_MAX_NEWTON_ITER):
-        rp, Rd, Rc = _residual_blocks(inst, lay, X, y, S, mu_eye)
-        res = max(
-            float(np.abs(rp).max()), float(np.abs(Rd).max()), float(np.abs(Rc).max())
-        )
-        if res <= tol:
-            return CentralPathSample(mu, X, y, S, res)
-        F = np.empty(size, dtype=_LD)
-        F[:m] = rp
-        F[m : m + k] = Rd.ravel()[lay.flat]
-        F[m + k :] = Rc.ravel()[lay.flat]
-        rows, plan = _newton_system(lay, X, S)
-        with np.errstate(over="ignore"):
-            rhs = (-F).astype(np.float64)
-        step = _solve_planned(rows, rhs, plan)
-        dX = np.zeros((n, n), dtype=_LD)
-        dS = np.zeros((n, n), dtype=_LD)
-        dX[lay.rows, lay.cols] = dX[lay.cols, lay.rows] = step[:k]
-        dS[lay.rows, lay.cols] = dS[lay.cols, lay.rows] = step[k + m :]
-        dy = step[k : k + m]
-        t = 1.0
-        while t > 1e-18 and not _interior(X + t * dX, S + t * dS):
-            t *= 0.5
-        if t <= 1e-18:
-            if cold:
-                raise InfeasibleInstanceError(
-                    f"no interior step from the default start at mu={mu:g}"
-                )
-            raise SolveFailureError(f"line search collapsed at mu={mu:g}")
-        if t < 1.0:
-            t *= 0.95
-        X = X + t * dX
-        X = (X + X.T) / 2
-        S = S + t * dS
-        S = (S + S.T) / 2
-        y = y + t * dy
+    cold = start is None
+    Z = np.array((np.eye(n, dtype=_LD),) * 2 if cold else (start.X, start.S))
+    Z = (Z + Z.transpose(0, 2, 1)) / 2
+    y = np.zeros(m, dtype=_LD) if cold else start.y.copy()
+    shift = np.concatenate((lay.bC, mu * lay.diag))
+    with np.errstate(over="ignore"):
+        for _ in range(_MAX_NEWTON_ITER):
+            X, S = Z
+            F = _residual(lay, X, y, S, shift)
+            res = float(np.abs(F).max())
+            if res <= tol:
+                return CentralPathSample(mu, X, y, S, res)
+            rows, plan = _newton_system(lay, X, S)
+            step = _solve_planned(rows, (-F).astype(np.float64), plan)
+            dZ = step[lay.zidx].reshape(2, n, n)
+            t = 1.0
+            while not _interior(Z + t * dZ):
+                t *= 0.5
+                if t <= 1e-18:
+                    if cold:
+                        raise InfeasibleInstanceError(
+                            f"no interior step from the default start at mu={mu:g}"
+                        )
+                    raise SolveFailureError(f"line search collapsed at mu={mu:g}")
+            if t < 1.0:
+                t *= 0.95
+            Z = Z + t * dZ
+            y = y + t * step[k : k + m]
     raise SolveFailureError(
         f"no convergence at mu={mu:g} after {_MAX_NEWTON_ITER} iterations;"
         f" last residual {res:.3e}"
@@ -701,14 +699,9 @@ class TraceResult:
         )
 
 
-def trace_path(
-    inst: SDOInstance,
-    mu_start: float = 1.0,
-    mu_end: float = 1e-8,
-    grid_ratio: float = 0.5,
-    tol: float = 1e-11,
-) -> TraceResult:
-    """Follow the central path down a geometric mu grid with warm starts."""
+def mu_grid(mu_start: float, mu_end: float, grid_ratio: float,
+            tol: float) -> list[float]:
+    """The geometric mu grid trace_path solves on, its inputs checked."""
     # an infinite mu_start never walks down the grid to mu_end
     if not (0 < mu_end < mu_start < math.inf):
         raise InputError("need 0 < mu_end < mu_start < inf")
@@ -719,16 +712,22 @@ def trace_path(
     if not tol < mu_end:
         raise InputError(f"tol must lie below mu_end = {mu_end!r}, got {tol!r}")
     mus = []
-    kk = 0
-    while True:
-        mu = mu_start * grid_ratio**kk
-        if mu < mu_end * (1 - 1e-12):
-            break
+    while (mu := mu_start * grid_ratio ** len(mus)) >= mu_end * (1 - 1e-12):
         mus.append(mu)
-        kk += 1
+    return mus
+
+
+def trace_path(
+    inst: SDOInstance,
+    mu_start: float = 1.0,
+    mu_end: float = 1e-8,
+    grid_ratio: float = 0.5,
+    tol: float = 1e-11,
+) -> TraceResult:
+    """Follow the central path down a geometric mu grid with warm starts."""
     samples = []
     prev = None
-    for mu in mus:
+    for mu in mu_grid(mu_start, mu_end, grid_ratio, tol):
         prev = central_point(inst, mu, tol=tol, start=prev)
         samples.append(prev)
     values = np.array([s.coords for s in samples], dtype=_LD)

@@ -459,6 +459,17 @@ class TestGoldenOutput:
         assert code == 0
         assert cap.out.encode() == (DATA / golden).read_bytes()
 
+    def test_rho_plot_data_traces_no_plain_path(self, capsys, monkeypatch):
+        # the plain path was traced only to read its mu grid
+        def no_trace(*args, **kwargs):
+            raise AssertionError("trace_path called")
+
+        monkeypatch.setattr(cli, "trace_path", no_trace)
+        code, cap = run(capsys, "trace", "--instance", "kl02_4", "--rho", "4",
+                        "--format", "csv")
+        assert code == 0
+        assert cap.out.encode() == (DATA / "trace_kl02_4_rho4.csv").read_bytes()
+
     def test_trace_csv_under_another_blas_kernel(self):
         # the Newton step is solved on Python floats, so the traced bits do
         # not depend on the BLAS kernel numpy loads for the host's CPU

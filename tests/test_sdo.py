@@ -250,7 +250,8 @@ class TestCentralPoint:
         with pytest.raises(InputError, match="tol must be finite and positive"):
             verify_reparametrization(inst, 1, tol=tol)
 
-    def _fails_at_first_solve(self, monkeypatch, entry):
+    def _fails_at_first_solve(self, monkeypatch, entry, name="elliptope_3",
+                              block="X", mu=0.25):
         calls = []
         solve = sdo._solve_planned
 
@@ -258,16 +259,20 @@ class TestCentralPoint:
             calls.append(args)
             return solve(*args)
 
-        inst = elliptope_instance()
+        inst = builtin_instance(name)
         s = central_point(inst, 0.5)
-        X = s.X.copy()
-        X[0, 1] = X[1, 0] = np.longdouble(entry)
-        start = CentralPathSample(0.5, X, s.y.copy(), s.S.copy(), 0.0)
+        X, y, S = s.X.copy(), s.y.copy(), s.S.copy()
+        if block == "y":
+            y[0] = np.longdouble(entry)
+        else:
+            M = X if block == "X" else S
+            M[0, 1] = M[1, 0] = np.longdouble(entry)
+        start = CentralPathSample(0.5, X, y, S, 0.0)
         monkeypatch.setattr(sdo, "_solve_planned", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SolveFailureError, match="not finite"):
-                central_point(inst, 0.25, start=start)
+                central_point(inst, mu, start=start)
         assert len(calls) == 1
 
     def test_start_past_double_range_fails_without_warning(self, monkeypatch):
@@ -280,6 +285,25 @@ class TestCentralPoint:
         # a NaN iterate entry is a NaN pivot candidate, so no NaN step is
         # ever taken
         self._fails_at_first_solve(monkeypatch, "nan")
+
+    @pytest.mark.parametrize("name", ["elliptope_3", "kl02_4"])
+    @pytest.mark.parametrize("block", ["S", "y"])
+    def test_nan_in_s_or_y_fails_at_first_solve(self, monkeypatch, name, block):
+        # the stopping test took max() of three floats, which drops a NaN
+        # that is not its first argument, so this solved start came back
+        # as converged with residual 0 and a NaN in it
+        self._fails_at_first_solve(monkeypatch, "nan", name, block, mu=0.5)
+
+    @pytest.mark.parametrize("mu", [0.5, 0.25])
+    def test_start_off_symmetric_comes_back_symmetric(self, mu):
+        inst = elliptope_instance()
+        s = central_point(inst, 0.5)
+        X = s.X.copy()
+        X[0, 1] = np.nextafter(X[0, 1], np.longdouble(np.inf))
+        assert X[0, 1] != X[1, 0]
+        start = CentralPathSample(0.5, X, s.y.copy(), s.S.copy(), 0.0)
+        r = central_point(inst, mu, start=start)
+        assert _same_bits(r.X, r.X.T) and _same_bits(r.S, r.S.T)
 
     def test_coords_layout(self):
         s = central_point(identity_instance(2), 0.25)
@@ -459,6 +483,49 @@ class TestNewtonWork:
         calls.clear()
         verify_reparametrization(builtin_instance(name), rho)
         assert len(calls) == verify_solves
+
+
+class TestSymmetry:
+    """X and S stay exactly symmetric, which the Newton loop rests on."""
+
+    @pytest.mark.parametrize("name", TestNewtonWork.SOLVES)
+    def test_builtin_samples_are_symmetric(self, monkeypatch, name):
+        samples = []
+        solve = sdo.central_point
+
+        def recorded(*args, **kwargs):
+            samples.append(solve(*args, **kwargs))
+            return samples[-1]
+
+        monkeypatch.setattr(sdo, "central_point", recorded)
+        inst = builtin_instance(name)
+        trace_path(inst)
+        verify_reparametrization(inst, TestNewtonWork.SOLVES[name][0])
+        assert len(samples) > 40
+        for s in samples:
+            assert _same_bits(s.X, s.X.T) and _same_bits(s.S, s.S.T)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5), st.data())
+    def test_transposed_product_is_bitwise(self, n, data):
+        # S X == (X S)^T for symmetric X and S, as both sum the same
+        # products in the same order: the residual forms X S alone
+        tail = np.longdouble(2) ** -60
+        entries = st.one_of(
+            st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf]),
+            st.builds(lambda v, w, s: (np.longdouble(v) + w * tail) * s,
+                      st.floats(-1e4, 1e4), st.floats(-1, 1), _SCALES),
+        )
+
+        def symmetric():
+            M = np.array(data.draw(st.lists(entries, min_size=n * n,
+                                            max_size=n * n)),
+                         dtype=np.longdouble).reshape(n, n)
+            return np.where(np.triu(np.ones((n, n), dtype=bool)), M, M.T)
+
+        X, S = symmetric(), symmetric()
+        with np.errstate(all="ignore"):
+            assert _same_bits(S @ X, (X @ S).T)
 
 
 class TestVerifyReparametrization:
@@ -713,7 +780,8 @@ class TestNewtonKernel:
             inst = builtin_instance(name)
             for _ in range(5):
                 X, S = symmetric(inst.n), symmetric(inst.n)
-                with warnings.catch_warnings():
+                # under the overflow setting central_point runs it with
+                with warnings.catch_warnings(), np.errstate(over="ignore"):
                     warnings.simplefilter("error")
                     rows, _ = _newton_system(_newton_layout(inst), X, S)
                 assert all(type(v) is float for row in rows for v in row)
@@ -771,7 +839,7 @@ class TestNewtonKernel:
                     )
                     if rng.random() < 0.2:
                         X[0, 0] = np.nan
-                    assert sdo._interior(X, S) == (pd(X) and pd(S))
+                    assert sdo._interior(np.array((X, S))) == (pd(X) and pd(S))
 
     def test_random_well_conditioned_solves(self):
         rng = np.random.default_rng(20240817)
@@ -1011,8 +1079,10 @@ class TestResiduals:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(BUILTINS), st.data())
     def test_stacked_residuals_match_per_matrix_loop(self, name, data):
+        # at exactly symmetric X and S, as central_point keeps them
         inst = builtin_instance(name)
         lay = _newton_layout(inst)
+        n = inst.n
         entries = st.one_of(
             st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf]),
             st.floats(-1e4, 1e4),
@@ -1024,11 +1094,18 @@ class TestResiduals:
             values = data.draw(st.lists(entries, min_size=count, max_size=count))
             return np.array(values, dtype=np.longdouble).reshape(shape)
 
-        X, y, S = draw((inst.n, inst.n)), draw((inst.m,)), draw((inst.n, inst.n))
+        def symmetric():
+            M = draw((n, n))
+            return np.where(np.triu(np.ones((n, n), dtype=bool)), M, M.T)
+
+        X, y, S = symmetric(), draw((inst.m,)), symmetric()
         mu = np.longdouble(data.draw(st.floats(1e-12, 1.0)))
+        upper = np.triu_indices(n)
         with np.errstate(all="ignore"):
-            got = sdo._residual_blocks(inst, lay, X, y, S,
-                                       mu * np.eye(inst.n, dtype=np.longdouble))
-            want = _reference_residuals(inst, X, y, S, mu)
-        for g, w in zip(got, want):
-            assert _same_bits(g, w)
+            shift = np.concatenate(
+                (inst.b, inst.C[upper], mu * np.eye(n, dtype=np.longdouble)[upper]))
+            got = sdo._residual(lay, X, y, S, shift)
+            rp, Rd, Rc = _reference_residuals(inst, X, y, S, mu)
+        # the blocks are symmetric, so their upper triangles hold every entry
+        assert _same_bits(Rd, Rd.T) and _same_bits(Rc, Rc.T)
+        assert _same_bits(got, np.concatenate((rp, Rd[upper], Rc[upper])))
