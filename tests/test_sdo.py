@@ -521,7 +521,7 @@ class TestSymmetry:
             M = np.array(data.draw(st.lists(entries, min_size=n * n,
                                             max_size=n * n)),
                          dtype=np.longdouble).reshape(n, n)
-            return np.where(np.triu(np.ones((n, n), dtype=bool)), M, M.T)
+            return _mirror(M)
 
         X, S = symmetric(), symmetric()
         with np.errstate(all="ignore"):
@@ -682,6 +682,11 @@ def _same_bits(a, b):
     )
 
 
+def _mirror(M):
+    """The symmetric matrix with the upper triangle of M."""
+    return np.where(np.triu(np.ones(M.shape, dtype=bool)), M, M.T)
+
+
 def _outcome(solve, rhs):
     with np.errstate(all="ignore"):
         try:
@@ -774,7 +779,7 @@ class TestNewtonKernel:
             # entries that round to -0 and to inf in double
             M[rng.random((n, n)) < 0.2] = -(np.longdouble(2) ** -1100)
             M[rng.random((n, n)) < 0.1] = np.longdouble("1e400")
-            return np.where(np.triu(np.ones((n, n), dtype=bool)), M, M.T)
+            return _mirror(M)
 
         for name in BUILTINS:
             inst = builtin_instance(name)
@@ -1094,11 +1099,7 @@ class TestResiduals:
             values = data.draw(st.lists(entries, min_size=count, max_size=count))
             return np.array(values, dtype=np.longdouble).reshape(shape)
 
-        def symmetric():
-            M = draw((n, n))
-            return np.where(np.triu(np.ones((n, n), dtype=bool)), M, M.T)
-
-        X, y, S = symmetric(), draw((inst.m,)), symmetric()
+        X, y, S = _mirror(draw((n, n))), draw((inst.m,)), _mirror(draw((n, n)))
         mu = np.longdouble(data.draw(st.floats(1e-12, 1.0)))
         upper = np.triu_indices(n)
         with np.errstate(all="ignore"):
