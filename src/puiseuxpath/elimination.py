@@ -166,10 +166,6 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_const(self) -> bool:
-        t = self._terms
-        return not t or (len(t) == 1 and 0 in t)
-
     def _degrees(self) -> tuple:
         """The per-variable degrees, -1 for zero; stored for later calls."""
         if not self._terms:

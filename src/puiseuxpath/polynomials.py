@@ -100,9 +100,6 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.c
 
-    def is_const(self) -> bool:
-        return len(self.c) <= 1
-
     def lc(self) -> int | Fraction:
         """Leading coefficient (0 for the zero polynomial)."""
         return self.c[-1] if self.c else 0

@@ -5,38 +5,28 @@ the central point at mu > 0 solves
 
     <A_i, X> = b_i,    sum_i y_i A_i + S = C,    X S = mu I.
 
-Newton's method is applied to the symmetrized complementarity block
-(XS + SX)/2 - mu I, with a fraction-to-the-boundary line search keeping
-X and S positive definite.  X and S are one (2, n, n) stack and stay
-exactly symmetric: each step mirrors its upper-triangle unknowns, and a
-sum of symmetric matrices rounds mirrored entries alike.  The residual
-F, the test that stops at max |F| <= tol (one max, so a NaN anywhere
-fails the solve), the iterates and the line search run in numpy
-extended precision, so traces stay clean well below mu = 1e-6.  Each
-Newton step is solved in IEEE double, on CPython floats: only the
-residual must be accurate, and each step corrects the error the one
-before it left, as in mixed-precision iterative refinement (Moler,
-Iterative refinement in floating point, JACM 14(2), 1967; Higham,
-Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 12).
-Python's float arithmetic rounds the same on every x86-64 host, which a
-BLAS-backed solve would not.
+Each Newton step is the HKM direction (Helmberg, Rendl, Vanderbei &
+Wolkowicz, SIAM J. Optim. 6(2), 1996; Kojima, Shindoh & Hara, SIAM J.
+Optim. 7(1), 1997): dX and dS are eliminated from the linearized
+equations, which leaves one m x m system M dy = r with
+M_ij = tr(A_i X A_j S^-1) (_newton_step).  A fraction-to-the-boundary
+line search keeps X and S positive definite.  X and S are one (2, n, n)
+stack and stay exactly symmetric: so is each step, and a sum of
+symmetric matrices rounds mirrored entries alike.
 
-The Newton system (size m + n(n+1); on the builtins 12-22 % of its
-entries are nonzero) is solved by partial-pivot elimination that visits
-only the entries its pattern can fill (Duff, Erisman & Reid, Direct
-Methods for Sparse Matrices).  As in sparse direct solvers that analyse
-a pattern once and refactor each new matrix of it (Davis & Palamadai
-Natarajan, Algorithm 907: KLU, ACM TOMS 37(3), 2010), the symbolic work
-is done once per instance: every nonzero mask of the complementarity
-entries gets a trie of plans keyed by the pivot row chosen at each
-column, and each Newton step picks its pivots again and follows the
-trie, planning a new branch only where a pivot differs.  A slot the plan
-holds but a step leaves at +0 changes no bit, so on a finite system the
-pivots and roundings are those of dense double elimination and every
-step is bit for bit what the dense solver gives; a pivot or a step that
-is not finite fails the solve.  _solve_planned states the rules that
-keep it so.  The residuals come from the constraint matrices stacked
-once per instance, with the roundings of the per-matrix loop.
+The residual F, the test that stops at max |F| <= tol (one max, so a
+NaN anywhere fails the solve), the iterates, the line search and the
+products of each step run in numpy extended precision, so traces stay
+clean well below mu = 1e-6.  S^-1 and dy are solved in IEEE double on
+CPython floats (_solve): only the residual must be accurate, and each
+step corrects the error the one before it left, as in mixed-precision
+iterative refinement (Moler, Iterative refinement in floating point,
+JACM 14(2), 1967; Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., ch. 12).  Python's float arithmetic rounds the
+same on every x86-64 host, and numpy's extended-precision products call
+no BLAS, so the traced bits do not depend on the BLAS kernel.  The
+residuals come from the constraint matrices stacked once per instance,
+with the roundings of the per-matrix loop.
 
 Coordinates of a sample are ordered as vec(X) row-major, then y, then
 vec(S) row-major, for a total length of m + 2 n^2.
@@ -78,16 +68,11 @@ __all__ = [
 ]
 
 _LD = np.longdouble
-_PAD = np.zeros(1, dtype=_LD)
 
 
 def _check_tol(tol: float) -> None:
     if not 0 < tol < math.inf:
         raise InputError(f"tol must be finite and positive, got {tol!r}")
-
-
-def _sym_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i, n)]
 
 
 class SDOInstance:
@@ -324,207 +309,60 @@ def _interior(Z) -> bool:
     return True
 
 
-def _plan(rows):
-    """A plan for systems whose nonzeros lie where those of rows do.
+def _solve(a, b):
+    """Solve a x = b on Python floats by Gauss-Jordan elimination.
 
-    It is the pattern, each row's nonzero columns, and the root of an
-    empty trie of plans (see _solve_planned).
+    a and b are lists of rows, b one column per right-hand side; neither
+    is changed.  Each column pivots on its first entry of largest
+    magnitude on or below the diagonal, and every other row r subtracts
+    f = a[r][col] * (1 / pivot) times the pivot row unless f is 0; then
+    x_i is row i's right-hand side over its pivot.  A zero pivot, or a
+    pivot or an x_i that is not finite, raises SolveFailureError.
     """
-    pattern = tuple(tuple(j for j, v in enumerate(row) if v) for row in rows)
-    return pattern, _node(pattern, 0)
-
-
-def _node(pat, col):
-    """A trie node for column col: the rows that may hold it, no branches."""
-    return tuple(i for i in range(col, len(pat)) if col in pat[i]), {}
-
-
-def _plan_column(pat, col, p):
-    """Eliminate column col of the symbolic pattern pat with pivot row p.
-
-    pat holds a set of columns per row position and is updated in place:
-    rows p and col swap, and every target row gains the pivot row's
-    columns.  Returns the targets, the rows below col that hold it, and
-    the pivot row's columns right of col, ascending.
-    """
-    pat[col], pat[p] = pat[p], pat[col]
-    cols = tuple(sorted(j for j in pat[col] if j > col))
-    targets = tuple(i for i in range(col + 1, len(pat)) if col in pat[i])
-    for t in targets:
-        pat[t].update(cols)
-    return targets, cols
-
-
-def _solve_planned(rows, rhs, plan):
-    """Solve the system with these dense rows by partial-pivot elimination.
-
-    rows[r] is a list holding the entries of row r as Python floats, rhs
-    is a float64 array, and no entry may be -0 outside the rhs.  The
-    lists are consumed: the rhs joins them as column len(rhs).  plan
-    comes from _plan on rows with this system's nonzero pattern or a
-    larger one.  Its trie has a node per column and pivot prefix holding
-    the candidate rows, the ones that may hold the column; a branch per
-    pivot row chosen there holds the target rows and the pivot row's
-    columns.  Each column picks its pivot again and follows the matching
-    branch.  A pivot the trie has not seen grows a new branch, planned
-    symbolically from the pattern by replaying the pivots before it.  The
-    solution comes back as an np.longdouble array.
-
-    The arithmetic is IEEE double.  A pivot, or its reciprocal, that is
-    not finite raises SolveFailureError, and so does a solution that is
-    not finite.  Otherwise the solution is bit for bit that of dense
-    float64 elimination on [M | rhs] (tests/test_sdo.py keeps that solver
-    as the oracle):
-
-    * the pivot is the first candidate with the largest |a|, as argmax
-      takes it.  A NaN candidate, which argmax would take first, fails
-      the solve; no candidate, or a zero maximum, is a singular system;
-    * a row is updated when f = a[r, col] * (1 / pivot) is not 0, so an f
-      that underflows skips it, as it does the dense row;
-    * an entry becomes a - f * v.  Since x - y is -0 only when x is, no
-      entry becomes -0.  A slot the plan leaves out holds +0, so the
-      dense update at such a slot of the pivot row, a - f * 0, leaves a
-      as it was; a slot the plan holds but this system leaves at +0 is
-      never a pivot, gives f = 0 in its column and adds +0 - f * v,
-      which the dense update adds too, as |a| <= |pivot| keeps f
-      finite;
-    * every rhs entry is stored, as it may hold -0, so every updated row
-      updates it;
-    * back-substitution sums a[row, j] * x[j] in ascending j from +0, one
-      rounding per term.  A sum from +0 is never -0, so the left-out
-      terms, each a signed zero times a finite x, change nothing.
-    """
-    pattern, node = plan
-    size = len(rhs)
-    for row, bi in zip(rows, rhs.tolist()):
-        row.append(bi)
-    path = []  # the pivots of the planned columns so far
-    pat = None  # the symbolic pattern, replayed once the trie runs out
-    ucols = []
+    size = len(a)
+    rows = [ra + rb for ra, rb in zip(a, b)]
+    width = len(rows[0])
     for col in range(size):
-        p = None
-        top = 0.0
-        for i in node[0]:
+        p, top = col, abs(rows[col][col])
+        for i in range(col + 1, size):
             v = abs(rows[i][col])
             if v > top:
                 p, top = i, v
-            elif v != v:
-                raise SolveFailureError("Newton pivot nan is not finite")
-        if p is None:
-            raise SolveFailureError("Newton system is singular")
         prow = rows[p]
-        rows[col], rows[p] = prow, rows[col]
         pivot = prow[col]
+        if pivot == 0:
+            raise SolveFailureError("Newton system is singular")
+        if not math.isfinite(pivot):
+            raise SolveFailureError(f"Newton pivot {pivot!r} is not finite")
+        rows[col], rows[p] = prow, rows[col]
         inv = 1 / pivot
-        # x - x == 0 exactly when x is finite
-        if not (pivot - pivot == 0 and inv - inv == 0):
-            raise SolveFailureError(
-                f"Newton pivot {pivot!r} or its reciprocal is not finite")
-        branches = node[1]
-        branch = branches.get(p)
-        if branch is None:
-            if pat is None:
-                pat = [set(r) for r in pattern]
-                for c, q in enumerate(path):
-                    _plan_column(pat, c, q)
-            targets, cols = _plan_column(pat, col, p)
-            nxt = _node(pat, col + 1) if col + 1 < size else None
-            branch = branches[p] = targets, cols, nxt
-        path.append(p)
-        targets, cols, node = branch
-        for t in targets:
-            row = rows[t]
+        cols = range(col + 1, width)
+        for row in rows:
             f = row[col] * inv
-            if f != 0:
+            if f != 0 and row is not prow:
                 for j in cols:
-                    row[j] = row[j] - f * prow[j]
-                row[size] = row[size] - f * prow[size]
-        ucols.append(cols)
-    x = [0.0] * size
-    for i in range(size - 1, -1, -1):
-        row = rows[i]
-        acc = 0.0
-        for j in ucols[i]:
-            acc = acc + row[j] * x[j]
-        x[i] = (row[size] - acc) / row[i]
-    x = np.array(x)
-    if not np.isfinite(x).all():
+                    row[j] -= f * prow[j]
+    x = [[v / row[i] for v in row[size:]] for i, row in enumerate(rows)]
+    if not all(math.isfinite(v) for row in x for v in row):
         raise SolveFailureError("Newton step is not finite")
-    return x.astype(_LD)
+    return x
 
 
 class _NewtonLayout:
-    """The constant parts of one instance's Newton system and its plans.
+    """The constant parts of one instance's Newton step.
 
-    Unknowns are the upper-triangle entries of dX, then dy, then those of
-    dS; equations are the m primal constraints, then the dual and the
-    complementarity residuals at the upper-triangle pairs.  template holds
-    the rows as dense lists of Python floats with the primal and dual
-    entries, which do not depend on the iterate, and +0 elsewhere.  For
-    the basis matrix B of pair (u, v) and a row pair (p, q),
-
-        ((B S + S B) / 2)[p, q] = (S[ia] + S[ib]) / 2,
-
-    where ia points at S[v, q] or S[u, q] when p is u or v, ib at S[p, u]
-    or S[p, v] when q is v or u, and both otherwise at an appended zero.
-    The same gathers on X give ((X B + B X) / 2)[p, q].  Only the pairs
-    not both at the zero are kept: ga and gb gather them for every
-    complementarity row, its dX entries and then its dS entries, from
-    vec S, then vec X, then the zero, and slots gives the row and the
-    column of each.  Each entry is summed and halved in long double and
-    rounded once to double, the precision of the solve.
-
-    plans maps the nonzero mask of those rounded entries to a plan of
-    the elimination (_plan).  Every system with one mask has the same
-    pattern, so its trie of pivot paths is built once and reused by
-    every later Newton step; a slot it plans but a step's values leave at
-    +0 changes no bit (_solve_planned says why).  A3 and Af stack the
-    constraint matrices, as (m, n, n) and as m rows of vec A_i, for the
-    residuals; fidx gathers F from them (_residual), bC holds b and the
-    upper triangle of C, and diag marks the diagonal pairs.  zidx
-    gathers the stacked step (dX, dS) of shape (2, n, n) from a solution,
-    each mirrored entry from its one upper-triangle unknown.
+    A3 and Af stack the constraint matrices, as (m, n, n) and as m rows
+    of vec A_i; bC holds b and the upper triangle of C, and diag marks
+    the diagonal pairs.  fidx gathers the residual F (_residual), and
+    didx its dual block as an n x n matrix.  eye is I in double.
     """
 
-    __slots__ = ("k", "template", "slots", "ga", "gb", "plans", "A3", "Af",
-                 "fidx", "bC", "diag", "zidx")
+    __slots__ = ("A3", "Af", "fidx", "bC", "diag", "didx", "eye")
 
     def __init__(self, inst: SDOInstance):
         n, m = inst.n, inst.m
-        pairs = _sym_pairs(n)
-        k = len(pairs)
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
         nn = n * n
-        pad = 2 * nn
-        template = [[0.0] * (m + 2 * k) for _ in range(m + 2 * k)]
-        for c, (u, v) in enumerate(pairs):
-            for row, Ai in enumerate(inst.A):
-                a = Ai[u, u] if u == v else Ai[u, v] + Ai[v, u]
-                if a:
-                    template[row][c] = float(a)
-            template[m + c][k + m + c] = 1.0
-        for idx, Ai in enumerate(inst.A):
-            for c, (i, j) in enumerate(pairs):
-                if Ai[i, j]:
-                    template[m + c][k + idx] = float(Ai[i, j])
-        slots, ga, gb = [], [], []
-        for r, (p, q) in enumerate(pairs):
-            cols, ia, ib = [], [], []
-            for c, (u, v) in enumerate(pairs):
-                a = v * n + q if p == u else u * n + q if p == v else None
-                b = p * n + u if q == v else p * n + v if q == u else None
-                if a is not None or b is not None:
-                    cols.append(c)
-                    ia.append(pad if a is None else a)
-                    ib.append(pad if b is None else b)
-            slots += [(m + k + r, c) for c in cols + [k + m + c for c in cols]]
-            ga += ia + [i if i == pad else nn + i for i in ia]
-            gb += ib + [i if i == pad else nn + i for i in ib]
-        self.k = k
-        self.template = template
-        self.slots = slots
-        self.ga = np.array(ga, dtype=np.intp)
-        self.gb = np.array(gb, dtype=np.intp)
-        self.plans = {}
         self.A3 = np.array(inst.A, dtype=_LD)
         self.Af = self.A3.reshape(m, nn)
         flat = [i * n + j for i, j in pairs]
@@ -534,7 +372,8 @@ class _NewtonLayout:
         self.diag = np.array([i == j for i, j in pairs], dtype=_LD)
         half = [pairs.index((min(i, j), max(i, j)))
                 for i in range(n) for j in range(n)]
-        self.zidx = np.array(half + [k + m + c for c in half], dtype=np.intp)
+        self.didx = np.array([m + c for c in half], dtype=np.intp)
+        self.eye = np.eye(n)
 
 
 def _newton_layout(inst: SDOInstance) -> _NewtonLayout:
@@ -543,23 +382,36 @@ def _newton_layout(inst: SDOInstance) -> _NewtonLayout:
     return inst._newton
 
 
-def _newton_system(lay: _NewtonLayout, X, S):
-    """Rows of the Newton system at (X, S), as dense lists, and their plan."""
-    # a matrix product sums from +0, so a -0 entry it selects comes out
-    # as +0; adding 0 does the same to the gathered entries
-    g = np.concatenate((S.ravel(), X.ravel(), _PAD)) + 0
-    # rounded to double once, under the caller's np.errstate(over="ignore");
-    # an entry past its range becomes inf, and one that underflows to -0
-    # becomes +0 by the same addition of 0
-    vals = ((g[lay.ga] + g[lay.gb]) / 2).astype(np.float64) + 0
-    rows = [list(row) for row in lay.template]
-    for (r, j), v in zip(lay.slots, vals.tolist()):
-        rows[r][j] = v
-    key = (vals != 0).tobytes()
-    plan = lay.plans.get(key)
-    if plan is None:
-        plan = lay.plans[key] = _plan(rows)
-    return rows, plan
+def _newton_step(lay: _NewtonLayout, X, S, F, mu):
+    """The HKM Newton step at (X, S) with residual F: (dX, dS) as one
+    (2, n, n) stack, and dy.  It solves
+
+        A(dX) = -rp,    sum_i dy_i A_i + dS = -Rd,    dX S + X dS = mu I - X S
+
+    with rp = A(X) - b and Rd = sum_i y_i A_i + S - C read from F:
+
+        dS = -Rd - sum_i dy_i A_i,    dX = mu S^-1 - X - X dS S^-1,
+        M dy = -rp - A(mu S^-1 - X + X Rd S^-1).
+
+    dX is then symmetrized, which keeps A(dX) as the A_i are symmetric,
+    and so is S^-1.  The stack is exactly symmetric: (dX + dX^T) / 2
+    rounds mirrored entries alike, and so does dS, a sum of symmetric
+    matrices.
+    """
+    n = len(X)
+    rp, Rd = F[: len(lay.A3)], F[lay.didx].reshape(n, n)
+    Sinv = np.array(_solve(S.astype(np.float64).tolist(),
+                           lay.eye.tolist())).astype(_LD)
+    Sinv = (Sinv + Sinv.T) / 2
+    M = np.einsum("iab,jba->ij", lay.A3, X @ lay.A3 @ Sinv)
+    W = mu * Sinv - X + X @ Rd @ Sinv
+    r = -rp - lay.Af @ W.ravel()
+    dy = np.array(_solve(M.astype(np.float64).tolist(),
+                         [[v] for v in r.astype(np.float64).tolist()]))
+    dy = dy.astype(_LD).ravel()
+    dS = -Rd - (dy @ lay.Af).reshape(n, n)
+    dX = mu * Sinv - X - X @ dS @ Sinv
+    return np.array(((dX + dX.T) / 2, dS)), dy
 
 
 def _residual(lay, X, y, S, shift):
@@ -589,13 +441,15 @@ def central_point(
     """Solve the central-path equations at one mu by damped Newton steps.
 
     A warm start reuses the matrices from a nearby sample. The default
-    start is X = S = I, y = 0; if no interior step exists from there the
-    instance is reported infeasible.
+    start is X = S = I, y = 0; a step from there that cannot be formed
+    (S or M singular or not finite) or taken (the line search collapses)
+    reports the instance infeasible, and from a warm start fails the solve.
 
     X and S are one (2, n, n) stack Z, symmetrized on entry; it stays
-    exactly symmetric, as the step dZ mirrors each upper-triangle unknown
-    and Z + t dZ rounds mirrored entries alike.  The stopping test is one
-    max over the residual F, so a NaN anywhere fails the first solve.
+    exactly symmetric, as the HKM step dZ (_newton_step) is and Z + t dZ
+    rounds mirrored entries alike.  The
+    stopping test is one max over the residual F, so a NaN anywhere fails
+    the first step.
     """
     if not 0 < mu < math.inf:
         raise InputError("mu must be finite and positive")
@@ -610,7 +464,6 @@ def central_point(
             bridge *= 0.1
         return central_point(inst, mu, tol=tol, start=warm)
     lay = _newton_layout(inst)
-    k = lay.k
     cold = start is None
     Z = np.array((np.eye(n, dtype=_LD),) * 2 if cold else (start.X, start.S))
     Z = (Z + Z.transpose(0, 2, 1)) / 2
@@ -623,22 +476,24 @@ def central_point(
             res = float(np.abs(F).max())
             if res <= tol:
                 return CentralPathSample(mu, X, y, S, res)
-            rows, plan = _newton_system(lay, X, S)
-            step = _solve_planned(rows, (-F).astype(np.float64), plan)
-            dZ = step[lay.zidx].reshape(2, n, n)
             t = 1.0
-            while not _interior(Z + t * dZ):
-                t *= 0.5
-                if t <= 1e-18:
-                    if cold:
-                        raise InfeasibleInstanceError(
-                            f"no interior step from the default start at mu={mu:g}"
-                        )
-                    raise SolveFailureError(f"line search collapsed at mu={mu:g}")
+            try:
+                dZ, dy = _newton_step(lay, X, S, F, mu)
+                while not _interior(Z + t * dZ):
+                    t *= 0.5
+                    if t <= 1e-18:
+                        raise SolveFailureError(
+                            f"line search collapsed at mu={mu:g}")
+            except SolveFailureError as err:
+                if cold:
+                    raise InfeasibleInstanceError(
+                        f"no interior step from the default start at mu={mu:g}"
+                    ) from err
+                raise
             if t < 1.0:
                 t *= 0.95
             Z = Z + t * dZ
-            y = y + t * step[k : k + m]
+            y = y + t * dy
     raise SolveFailureError(
         f"no convergence at mu={mu:g} after {_MAX_NEWTON_ITER} iterations;"
         f" last residual {res:.3e}"

@@ -477,6 +477,13 @@ class TestGoldenOutput:
                                     "elliptope_3", "--format", "csv")
         assert out == (DATA / "trace_elliptope_3.csv").read_bytes()
 
+    def test_verify_csv_under_another_blas_kernel(self):
+        # kl02_5 forms the largest Schur complements, in long double numpy,
+        # which calls no BLAS
+        out = run_under_blas_kernel("Prescott", "verify", "--instance",
+                                    "kl02_5", "--rho", "8", "--format", "csv")
+        assert out == (DATA / "verify_kl02_5_rho8.csv").read_bytes()
+
 
 # name -> (polynomial, rho-curve limit): the README examples and curves
 # whose branches live on towers of depth 1 and 2

@@ -16,6 +16,7 @@ Hand-checked fixtures:
 """
 
 import math
+import random
 import warnings
 
 import numpy as np
@@ -36,9 +37,6 @@ from puiseuxpath.sdo import (
     CentralPathSample,
     SDOInstance,
     _newton_layout,
-    _newton_system,
-    _plan,
-    _solve_planned,
     builtin_instance,
     central_point,
     elliptope_instance,
@@ -250,10 +248,10 @@ class TestCentralPoint:
         with pytest.raises(InputError, match="tol must be finite and positive"):
             verify_reparametrization(inst, 1, tol=tol)
 
-    def _fails_at_first_solve(self, monkeypatch, entry, name="elliptope_3",
-                              block="X", mu=0.25):
+    def _fails_at_first_step(self, monkeypatch, entry, name="elliptope_3",
+                             block="X", mu=0.25):
         calls = []
-        solve = sdo._solve_planned
+        solve = sdo._newton_step
 
         def counted(*args):
             calls.append(args)
@@ -268,7 +266,7 @@ class TestCentralPoint:
             M = X if block == "X" else S
             M[0, 1] = M[1, 0] = np.longdouble(entry)
         start = CentralPathSample(0.5, X, y, S, 0.0)
-        monkeypatch.setattr(sdo, "_solve_planned", counted)
+        monkeypatch.setattr(sdo, "_newton_step", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SolveFailureError, match="not finite"):
@@ -277,14 +275,14 @@ class TestCentralPoint:
 
     def test_start_past_double_range_fails_without_warning(self, monkeypatch):
         # an iterate entry past float64's range rounds to inf in the double
-        # Newton system, a pivot that is not finite: the first solve fails,
-        # with no numpy warning on the way
-        self._fails_at_first_solve(monkeypatch, "1e400")
+        # Schur complement M, a pivot that is not finite: the first step
+        # fails, with no numpy warning on the way
+        self._fails_at_first_step(monkeypatch, "1e400")
 
     def test_nan_start_fails_at_first_solve(self, monkeypatch):
-        # a NaN iterate entry is a NaN pivot candidate, so no NaN step is
-        # ever taken
-        self._fails_at_first_solve(monkeypatch, "nan")
+        # a NaN iterate entry makes M or the step NaN, which fails the
+        # solve, so no NaN step is ever taken
+        self._fails_at_first_step(monkeypatch, "nan")
 
     @pytest.mark.parametrize("name", ["elliptope_3", "kl02_4"])
     @pytest.mark.parametrize("block", ["S", "y"])
@@ -292,7 +290,7 @@ class TestCentralPoint:
         # the stopping test took max() of three floats, which drops a NaN
         # that is not its first argument, so this solved start came back
         # as converged with residual 0 and a NaN in it
-        self._fails_at_first_solve(monkeypatch, "nan", name, block, mu=0.5)
+        self._fails_at_first_step(monkeypatch, "nan", name, block, mu=0.5)
 
     @pytest.mark.parametrize("mu", [0.5, 0.25])
     def test_start_off_symmetric_comes_back_symmetric(self, mu):
@@ -458,26 +456,26 @@ class TestNewtonWork:
     benchmark.
     """
 
-    # name -> (rho, solves in trace_path, solves in verify_reparametrization)
+    # name -> (rho, steps in trace_path, steps in verify_reparametrization)
     SOLVES = {
         "identity_3": (1, 26, 24),
-        "elliptope_3": (2, 102, 100),
+        "elliptope_3": (2, 103, 101),
         "kl02_3": (2, 100, 99),
-        "kl02_4": (4, 110, 122),
-        "kl02_5": (8, 111, 108),
+        "kl02_4": (4, 110, 127),
+        "kl02_5": (8, 111, 115),
     }
 
     @pytest.mark.parametrize("name", SOLVES)
     def test_solve_counts(self, monkeypatch, name):
         rho, trace_solves, verify_solves = self.SOLVES[name]
         calls = []
-        solve = sdo._solve_planned
+        step = sdo._newton_step
 
         def counted(*args):
             calls.append(args)
-            return solve(*args)
+            return step(*args)
 
-        monkeypatch.setattr(sdo, "_solve_planned", counted)
+        monkeypatch.setattr(sdo, "_newton_step", counted)
         trace_path(builtin_instance(name))
         assert len(calls) == trace_solves
         calls.clear()
@@ -567,44 +565,80 @@ class TestVerifyReparametrization:
             verify_reparametrization(identity_instance(2), 1, window=(0.2, 0.25))
 
 
+def _degenerate_instance(seed: int) -> SDOInstance:
+    """An n = 3 instance with integer data built around a degenerate pair.
+
+    X* = diag(1, 0, 0) and S* = diag(0, 0, 1) are complementary with
+    rank X* + rank S* < n.  Each entry of each symmetric A_i (2 to 5 of
+    them) is, with probability 1/2, an integer in [-2, 2]; b = A(X*) and
+    C = S* + sum_i y0_i A_i for an integer y0, so X* and (y0, S*) are
+    feasible.  Nothing makes either side strictly feasible, so many seeds
+    have no central path (Wei & Wolkowicz, Generating and measuring
+    instances of hard semidefinite programs, Math. Program. 125, 2010).
+    """
+    rng = random.Random(seed)
+    n = 3
+    m = rng.randint(2, 5)
+    A = []
+    for _ in range(m):
+        Ai = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < 0.5:
+                    Ai[i][j] = Ai[j][i] = rng.randint(-2, 2)
+        A.append(Ai)
+    y0 = [rng.randint(-1, 1) for _ in range(m)]
+    b = [Ai[0][0] for Ai in A]
+    C = [[int(i == j == 2) + sum(y0[k] * A[k][i][j] for k in range(m))
+          for j in range(n)] for i in range(n)]
+    return SDOInstance(A, b, C, name=f"d{seed}")
+
+
+def _trace_outcome(seed: int) -> str:
+    try:
+        inst = _degenerate_instance(seed)
+    except InputError:
+        return "rejected"
+    try:
+        trace_path(inst)
+    except (InfeasibleInstanceError, SolveFailureError) as err:
+        return type(err).__name__
+    return "traced"
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                    reason="the failures follow x86 80-bit long double")
+class TestDegenerateInstances:
+    # outcome of trace_path at its defaults -> seeds, for seeds 0-79.
+    # Every failure comes at mu = 1 from the default start, on seeds that
+    # mostly lack a strictly feasible point on one side; which of the two
+    # errors such a seed gets depends on where the Newton iteration breaks
+    # down
+    OUTCOMES = {
+        "traced": [3, 4, 8, 19, 22, 23, 26, 27, 28, 29, 38, 39, 46, 48, 51,
+                   53, 54, 57, 58, 62, 63, 67, 69, 72, 73, 77],
+        "InfeasibleInstanceError": [1, 6, 9, 15, 18, 20, 24, 36, 40, 42, 50,
+                                    59, 60, 64, 70, 76],
+        "SolveFailureError": [2, 5, 7, 10, 11, 14, 21, 31, 32, 34, 37, 43,
+                              47, 52, 56, 66, 74, 75, 78, 79],
+        "rejected": [0, 12, 13, 16, 17, 25, 30, 33, 35, 41, 44, 45, 49, 55,
+                     61, 65, 68, 71],
+    }
+
+    def test_trace_outcomes(self):
+        got = {}
+        for seed in range(80):
+            got.setdefault(_trace_outcome(seed), []).append(seed)
+        assert got == self.OUTCOMES
+
+
 # ---------------------------------------------------------------------------
-# Newton kernel against the dense code it replaced
+# The HKM Newton step
 #
-# _reference_jacobian is the loop-and-matmul assembly the Newton step ran
-# first, _reference_residuals the per-matrix residual loop, and
-# _dense_solve the dense elimination the Newton step ran before the sparse
-# one, in float64 as the step is solved; all are kept as the reference.
-# The planned kernel must reproduce them bit for bit (signs of zeros
-# included), since the traced values are printed.  The same elimination in
-# long double bounds the error of the double step.
-
-
-def _reference_jacobian(inst, X, S):
-    """One basis matrix B per upper-triangle pair, one matmul per block."""
-    n, m = inst.n, inst.m
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    k = len(pairs)
-    size = m + 2 * k
-    J = np.zeros((size, size), dtype=np.longdouble)
-    for col, (u, v) in enumerate(pairs):
-        B = np.zeros((n, n), dtype=np.longdouble)
-        B[u, v] = B[v, u] = 1
-        for row, Ai in enumerate(inst.A):
-            J[row, col] = (Ai * B).sum()
-        M = (B @ S + S @ B) / 2
-        J[m + k :, col] = [M[i, j] for i, j in pairs]
-        M = (X @ B + B @ X) / 2
-        J[m + k :, k + m + col] = [M[i, j] for i, j in pairs]
-        J[m : m + k, k + m + col] = [B[i, j] for i, j in pairs]
-    for idx, Ai in enumerate(inst.A):
-        J[m : m + k, k + idx] = [Ai[i, j] for i, j in pairs]
-    return J
-
-
-def _rounded_jacobian(inst, X, S):
-    """The reference Jacobian rounded to float64, with +0 for every zero."""
-    with np.errstate(over="ignore"):
-        return _reference_jacobian(inst, X, S).astype(np.float64) + 0
+# _reference_residuals is the per-matrix residual loop the stacked
+# residual must reproduce bit for bit.  A Newton step is checked against
+# the linearized equations it solves, and its Python-float solves against
+# numpy's LAPACK solve, kept here as the oracle.
 
 
 def _reference_residuals(inst, X, y, S, mu):
@@ -614,64 +648,6 @@ def _reference_residuals(inst, X, y, S, mu):
     Rd = sum(yi * Ai for yi, Ai in zip(y, inst.A)) + S - inst.C
     Rc = (X @ S + S @ X) / 2 - mu * np.eye(inst.n, dtype=np.longdouble)
     return rp, Rd, Rc
-
-
-def _dense_solve(M, rhs, dtype=np.float64, pivots=None):
-    """Solve M x = rhs by partial-pivot elimination in dtype.
-
-    Each column is eliminated with one outer-product update of the
-    augmented [M | rhs]: every row subtracts f * (pivot row) with
-    f = M[row, col] * (1 / pivot), and rows with f == 0 are left alone.
-    The back-substitution goes row by row and sums each row's products in
-    ascending order from +0, one rounding each (a float64 matmul would
-    take the order of the host's BLAS kernel).  Each pivot and its
-    reciprocal are appended to pivots, when given.
-    """
-    size = len(rhs)
-    a = np.empty((size, size + 1), dtype=dtype)
-    a[:, :size] = M
-    a[:, size] = rhs
-    for col in range(size):
-        piv = col + int(np.abs(a[col:, col]).argmax())
-        if a[piv, col] == 0:
-            raise SolveFailureError("Newton system is singular")
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-        if pivots is not None:
-            pivots += [a[col, col], 1 / a[col, col]]
-        f = a[col + 1 :, col] * (1 / a[col, col])
-        nz = f.nonzero()[0]
-        if nz.size:
-            a[col + 1 + nz, col + 1 :] -= np.multiply.outer(f[nz], a[col, col + 1 :])
-    x = np.zeros(size, dtype=dtype)
-    for row in range(size - 1, -1, -1):
-        acc = dtype(0)
-        for v in a[row, row + 1 : size] * x[row + 1 :]:
-            acc = acc + v
-        x[row] = (a[row, size] - acc) / a[row, row]
-    return x
-
-
-def _dense(rows, size):
-    M = np.zeros((size, size))
-    for r, row in enumerate(rows):
-        for j, v in row.items():
-            M[r, j] = v
-    return M
-
-
-def _solve_sparse(rows, rhs):
-    """Solve the system whose rows map a column to a nonzero float.
-
-    A missing entry is +0, and no entry may be -0; rhs is a float64
-    array.  The system is solved by _solve_planned through a plan of its
-    own pattern.
-    """
-    dense = [[0.0] * len(rhs) for _ in rows]
-    for full, row in zip(dense, rows):
-        for j, v in row.items():
-            full[j] = v
-    return _solve_planned(dense, rhs, _plan(dense))
 
 
 def _same_bits(a, b):
@@ -687,143 +663,154 @@ def _mirror(M):
     return np.where(np.triu(np.ones(M.shape, dtype=bool)), M, M.T)
 
 
-def _outcome(solve, rhs):
-    with np.errstate(all="ignore"):
-        try:
-            return solve(rhs.copy())
-        except SolveFailureError as err:
-            return f"SolveFailureError: {err}"
+def _from_upper(v, n):
+    """The symmetric n x n matrix whose upper triangle, row by row, is v."""
+    M = np.zeros((n, n), dtype=v.dtype)
+    M[np.triu_indices(n)] = v
+    return _mirror(M)
 
 
-def _assert_same_as_dense(M, rhs, solve):
-    """solve(rhs) keeps the contract of the kernel against the dense oracle.
+def _shift(inst, mu):
+    upper = np.triu_indices(inst.n)
+    return np.concatenate((inst.b, inst.C[upper],
+                           mu * np.eye(inst.n, dtype=np.longdouble)[upper]))
 
-    Where every pivot of the oracle on M, its reciprocal and the oracle's
-    solution are finite, solve returns the oracle's bits; otherwise it
-    raises SolveFailureError.  Returns solve's outcome.
+
+def _equation_errors(inst, X, S, F, dZ, dy):
+    """Relative errors of A(dX) = -rp and sum_i dy_i A_i + dS = -Rd.
+
+    Each is the largest entry of the equation's residual over the largest
+    magnitude it is formed from: A_i applied to |X| + |dX|, and |S| + |dS|
+    or |dy_i A_i|.
     """
-    pivots = []
-    want = _outcome(lambda b: _dense_solve(M, b, pivots=pivots), rhs)
-    got = _outcome(solve, rhs)
-    if isinstance(want, str) or not np.isfinite(pivots + list(want)).all():
-        assert isinstance(got, str) and got.startswith("SolveFailureError: ")
-    else:
-        assert isinstance(got, np.ndarray) and got.dtype == np.longdouble
-        assert _same_bits(got, want)
-    return got
+    n, m = inst.n, inst.m
+    k = n * (n + 1) // 2
+    dX, dS = dZ
+    rp, Rd = F[:m], _from_upper(F[m : m + k], n)
+    A = np.array(inst.A, dtype=np.longdouble)
+    primal = np.abs((A * dX).sum(axis=(1, 2)) + rp).max()
+    pscale = (np.abs(A) * (np.abs(X) + np.abs(dX))).sum(axis=(1, 2)).max()
+    terms = dy[:, None, None] * A
+    dual = np.abs(terms.sum(axis=0) + dS + Rd).max()
+    dscale = max(np.abs(terms).max(), (np.abs(S) + np.abs(dS)).max())
+    return float(primal / pscale), float(dual / dscale)
 
 
-def _assert_same_outcome(rows, rhs):
-    """The solve of these column -> value rows agrees with the dense oracle."""
-    return _assert_same_as_dense(
-        _dense(rows, len(rhs)), rhs,
-        lambda b: _solve_sparse([dict(row) for row in rows], b))
-
-
-def _assert_same_planned(rows, rhs, plan):
-    """The solve of these dense rows through plan agrees with the oracle."""
-    return _assert_same_as_dense(
-        np.array(rows), rhs,
-        lambda b: _solve_planned([list(row) for row in rows], b, plan))
+def _oracle_error(a, b, x):
+    """Normwise relative distance of x from np.linalg.solve(a, b), and the
+    bound 2 size cond(a) eps on it: both solves are backward stable
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Thm. 9.5 and 7.2)."""
+    a, b, x = np.array(a), np.array(b), np.array(x)
+    want = np.linalg.solve(a, b)
+    err = np.abs(x - want).max() / np.abs(want).max()
+    bound = 2 * len(a) * np.linalg.cond(a, np.inf) * np.finfo(np.float64).eps
+    return err, bound
 
 
 BUILTINS = ("identity_3", "elliptope_3", "kl02_3", "kl02_4", "kl02_5")
 
 
 @pytest.fixture(scope="module")
-def newton_systems():
-    """Every (X, S, rows) and (rows, rhs, plan) the Newton steps build.
+def newton_steps():
+    """Every Newton step of trace_path and of verify_reparametrization at
+    the true rho on each builtin.
 
-    They are those of trace_path and of verify_reparametrization at the
-    true rho on each builtin.
+    Each is (inst, X, S, F, mu, (dZ, dy), solves), where solves holds the
+    (a, b, x) of the step's two Python-float solves: S^-1, then dy.
     """
-    jacobians, systems = [], []
-    newton_system, solve = sdo._newton_system, sdo._solve_planned
+    steps, solves = [], []
+    newton_step, solve = sdo._newton_step, sdo._solve
 
-    def record_system(lay, X, S):
-        rows, plan = newton_system(lay, X, S)
-        jacobians.append((lay, X.copy(), S.copy(), [list(r) for r in rows]))
-        return rows, plan
+    def record_solve(a, b):
+        x = solve(a, b)
+        solves.append((a, b, x))
+        return x
 
-    def record_solve(rows, rhs, plan):
-        systems.append(([list(r) for r in rows], rhs.copy(), plan))
-        return solve(rows, rhs, plan)
+    def record_step(lay, X, S, F, mu):
+        solves.clear()
+        step = newton_step(lay, X, S, F, mu)
+        steps.append((lay, X.copy(), S.copy(), F.copy(), mu, step, list(solves)))
+        return step
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sdo, "_newton_system", record_system)
-        mp.setattr(sdo, "_solve_planned", record_solve)
+        mp.setattr(sdo, "_newton_step", record_step)
+        mp.setattr(sdo, "_solve", record_solve)
         instances = {}
         for name in BUILTINS:
             instances[name] = inst = builtin_instance(name)
             trace_path(inst)
             verify_reparametrization(inst, TestNewtonWork.SOLVES[name][0])
     layouts = {id(inst._newton): inst for inst in instances.values()}
-    jacobians = [(layouts[id(lay)], X, S, rows) for lay, X, S, rows in jacobians]
-    return jacobians, systems
+    return [(layouts[id(lay)], *rest) for lay, *rest in steps]
 
 
 class TestNewtonKernel:
-    def test_jacobians_along_builtin_traces(self, newton_systems):
-        jacobians, _ = newton_systems
-        assert {inst.name for inst, *_ in jacobians} == set(BUILTINS)
-        for inst, X, S, rows in jacobians:
-            assert _same_bits(np.array(rows), _rounded_jacobian(inst, X, S))
+    def test_jacobians_along_builtin_traces(self, newton_steps):
+        # the Schur complement M of every step is tr(A_i X A_j S^-1), taken
+        # one pair at a time with the step's own S^-1
+        assert {inst.name for inst, *_ in newton_steps} == set(BUILTINS)
+        for inst, X, S, F, mu, _, solves in newton_steps:
+            (_, _, sinv), (M, _, _) = solves
+            Sinv = np.array(sinv, dtype=np.longdouble)
+            Sinv = (Sinv + Sinv.T) / 2
+            want = np.array([[np.trace(Ai @ X @ Aj @ Sinv) for Aj in inst.A]
+                             for Ai in inst.A])
+            assert np.abs(np.array(M) - want).max() <= 1e-15 * np.abs(want).max()
 
-    def test_jacobian_with_signed_zeros(self):
-        rng = np.random.default_rng(7)
-
-        def symmetric(n):
-            M = rng.standard_normal((n, n)).astype(np.longdouble)
-            M[rng.random((n, n)) < 0.4] = -0.0
-            M[0, 1] = -0.0
-            # entries that round to -0 and to inf in double
-            M[rng.random((n, n)) < 0.2] = -(np.longdouble(2) ** -1100)
-            M[rng.random((n, n)) < 0.1] = np.longdouble("1e400")
-            return _mirror(M)
-
-        for name in BUILTINS:
-            inst = builtin_instance(name)
-            for _ in range(5):
-                X, S = symmetric(inst.n), symmetric(inst.n)
-                # under the overflow setting central_point runs it with
-                with warnings.catch_warnings(), np.errstate(over="ignore"):
-                    warnings.simplefilter("error")
-                    rows, _ = _newton_system(_newton_layout(inst), X, S)
-                assert all(type(v) is float for row in rows for v in row)
-                J = np.array(rows)
-                assert not np.signbit(J[J == 0]).any()
-                assert _same_bits(J, _rounded_jacobian(inst, X, S))
-
-    def test_captured_newton_solves(self, newton_systems):
-        # every step the builtins take is finite, solves without raising
-        # and keeps the dense bits
-        _, systems = newton_systems
+    def test_captured_newton_solves(self, newton_steps):
+        # every step the builtins take is finite, exactly symmetric and
+        # solves the primal and dual Newton equations; each made two
+        # solves, S^-1 and then dy
         solves = TestNewtonWork.SOLVES.values()
-        assert len(systems) == sum(t + v for _, t, v in solves)
-        assert {len(rhs) for _, rhs, _ in systems} == {13, 15, 24, 35}
-        for rows, rhs, plan in systems:
-            assert rhs.dtype == np.float64
-            want = _dense_solve(np.array(rows), rhs)
-            got = _solve_planned([list(r) for r in rows], rhs, plan)
-            assert _same_bits(got, want)
+        assert len(newton_steps) == sum(t + v for _, t, v in solves)
+        for inst, X, S, F, mu, (dZ, dy), solves in newton_steps:
+            for v in (dZ, dy):
+                assert v.dtype == np.longdouble and np.isfinite(v).all()
+            assert _same_bits(dZ, dZ.transpose(0, 2, 1))
+            assert [len(a) for a, _, _ in solves] == [inst.n, inst.m]
+            assert max(_equation_errors(inst, X, S, F, dZ, dy)) <= 1e-10
 
-    def test_double_steps_are_accurate(self, newton_systems):
-        # the double step against the long-double solve of the same system:
-        # partial pivoting is backward stable, so the normwise relative
-        # error stays below size * cond(M) * eps (Higham, Accuracy and
-        # Stability of Numerical Algorithms, 2nd ed., Thm. 9.5 and 7.2)
-        _, systems = newton_systems
-        eps = np.finfo(np.float64).eps
+    def test_double_steps_are_accurate(self, newton_steps):
+        # each Python-float solve against LAPACK's
         worst = 0.0
-        for rows, rhs, plan in systems:
-            M = np.array(rows)
-            got = _solve_planned([list(r) for r in rows], rhs, plan)
-            want = _dense_solve(M, rhs, dtype=np.longdouble)
-            err = float(np.abs(got - want).max() / np.abs(want).max())
-            assert err <= len(rhs) * np.linalg.cond(M, np.inf) * eps
-            worst = max(worst, err)
-        # on the builtins every step keeps 13 digits (worst 4.0e-15)
-        assert worst < 1e-13
+        for *_, solves in newton_steps:
+            for a, b, x in solves:
+                err, bound = _oracle_error(a, b, x)
+                assert err <= bound
+                worst = max(worst, err)
+        # on the builtins every solve keeps 8 digits (worst 4.2e-9, an S^-1
+        # of elliptope_3 with condition number 1.6e9)
+        assert worst < 1e-8
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(BUILTINS), st.data())
+    def test_step_with_signed_zeros(self, name, data):
+        # signed zeros, entries that round to -0 or overflow in double, and
+        # a NaN: the step is finite or fails the solve, with no warning
+        inst = builtin_instance(name)
+        n = inst.n
+        entries = st.one_of(
+            st.sampled_from([0.0, -0.0, -(2.0**-1074)]),
+            st.floats(-4, 4),
+            st.sampled_from(["1e400", "-1e400", "-1e-400", "nan"]),
+        )
+
+        def symmetric():
+            values = data.draw(st.lists(entries, min_size=n * n, max_size=n * n))
+            return _mirror(np.array(values, dtype=np.longdouble).reshape(n, n))
+
+        X, S = symmetric(), symmetric()
+        y = np.zeros(inst.m, dtype=np.longdouble)
+        F = sdo._residual(_newton_layout(inst), X, y, S, _shift(inst, 0.5))
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")
+            try:
+                dZ, dy = sdo._newton_step(_newton_layout(inst), X, S, F, 0.5)
+            except SolveFailureError:
+                return
+        for v in (dZ, dy):
+            assert v.dtype == np.longdouble and np.isfinite(v).all()
 
     def test_line_search_test_is_both_choleskys(self):
         rng = np.random.default_rng(11)
@@ -848,236 +835,119 @@ class TestNewtonKernel:
 
     def test_random_well_conditioned_solves(self):
         rng = np.random.default_rng(20240817)
-        for size in (1, 2, 5, 13, 24, 35, 40):
-            for _ in range(4):
-                M = rng.standard_normal((size, size))
-                M += size * np.eye(size)
-                # sparse rows exercise the skipped zero multipliers, and
-                # a signed-zero right-hand side the sign rules of the update
-                M[(rng.random((size, size)) < 0.5) & ~np.eye(size, dtype=bool)] = 0
-                rhs = rng.standard_normal(size)
-                rhs[rng.random(size) < 0.3] = -0.0
-                rows = [{j: v for j, v in enumerate(row.tolist()) if v}
-                        for row in M]
-                x = _solve_sparse(rows, rhs)
-                assert _same_bits(x, _dense_solve(M, rhs))
-                assert np.max(np.abs(M @ x - rhs)) < 1e-15 * size
+        for size in (1, 2, 3, 5, 13, 40):
+            for cols in (1, size):
+                M = rng.standard_normal((size, size)) + size * np.eye(size)
+                B = rng.standard_normal((size, cols))
+                x = np.array(sdo._solve(M.tolist(), B.tolist()))
+                err, bound = _oracle_error(M, B, x)
+                assert err <= bound
+                assert np.abs(M @ x - B).max() < 1e-14 * size
 
 
-# Entries are a small mantissa, so pivot magnitudes tie exactly, times a
-# row and a column scale.  The scales make multipliers and products that
-# underflow, and columns so small (subnormal) that 1 / pivot overflows,
-# which fails the solve.
+# Entries are a small mantissa, so magnitudes tie exactly, times a scale
+# that makes products underflow or overflow in double
 _MANTISSAS = st.sampled_from([1, -1, 2, -2, 3, -0.5, 0.75])
-_NORMAL_SCALES = [2.0**e for e in (0, 0, 0, -560, 500)]
-_SCALES = st.sampled_from(_NORMAL_SCALES + [2.0**-1050])
-# X and S entries: mostly nonzero, so that most drawn systems are regular
-_ENTRIES = [0.0] + 2 * [1, -1, 2, -2, 3, -0.5, 0.75]
-_RHS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4, 4, width=32))
+_SCALES = st.sampled_from([2.0**e for e in (0, 0, 0, -560, 500, -1050)])
 
 
-@st.composite
-def _sparse_systems(draw, scales=_SCALES, max_size=9):
-    size = draw(st.integers(1, max_size))
-    row_scale = draw(st.lists(scales, min_size=size, max_size=size))
-    col_scale = draw(st.lists(scales, min_size=size, max_size=size))
-    rows = []
-    for r in range(size):
-        cols = draw(st.sets(st.integers(0, size - 1), max_size=size))
-        # + 0 turns a product that underflows to -0 into the +0 the
-        # solver requires
-        rows.append({j: draw(_MANTISSAS) * row_scale[r] * col_scale[j] + 0
-                     for j in sorted(cols)})
-    rhs = np.array(draw(st.lists(_RHS, min_size=size, max_size=size)))
-    return rows, rhs
+def _interior_point(data, n):
+    """A drawn positive definite matrix: B B^T / n + delta I."""
+    B = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n * n,
+                                    max_size=n * n)), dtype=np.longdouble)
+    B = B.reshape(n, n)
+    delta = np.longdouble(data.draw(st.floats(0.05, 2.0)))
+    return B @ B.T / n + delta * np.eye(n, dtype=np.longdouble)
 
 
-@st.composite
-def _newton_shaped_systems(draw):
-    """The Newton system of a builtin at symmetric X, S from the pool."""
-    inst = builtin_instance(draw(st.sampled_from(BUILTINS[:4])))
-    n = inst.n
-
-    def symmetric():
-        M = np.zeros((n, n), dtype=np.longdouble)
-        for i in range(n):
-            for j in range(i, n):
-                v = draw(st.one_of(st.sampled_from([0.0, -0.0]), _MANTISSAS))
-                M[i, j] = M[j, i] = v * draw(_SCALES)
-        return M
-
-    rows, _ = _newton_system(_newton_layout(inst), symmetric(), symmetric())
-    rows = [{j: v for j, v in enumerate(row) if v} for row in rows]
-    rhs = np.array(draw(st.lists(_RHS, min_size=len(rows), max_size=len(rows))))
-    return rows, rhs
-
-
-@pytest.fixture(scope="module")
-def kl02_5_systems(newton_systems):
-    return [(rows, plan) for rows, rhs, plan in newton_systems[1] if len(rhs) == 35]
-
-
-class TestSparseSolve:
-    """The sparse elimination against the dense oracle, on drawn systems."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(_sparse_systems())
-    def test_random_sparse_systems(self, system):
-        _assert_same_outcome(*system)
-
-    @settings(max_examples=60, deadline=None)
-    @given(_newton_shaped_systems())
-    def test_newton_shaped_systems(self, system):
-        _assert_same_outcome(*system)
+class TestNewtonStep:
+    """The HKM step of _newton_step at drawn interior points."""
 
     @settings(max_examples=100, deadline=None)
-    @given(_sparse_systems(scales=st.sampled_from(_NORMAL_SCALES)), st.data())
-    def test_singular_systems(self, system, data):
-        # an empty column; with no pivot so small that 1 / pivot overflows
-        # no other failure can come first
-        rows, rhs = system
-        gone = data.draw(st.integers(0, len(rhs) - 1))
-        for row in rows:
-            row.pop(gone, None)
-        assert (_assert_same_outcome(rows, rhs)
-                == "SolveFailureError: Newton system is singular")
-
-    @settings(max_examples=150, deadline=None)
-    @given(_sparse_systems(), st.data())
-    def test_systems_holding_nan(self, system, data):
-        # NaNs of either sign, and infinities, in the matrix or the rhs:
-        # the solve fails, whatever the values around them
-        rows, rhs = system
-        size = len(rhs)
-        for _ in range(data.draw(st.integers(1, 3))):
-            bad = float(data.draw(st.sampled_from(["nan", "-nan", "inf"])))
-            r = data.draw(st.integers(0, size - 1))
-            j = data.draw(st.integers(-1, size - 1))
-            if j < 0:
-                rhs[r] = bad
-            else:
-                rows[r][j] = bad
-        assert isinstance(_assert_same_outcome(rows, rhs), str)
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_captured_kl02_5_systems(self, kl02_5_systems, data):
-        # a captured system with a drawn right-hand side: signed zeros, and
-        # magnitudes that tie
-        rows, plan = data.draw(st.sampled_from(kl02_5_systems))
-        rhs = np.array(data.draw(st.lists(_RHS, min_size=35, max_size=35)))
-        _assert_same_planned(rows, rhs, plan)
-
-
-def _plan_branches(plan):
-    """The branches of a plan's trie: one per planned column and pivot prefix."""
-    stack, count = [plan[1]], 0
-    while stack:
-        for _, _, nxt in stack.pop()[1].values():
-            count += 1
-            if nxt is not None:
-                stack.append(nxt)
-    return count
-
-
-class TestPlanReuse:
-    """Systems of one Newton layout solved in turn through one cached plan.
-
-    A drawn X, S gives the first system, which plans its pivot path.  The
-    others keep its pattern: they change values at the slots it plans,
-    so the layout's plan for its mask serves them all, and each must
-    match the dense oracle.
-    """
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_sequences_through_one_plan(self, data):
-        inst = builtin_instance(data.draw(st.sampled_from(BUILTINS)))
+    @given(st.sampled_from(BUILTINS), st.data())
+    def test_step_solves_the_newton_equations(self, name, data):
+        inst = builtin_instance(name)
         lay = _newton_layout(inst)
-        n = inst.n
+        n, m = inst.n, inst.m
+        X, S = _interior_point(data, n), _interior_point(data, n)
+        y = np.array(data.draw(st.lists(st.floats(-3, 3), min_size=m,
+                                        max_size=m)), dtype=np.longdouble)
+        mu = data.draw(st.floats(1e-6, 1.0))
+        F = sdo._residual(lay, X, y, S, _shift(inst, mu))
+        solves = []
+        solve = sdo._solve
 
-        def symmetric():
-            M = np.zeros((n, n), dtype=np.longdouble)
-            for i in range(n):
-                for j in range(i, n):
-                    M[i, j] = M[j, i] = data.draw(st.sampled_from(_ENTRIES))
-            return M
+        def record(a, b):
+            x = solve(a, b)
+            solves.append((a, b, x))
+            return x
 
-        base, plan = _newton_system(lay, symmetric(), symmetric())
-        assert any(p is plan for p in lay.plans.values())
-        size = len(base)
-        slots = [(r, j) for r, row in enumerate(base) for j, v in enumerate(row) if v]
-        two = 2.0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sdo, "_solve", record)
+            dZ, dy = sdo._newton_step(lay, X, S, F, mu)
+        assert _same_bits(dZ, dZ.transpose(0, 2, 1))
+        assert max(_equation_errors(inst, X, S, F, dZ, dy)) <= 1e-10
+        # dy against LAPACK on the step's own M and r
+        M, r, x = solves[1]
+        want = np.linalg.solve(np.array(M), np.array(r)).ravel()
+        assert np.abs(dy - want).max() <= 1e-10 * np.abs(want).max()
+        assert _same_bits(dy, np.array(x).astype(np.longdouble).ravel())
+        # M is tr(A_i X A_j S^-1), with S^-1 from LAPACK
+        Sinv = np.linalg.inv(S.astype(np.float64))
+        A = [Ai.astype(np.float64) for Ai in inst.A]
+        X64 = X.astype(np.float64)
+        want = np.array([[np.trace(Ai @ X64 @ Aj @ Sinv) for Aj in A] for Ai in A])
+        assert np.abs(np.array(M) - want).max() <= 1e-10 * np.abs(want).max()
 
-        def solve(rows):
-            rhs = np.array(data.draw(st.lists(_RHS, min_size=size, max_size=size)))
-            return _assert_same_planned(rows, rhs, plan)
+    @pytest.mark.parametrize("a, b", [
+        ([[0.0]], [[1.0]]),
+        ([[1.0, 2.0], [2.0, 4.0]], [[1.0], [0.0]]),
+        ([[1.0, 0.0], [3.0, 0.0]], [[1.0], [1.0]]),
+        ([[2.0**-1074, 0.0], [0.0, 1.0]], [[1.0], [1.0]]),
+        ([[math.nan, 0.0], [0.0, 1.0]], [[1.0], [1.0]]),
+        ([[1.0, math.nan], [0.0, 1.0]], [[1.0], [1.0]]),
+        ([[math.inf, 0.0], [0.0, 1.0]], [[1.0], [1.0]]),
+        ([[1.0, 0.0], [0.0, 1.0]], [[math.nan], [1.0]]),
+        ([[1.0, 0.0], [0.0, 1.0]], [[-math.inf], [1.0]]),
+        ([[1e-300, 0.0], [0.0, 1.0]], [[1e300], [1.0]]),
+    ])
+    def test_singular_or_non_finite_systems_fail(self, a, b):
+        # never a ZeroDivisionError or a warning: a SolveFailureError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolveFailureError,
+                               match="singular|not finite"):
+                sdo._solve(a, b)
 
-        def scaled(scale, rows=(), cols=()):
-            # + 0 keeps a product that underflows from turning into -0
-            out = [list(row) for row in base]
-            for r in rows:
-                out[r] = [v * scale + 0 for v in out[r]]
-            for j in cols:
-                for row in out:
-                    row[j] = row[j] * scale + 0
-            return out
+    @pytest.mark.parametrize("which", ["X", "S"])
+    def test_singular_iterate_fails_the_step(self, which):
+        # S singular fails its inverse; X = 0 makes M = 0
+        inst = elliptope_instance()
+        lay = _newton_layout(inst)
+        X = S = np.eye(3, dtype=np.longdouble)
+        if which == "X":
+            X = np.zeros((3, 3), dtype=np.longdouble)
+        else:
+            S = np.diag(np.array([1, 1, 0], dtype=np.longdouble))
+        F = sdo._residual(lay, X, np.zeros(3, dtype=np.longdouble), S,
+                          _shift(inst, 0.5))
+        with pytest.raises(SolveFailureError, match="singular"):
+            sdo._newton_step(lay, X, S, F, 0.5)
 
-        assume(not isinstance(solve(base), str))
-        assert _plan_branches(plan) == size
-        # the original row each column of the first system pivots on
-        order, pivot_rows, node = list(range(size)), [], plan[1]
-        for col in range(size):
-            (p, (_, _, node)), = node[1].items()
-            order[col], order[p] = order[p], order[col]
-            pivot_rows.append(order[col])
+    def test_failed_step_from_the_default_start_is_infeasible(self, monkeypatch):
+        # as a collapsed line search is: from the default start a step that
+        # cannot be formed finds no interior; from a warm start it fails
+        def failed(*args):
+            raise SolveFailureError("Newton system is singular")
 
-        def diverge():
-            # the row that took column col in the first system, scaled by
-            # 2^-60, loses that column unless every other candidate there
-            # is 0; before col it only ever lost, so the pivots leave the
-            # planned path at col
-            before = _plan_branches(plan)
-            for col in data.draw(st.permutations(range(size))):
-                solve(scaled(two**-60, rows=[pivot_rows[col]]))
-                if _plan_branches(plan) > before:
-                    return
-            assume(False)
-
-        def not_finite():
-            # after the planned column 0: NaN or inf on every planned slot
-            # of a column, which fails the solve, or a column so small that
-            # 1 / pivot overflows
-            col = data.draw(st.integers(1, size - 1))
-            kind = data.draw(st.sampled_from(["nan", "-nan", "inf", "-inf", "tiny"]))
-            if kind == "tiny":
-                solve(scaled(two**-1050, cols=[col]))
-                return
-            rows = [list(row) for row in base]
-            for r, j in slots:
-                if j == col:
-                    rows[r][j] = float(kind)
-            assert isinstance(solve(rows), str)
-
-        def underflow():
-            # a row scaled up takes column 0 and a row scaled down holds it
-            # too, so its multiplier underflows to 0
-            cands = [r for r in range(size) if base[r][0]]
-            assume(len(cands) >= 2)
-            big, small = data.draw(st.permutations(cands))[:2]
-            rows = scaled(two**500, rows=[big])
-            rows[small] = [v * two**-600 + 0 for v in rows[small]]
-            solve(rows)
-
-        def zero():
-            r, j = data.draw(st.sampled_from(slots))
-            rows = [list(row) for row in base]
-            rows[r][j] = 0.0
-            solve(rows)
-
-        for case in data.draw(st.permutations([diverge, not_finite, underflow, zero])):
-            case()
-        assert _plan_branches(plan) > size
+        inst = elliptope_instance()
+        warm = central_point(inst, 0.5)
+        monkeypatch.setattr(sdo, "_newton_step", failed)
+        with pytest.raises(InfeasibleInstanceError,
+                           match="no interior step from the default start"):
+            central_point(inst, 0.5)
+        with pytest.raises(SolveFailureError, match="singular"):
+            central_point(inst, 0.25, start=warm)
 
 
 class TestResiduals:
