@@ -21,7 +21,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from puiseuxpath import sdo
@@ -610,10 +610,12 @@ def _trace_outcome(seed: int) -> str:
                     reason="the failures follow x86 80-bit long double")
 class TestDegenerateInstances:
     # outcome of trace_path at its defaults -> seeds, for seeds 0-79.
-    # Every failure comes at mu = 1 from the default start, on seeds that
-    # mostly lack a strictly feasible point on one side; which of the two
-    # errors such a seed gets depends on where the Newton iteration breaks
-    # down
+    # Every failure comes at mu = 1 from the default start, on a seed with
+    # no strictly feasible point on one side (maximizing the least
+    # eigenvalue of X over A(X) = b, or of C - sum_i y_i A_i over y,
+    # reaches about 0; on every traced seed both stay positive).  Which
+    # of the two errors such a seed gets depends on where the Newton
+    # iteration breaks down
     OUTCOMES = {
         "traced": [3, 4, 8, 19, 22, 23, 26, 27, 28, 29, 38, 39, 46, 48, 51,
                    53, 54, 57, 58, 62, 63, 67, 69, 72, 73, 77],
