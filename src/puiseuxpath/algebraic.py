@@ -338,18 +338,6 @@ def el_scale(depth: int, a, r: int):
     return [el_scale(depth - 1, c, r) for c in a]
 
 
-def el_pow(tw: FieldTower, depth: int, a, k: int):
-    out = el_one(depth)
-    base = a
-    while k > 0:
-        if k & 1:
-            out = el_mul(tw, depth, out, base)
-        k >>= 1
-        if k:
-            base = el_mul(tw, depth, base, base)
-    return out
-
-
 def el_is_zero(tw: FieldTower, depth: int, e) -> bool:
     if depth == 0:
         return e == 0
@@ -965,21 +953,6 @@ class AlgebraicNumber:
         return AlgebraicNumber(
             self.tower, self.depth, el_neg(self.depth, self.rep)
         )
-
-    def pow(self, k: int) -> "AlgebraicNumber":
-        return AlgebraicNumber(
-            self.tower, self.depth, el_pow(self.tower, self.depth, self.rep, k)
-        )
-
-    def on_tower(self, tower: FieldTower) -> "AlgebraicNumber":
-        """Reinterpret on a tower cloned from (and extending) this one.
-
-        Representations carry over verbatim between structurally derived
-        towers; the caller is responsible for the derivation relationship.
-        """
-        if tower.height < self.depth:
-            raise ValueError("target tower is shallower than the element")
-        return AlgebraicNumber(tower, self.depth, self.rep)
 
     def order_key(self) -> tuple[Fraction, Fraction]:
         """(re, im) of the box midpoint, re rounded to _ORDER_BITS//2 + 1

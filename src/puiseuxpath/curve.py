@@ -44,21 +44,17 @@ class NormalizedCurve:
     s(mu)/mu^theta.
     """
 
-    __slots__ = ("original", "normalized", "theta", "alpha", "transform_log")
+    __slots__ = ("original", "normalized", "theta", "alpha")
 
     def __init__(self, original: BiPoly, normalized: BiPoly, theta: int,
-                 alpha: int, transform_log):
+                 alpha: int):
         self.original = original
         self.normalized = normalized
         self.theta = theta
         self.alpha = alpha
-        self.transform_log = tuple(transform_log)
 
     def __repr__(self):
-        return (
-            f"NormalizedCurve(theta={self.theta}, alpha={self.alpha}, "
-            f"steps={len(self.transform_log)})"
-        )
+        return f"NormalizedCurve(theta={self.theta}, alpha={self.alpha})"
 
 
 class RhoReport:
@@ -128,12 +124,7 @@ def normalize_curve(p: BiPoly) -> NormalizedCurve:
         raise DegenerateInputError(
             "normalization needs a curve of positive degree in V"
         )
-    log: list[str] = []
-    q = p
-    content, prim = q.content_and_primitive()
-    if prim != q:
-        log.append(f"removed mu-content ({content.render()})")
-        q = prim
+    _, q = p.content_and_primitive()
     d = q.deg_v
     orders = {
         j: q.coeff_v(j).order()
@@ -155,16 +146,7 @@ def normalize_curve(p: BiPoly) -> NormalizedCurve:
         q = BiPoly(
             [_mu_shift(q.coeff_v(j), alpha - j * theta) for j in range(d + 1)]
         )
-        log.append(f"rescaled roots: mu^{alpha} P(mu, V/mu^{theta})")
-    sep = q.separable_part()
-    if sep.deg_v < q.deg_v:
-        log.append(f"square-free part in V: degree {q.deg_v} -> {sep.deg_v}")
-        q = sep
-    elif sep != q:
-        # separable_part canonicalizes scale and sign even when nothing drops
-        log.append("canonicalized scale and sign")
-        q = sep
-    return NormalizedCurve(p, q, theta, alpha, log)
+    return NormalizedCurve(p, q.separable_part(), theta, alpha)
 
 
 def _covers_theta(b: Branch, theta: int) -> bool:

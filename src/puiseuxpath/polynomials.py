@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DegenerateInputError, ParseError
+from .errors import ParseError
 
 
 def exact(x):
@@ -267,10 +267,6 @@ class BiPoly:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def zero() -> "BiPoly":
-        return BiPoly()
-
-    @staticmethod
     def const(x) -> "BiPoly":
         return BiPoly([UniPoly.const(x)])
 
@@ -310,15 +306,6 @@ class BiPoly:
 
     def lc_v(self) -> UniPoly:
         return self.cv[-1] if self.cv else UniPoly()
-
-    def support(self) -> list[tuple[int, int]]:
-        """All (v_exp, mu_exp) pairs with nonzero coefficient."""
-        pts = []
-        for j, p in enumerate(self.cv):
-            for k, x in enumerate(p.c):
-                if x != 0:
-                    pts.append((j, k))
-        return pts
 
     def to_dict(self) -> dict[tuple[int, int], Fraction]:
         return {
@@ -434,13 +421,7 @@ class BiPoly:
         _, prim = self.content_and_primitive()
         return prim.sign_normalized()
 
-    # -- gcd / resultant ------------------------------------------------------
-
-    def pseudo_rem(self, other: "BiPoly") -> "BiPoly":
-        """Pseudo-remainder with respect to V: lc(other)^(d+1) * self mod other."""
-        if other.is_zero():
-            raise ZeroDivisionError("pseudo-division by zero")
-        return BiPoly(_prem(self.cv, other.cv))
+    # -- division and gcd -----------------------------------------------------
 
     def exact_div(self, other: "BiPoly") -> "BiPoly":
         """Exact division in Q[mu][V]; raises if the division leaves a remainder."""
@@ -502,20 +483,6 @@ class BiPoly:
         g = self.gcd(self.derivative_v())
         quot = self.exact_div(g) if g.deg_v > 0 else self
         return quot.normalized()
-
-    def resultant(self, other: "BiPoly") -> UniPoly:
-        """Determinant of the Sylvester matrix with respect to V.
-
-        Computed by the shared subresultant sequence (see ``resultant``),
-        so all divisions stay exact in Q[mu].
-        """
-        if self.deg_v <= 0 and other.deg_v <= 0:
-            raise DegenerateInputError(
-                "resultant needs positive degree in the eliminated variable"
-            )
-        if self.is_zero() or other.is_zero():
-            return UniPoly()
-        return resultant(self.cv, other.cv)
 
 
 # ---------------------------------------------------------------------------
@@ -801,14 +768,8 @@ def render_bipoly(p: BiPoly) -> str:
             if len(nonzero) == 1:
                 k = cj.order()
                 coeff = cj.c[k]
-                mu_part = "" if k == 0 else ("mu" if k == 1 else f"mu^{k}")
-                pieces = []
-                if abs(coeff) != 1:
-                    pieces.append(str(abs(coeff)))
-                if mu_part:
-                    pieces.append(mu_part)
-                pieces.append(vpart)
-                body = "*".join(pieces)
+                powers = {"mu": k, "V": j} if k else {"V": j}
+                body = _render_coeff_exp(coeff, powers)
                 chunk = body if coeff > 0 else f"-{body}"
             else:
                 chunk = f"({cj.render()})*{vpart}"

@@ -135,10 +135,6 @@ class PolygonSegment:
         self.beta = Fraction(m0) + self.gamma * j0
         self.edge_poly = edge_poly
 
-    @property
-    def endpoints(self) -> tuple[tuple[int, Fraction], tuple[int, Fraction]]:
-        return ((self.j0, self.m0), (self.j1, self.m1))
-
     def __repr__(self):
         return (
             f"PolygonSegment(({self.j0},{self.m0})->({self.j1},{self.m1}), "

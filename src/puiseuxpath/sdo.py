@@ -25,8 +25,9 @@ JACM 14(2), 1967; Higham, Accuracy and Stability of Numerical
 Algorithms, 2nd ed., ch. 12).  Python's float arithmetic rounds the
 same on every x86-64 host, and numpy's extended-precision products call
 no BLAS, so the traced bits do not depend on the BLAS kernel.  The
-residuals come from the constraint matrices stacked once per instance,
-with the roundings of the per-matrix loop.
+residual takes the instance's (m, n, n) constraint stack over full n x n
+blocks, with the roundings of the per-matrix loop, and subtracts b, C
+and mu I as one shift built once per central_point call.
 
 Coordinates of a sample are ordered as vec(X) row-major, then y, then
 vec(S) row-major, for a total length of m + 2 n^2.
@@ -75,22 +76,46 @@ def _check_tol(tol: float) -> None:
         raise InputError(f"tol must be finite and positive, got {tol!r}")
 
 
+def _integers(M, name: str) -> np.ndarray:
+    """M as a long-double array whose entries are the integers given.
+
+    The exact chain reads each entry back with int(), so an entry that is
+    not finite, not integral or not held exactly by long double (such as
+    2^64 + 1) raises InputError naming it.
+    """
+    raw = np.array(M, dtype=object)
+    arr = np.zeros(raw.shape, dtype=_LD)
+    flat = arr.reshape(-1)
+    for k, v in enumerate(raw.flat):
+        try:
+            flat[k] = v
+            held = int(flat[k]) == v
+        except (TypeError, ValueError, OverflowError):
+            held = False
+        if not held:
+            at = ",".join(map(str, np.unravel_index(k, raw.shape)))
+            raise InputError(f"{name}[{at}] = {v!r} is not an integer"
+                             " that long double holds exactly")
+    return arr
+
+
 class SDOInstance:
     """One semidefinite problem with integer data.
 
-    n is the matrix size, m the number of constraints. A holds the m
-    constraint matrices, b the right-hand side, C the cost matrix.
+    n is the matrix size, m the number of constraints. A stacks the m
+    constraint matrices as one (m, n, n) array, b is the right-hand side,
+    C the cost matrix; all three are long double.
     """
 
-    __slots__ = ("n", "m", "A", "b", "C", "name", "_newton", "_elimination")
+    __slots__ = ("n", "m", "A", "b", "C", "name", "_elimination")
 
     def __init__(self, A, b, C, name: str = "instance"):
-        C_arr = np.array(C, dtype=_LD)
+        C_arr = _integers(C, "C")
         if C_arr.ndim != 2 or C_arr.shape[0] != C_arr.shape[1]:
             raise InputError("C must be a square matrix")
         n = C_arr.shape[0]
-        A_arr = [np.array(Ai, dtype=_LD) for Ai in A]
-        b_arr = np.array(b, dtype=_LD)
+        A_arr = [_integers(Ai, f"A[{idx}]") for idx, Ai in enumerate(A)]
+        b_arr = _integers(b, "b")
         m = len(A_arr)
         if m == 0:
             raise InputError("need at least one constraint matrix")
@@ -103,16 +128,15 @@ class SDOInstance:
                 raise InputError(f"A[{idx}] is not symmetric")
         if not np.array_equal(C_arr, C_arr.T):
             raise InputError("C is not symmetric")
-        stacked = np.array([Ai.ravel() for Ai in A_arr], dtype=np.float64)
-        if np.linalg.matrix_rank(stacked) != m:
+        stack = np.array(A_arr)
+        if np.linalg.matrix_rank(stack.reshape(m, -1).astype(np.float64)) != m:
             raise InputError("constraint matrices are linearly dependent")
         self.n = n
         self.m = m
-        self.A = A_arr
+        self.A = stack
         self.b = b_arr
         self.C = C_arr
         self.name = name
-        self._newton = None  # _NewtonLayout, built by the first Newton step
         # elimination._System, built by the first eliminate_coordinate
         self._elimination = None
 
@@ -293,9 +317,6 @@ class CentralPathSample:
     def coords(self) -> np.ndarray:
         return np.concatenate((self.X.ravel(), self.y, self.S.ravel()))
 
-    def duality_gap(self) -> float:
-        return float(np.trace(self.X @ self.S))
-
     def __repr__(self):
         return f"CentralPathSample(mu={self.mu:.3e}, residual={self.residual:.2e})"
 
@@ -348,84 +369,54 @@ def _solve(a, b):
     return x
 
 
-class _NewtonLayout:
-    """The constant parts of one instance's Newton step.
-
-    A3 and Af stack the constraint matrices, as (m, n, n) and as m rows
-    of vec A_i; bC holds b and the upper triangle of C, and diag marks
-    the diagonal pairs.  fidx gathers the residual F (_residual), and
-    didx its dual block as an n x n matrix.  eye is I in double.
-    """
-
-    __slots__ = ("A3", "Af", "fidx", "bC", "diag", "didx", "eye")
-
-    def __init__(self, inst: SDOInstance):
-        n, m = inst.n, inst.m
-        pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        nn = n * n
-        self.A3 = np.array(inst.A, dtype=_LD)
-        self.Af = self.A3.reshape(m, nn)
-        flat = [i * n + j for i, j in pairs]
-        self.fidx = np.array(list(range(m)) + [m + f for f in flat]
-                             + [m + nn + f for f in flat], dtype=np.intp)
-        self.bC = np.concatenate((inst.b, inst.C.ravel()[flat]))
-        self.diag = np.array([i == j for i, j in pairs], dtype=_LD)
-        half = [pairs.index((min(i, j), max(i, j)))
-                for i in range(n) for j in range(n)]
-        self.didx = np.array([m + c for c in half], dtype=np.intp)
-        self.eye = np.eye(n)
-
-
-def _newton_layout(inst: SDOInstance) -> _NewtonLayout:
-    if inst._newton is None:
-        inst._newton = _NewtonLayout(inst)
-    return inst._newton
-
-
-def _newton_step(lay: _NewtonLayout, X, S, F, mu):
+def _newton_step(A, Af, eye_rows, X, S, F, mu):
     """The HKM Newton step at (X, S) with residual F: (dX, dS) as one
     (2, n, n) stack, and dy.  It solves
 
         A(dX) = -rp,    sum_i dy_i A_i + dS = -Rd,    dX S + X dS = mu I - X S
 
-    with rp = A(X) - b and Rd = sum_i y_i A_i + S - C read from F:
+    with rp = A(X) - b and Rd = sum_i y_i A_i + S - C read from F as views:
 
         dS = -Rd - sum_i dy_i A_i,    dX = mu S^-1 - X - X dS S^-1,
         M dy = -rp - A(mu S^-1 - X + X Rd S^-1).
 
-    dX is then symmetrized, which keeps A(dX) as the A_i are symmetric,
-    and so is S^-1.  The stack is exactly symmetric: (dX + dX^T) / 2
-    rounds mirrored entries alike, and so does dS, a sum of symmetric
-    matrices.
+    A is the (m, n, n) constraint stack, Af its m rows of vec A_i, and
+    eye_rows the rows of I as lists of floats, the right-hand side of the
+    S^-1 solve.  dX is then symmetrized, which keeps A(dX) as the A_i are
+    symmetric, and so is S^-1.  The stack is exactly symmetric:
+    (dX + dX^T) / 2 rounds mirrored entries alike, and so does dS, a sum
+    of symmetric matrices.
     """
-    n = len(X)
-    rp, Rd = F[: len(lay.A3)], F[lay.didx].reshape(n, n)
+    n, m = len(X), len(A)
+    rp, Rd = F[:m], F[m : m + n * n].reshape(n, n)
     Sinv = np.array(_solve(S.astype(np.float64).tolist(),
-                           lay.eye.tolist())).astype(_LD)
+                           eye_rows)).astype(_LD)
     Sinv = (Sinv + Sinv.T) / 2
-    M = np.einsum("iab,jba->ij", lay.A3, X @ lay.A3 @ Sinv)
+    M = np.einsum("iab,jba->ij", A, X @ A @ Sinv)
     W = mu * Sinv - X + X @ Rd @ Sinv
-    r = -rp - lay.Af @ W.ravel()
+    r = -rp - Af @ W.ravel()
     dy = np.array(_solve(M.astype(np.float64).tolist(),
                          [[v] for v in r.astype(np.float64).tolist()]))
     dy = dy.astype(_LD).ravel()
-    dS = -Rd - (dy @ lay.Af).reshape(n, n)
+    dS = -Rd - (dy @ Af).reshape(n, n)
     dX = mu * Sinv - X - X @ dS @ Sinv
     return np.array(((dX + dX.T) / 2, dS)), dy
 
 
-def _residual(lay, X, y, S, shift):
-    """The primal residual, then the dual and complementarity residuals at
-    the upper-triangle pairs, at (X, y, S) with X and S exactly symmetric.
+def _residual(A, Af, X, y, S, shift):
+    """The primal, dual and complementarity residuals at (X, y, S), with X
+    and S exactly symmetric: A(X), then sum_i y_i A_i + S and
+    (X S + S X) / 2 as full row-major blocks, minus shift.
 
-    shift holds b, the upper triangle of C and mu at the diagonal pairs.
-    Each entry rounds as the per-matrix loop does: S X is (X S)^T bit for
-    bit, as both sum the same products in the same order.
+    shift holds b, vec C and mu vec I.  Both blocks are exactly symmetric,
+    so a max over F sees each pair twice, and each entry rounds as the
+    per-matrix loop does: S X is (X S)^T bit for bit, as both sum the same
+    products in the same order.
     """
     XS = X @ S
     return np.concatenate((
-        (lay.A3 * X).sum(axis=(1, 2)), y @ lay.Af + S.ravel(),
-        ((XS + XS.T) / 2).ravel()))[lay.fidx] - shift
+        (A * X).sum(axis=(1, 2)), y @ Af + S.ravel(),
+        ((XS + XS.T) / 2).ravel())) - shift
 
 
 # Newton steps allowed at one mu before central_point gives up
@@ -463,22 +454,25 @@ def central_point(
             warm = central_point(inst, bridge, tol=max(tol, 1e-10), start=warm)
             bridge *= 0.1
         return central_point(inst, mu, tol=tol, start=warm)
-    lay = _newton_layout(inst)
+    # the constants of every step at this mu
+    eye = np.eye(n)
+    A, Af = inst.A, inst.A.reshape(m, n * n)
+    shift = np.concatenate((inst.b, inst.C.ravel(), mu * eye.ravel()))
+    eye_rows = eye.tolist()
     cold = start is None
     Z = np.array((np.eye(n, dtype=_LD),) * 2 if cold else (start.X, start.S))
     Z = (Z + Z.transpose(0, 2, 1)) / 2
     y = np.zeros(m, dtype=_LD) if cold else start.y.copy()
-    shift = np.concatenate((lay.bC, mu * lay.diag))
     with np.errstate(over="ignore"):
         for _ in range(_MAX_NEWTON_ITER):
             X, S = Z
-            F = _residual(lay, X, y, S, shift)
+            F = _residual(A, Af, X, y, S, shift)
             res = float(np.abs(F).max())
             if res <= tol:
                 return CentralPathSample(mu, X, y, S, res)
             t = 1.0
             try:
-                dZ, dy = _newton_step(lay, X, S, F, mu)
+                dZ, dy = _newton_step(A, Af, eye_rows, X, S, F, mu)
                 while not _interior(Z + t * dZ):
                     t *= 0.5
                     if t <= 1e-18:
@@ -620,7 +614,6 @@ def fit_order_raw(trace: TraceResult, coordinate: int) -> float:
         raise ConstantCoordinateError(
             f"coordinate {coordinate} is constant along the trace"
         )
-    mus = np.array([s.mu for s in samples])
     floor = 1e-12 * scale
     idx = [j for j in range(len(samples)) if dev[j] > floor]
     idx = idx[-_FIT_WINDOW:]
@@ -628,7 +621,7 @@ def fit_order_raw(trace: TraceResult, coordinate: int) -> float:
         raise InsufficientSamplesError(
             f"only {len(idx)} resolvable samples for coordinate {coordinate}"
         )
-    return _slope(np.log(mus[idx]), np.log(dev[idx]))
+    return _slope(np.log(trace.mus[idx]), np.log(dev[idx]))
 
 
 def _slope(xs, ys) -> float:

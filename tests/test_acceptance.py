@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from puiseuxpath.cli import main as cli_main
 from puiseuxpath.curve import aggregate_rho, normalize_curve
@@ -41,6 +42,17 @@ W_CURVE = parse_bipoly("Y^5 - X^3*Y^3 - X^2*Y^2 + X^5")
 QUINTIC = parse_bipoly(
     "Y^5 - 4*Y^4 + 4*Y^3 + 2*X^2*Y^2 - X*Y^2 + 2*X^2*Y + 2*X*Y + X^4 + X^3"
 )
+
+
+def _divides(d, P):
+    """Whether d divides P in Q[mu][V]: sympy's pseudo-remainder is zero."""
+    mu, V = sp.symbols("mu V")
+
+    def expr(p):
+        return sum(sp.Rational(x.numerator, x.denominator) * V**j * mu**k
+                   for (j, k), x in p.to_dict().items())
+
+    return sp.prem(expr(P), expr(d), V) == 0
 
 
 def _emit(num, verdict, label, dt=None):
@@ -181,7 +193,7 @@ def test_ac6_elliptope_pipeline():
     assert np.max(np.abs(x_lim - x_star)) < 1e-4
 
     eliminant = eliminate_coordinate(inst, 1, trace=tr)
-    assert eliminant.pseudo_rem(F_ELL).is_zero()
+    assert _divides(F_ELL, eliminant)
 
     report = compute_rho_sdo(inst, trace=tr)
     assert report.rho == 2

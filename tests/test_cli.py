@@ -239,6 +239,17 @@ class TestErrors:
         assert cap.out == ""
         assert f"error [input]: cannot read instance {str(path)!r}" in cap.err
 
+    def test_instance_entry_past_long_double_exits_2(self, capsys, tmp_path):
+        # 2^64 + 1 rounds to 2^64 in long double, so the exact chain would
+        # have read another instance
+        path = tmp_path / "big.sdo"
+        path.write_text("1 1\n1\n18446744073709551617\n1\n")
+        code, cap = run(capsys, "rho-sdo", "--instance", str(path))
+        assert code == 2
+        assert cap.out == ""
+        assert ("error [input]: b[0] = 18446744073709551617 is not an integer"
+                in cap.err)
+
     def test_no_matching_branch(self, capsys):
         code, cap = run(capsys, "rho-curve", "--poly", "V - 5*mu",
                         "--limit", "3")

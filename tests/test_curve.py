@@ -81,7 +81,6 @@ class TestNormalizeCurve:
     def test_already_normal_curve_is_untouched(self):
         nc = normalize_curve(F_ELL)
         assert nc.theta == 0 and nc.alpha == 0
-        assert nc.transform_log == ()
         assert nc.normalized == F_ELL
         assert nc.original is F_ELL
 
@@ -90,8 +89,6 @@ class TestNormalizeCurve:
         nc = normalize_curve(p)
         assert nc.normalized == parse_bipoly("V^2 - 1")
         assert nc.theta == 0 and nc.alpha == 0
-        assert len(nc.transform_log) == 1
-        assert nc.transform_log[0].startswith("removed mu-content")
 
     def test_pole_line_rescale(self):
         nc = normalize_curve(POLE_LINE)
@@ -107,7 +104,6 @@ class TestNormalizeCurve:
         p = parse_bipoly("(V - mu)^2 * (V + 1)")
         nc = normalize_curve(p)
         assert nc.normalized == parse_bipoly("(V - mu)*(V + 1)")
-        assert any("square-free" in s for s in nc.transform_log)
 
     def test_bounded_leading_coefficient(self):
         # the whole point of the rescale: lc gains a nonzero constant term
@@ -121,7 +117,6 @@ class TestNormalizeCurve:
             twice = normalize_curve(once.normalized)
             assert twice.normalized == once.normalized
             assert twice.theta == 0 and twice.alpha == 0
-            assert twice.transform_log == ()
 
     def test_degenerate_inputs_raise(self):
         with pytest.raises(DegenerateInputError):

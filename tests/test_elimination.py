@@ -74,6 +74,17 @@ RANDOM_GOLDEN = Path(__file__).parent / "data" / "eliminants_random.txt"
 SLOW_SEEDS = {1008, 1033, 1039, 1049}
 
 
+def _divides(d, P):
+    """Whether d divides P in Q[mu][V]: sympy's pseudo-remainder is zero."""
+    mu, V = sp.symbols("mu V")
+
+    def expr(p):
+        return sum(sp.Rational(x.numerator, x.denominator) * V**j * mu**k
+                   for (j, k), x in p.to_dict().items())
+
+    return sp.prem(expr(P), expr(d), V) == 0
+
+
 # the largest exponent a packed MPoly field holds
 FIELD_MAX = 2**63 - 1
 
@@ -553,13 +564,13 @@ class TestEliminateCoordinate:
         P = eliminate_coordinate(inst, 9, _trace(inst))
         assert P == parse_bipoly("V^2 + (mu - 2)*V + (1 - mu)")
         # the true branch 1 - mu is a factor
-        assert P.pseudo_rem(parse_bipoly("V - 1 + mu")).is_zero()
+        assert _divides(parse_bipoly("V - 1 + mu"), P)
 
     def test_elliptope_x12_divisible_by_cubic(self):
         inst = elliptope_instance()
         P = eliminate_coordinate(inst, 1, _trace(inst))
         assert P.deg_v == 5
-        assert P.pseudo_rem(F_ELL).is_zero()
+        assert _divides(F_ELL, P)
 
     def test_kl02_3_exact_curves(self):
         inst = kl02_instance(3)

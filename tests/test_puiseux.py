@@ -55,7 +55,7 @@ class TestNewtonPolygon:
         segs = newton_polygon(CUSP)
         assert len(segs) == 1
         s = segs[0]
-        assert s.endpoints == ((0, 3), (2, 0))
+        assert (s.j0, s.m0, s.j1, s.m1) == (0, 3, 2, 0)
         assert s.gamma == rat(3, 2)
         assert s.beta == 3
         assert s.edge_poly == UniPoly([-1, 0, 1])
@@ -88,7 +88,7 @@ class TestNewtonPolygon:
         with pytest.raises(DegenerateInputError):
             newton_polygon(parse_bipoly("mu^2*V^3"))
         with pytest.raises(DegenerateInputError):
-            newton_polygon(BiPoly.zero())
+            newton_polygon(BiPoly())
         with pytest.raises(DegenerateInputError):
             newton_polygon(parse_bipoly("mu^4 + 1"))
 
@@ -106,7 +106,7 @@ class TestNewtonPolygon:
             except DegenerateInputError:
                 continue
             for s in segs:
-                for (j, k) in p.support():
+                for (j, k) in p.to_dict():
                     assert k + s.gamma * j >= s.beta
 
 
@@ -279,7 +279,7 @@ class TestGuards:
 
     def test_degenerate_expansion_inputs(self):
         with pytest.raises(DegenerateInputError):
-            expand(BiPoly.zero())
+            expand(BiPoly())
         with pytest.raises(DegenerateInputError):
             expand(parse_bipoly("mu^2 + 1"))
 

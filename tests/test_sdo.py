@@ -36,7 +36,6 @@ from puiseuxpath.errors import (
 from puiseuxpath.sdo import (
     CentralPathSample,
     SDOInstance,
-    _newton_layout,
     builtin_instance,
     central_point,
     elliptope_instance,
@@ -117,6 +116,41 @@ class TestInstances:
     def test_dependent_constraints_rejected(self):
         with pytest.raises(InputError):
             SDOInstance([np.eye(2), 2 * np.eye(2)], [2.0, 4.0], np.eye(2))
+
+    def test_constraints_are_one_stack(self):
+        inst = kl02_instance(4)
+        assert inst.A.shape == (4, 4, 4) and inst.A.dtype == np.longdouble
+        assert len(inst.A) == 4 and len(list(inst.A)) == 4
+        assert np.array_equal(inst.A[2], np.array(list(inst.A))[2])
+
+    @pytest.mark.parametrize("A, b, C, entry", [
+        # C[0,1] = 0.5 is read back as 0 by the exact chain
+        ([np.eye(2)], [2], [[1, 0.5], [0.5, 1]], "C[0,1] = 0.5"),
+        # 2^70 + 1 rounds to 2^70 in long double
+        ([[[1]]], [2**70 + 1], [[1]], f"b[0] = {2**70 + 1}"),
+        ([[[1]]], [2**64 + 1], [[1]], f"b[0] = {2**64 + 1}"),
+        ([[[1]]], [math.nan], [[1]], "b[0] = nan"),
+        ([[[1]]], [1], [[math.inf]], "C[0,0] = inf"),
+        ([[[1, 0], [0, 1.5]]], [1], np.eye(2), "A[0][1,1] = 1.5"),
+    ], ids=["half", "2^70+1", "2^64+1", "nan", "inf", "fraction_in_A"])
+    def test_entries_must_be_exact_integers(self, A, b, C, entry):
+        # the exact chain reads each entry back with int(), so an entry it
+        # would read as another number is bad input, named in the message
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="is not an integer") as err:
+                SDOInstance(A, b, C)
+        assert str(err.value).startswith(entry)
+
+    def test_exact_integers_are_kept(self):
+        # every integer long double holds, whatever its type
+        big = 2**600
+        inst = SDOInstance([[[np.int64(3)]]], [np.float64(2**64)],
+                           [[2**64 - 1]])
+        assert int(inst.b[0]) == 2**64 and int(inst.C[0, 0]) == 2**64 - 1
+        assert int(SDOInstance([[[big]]], [big], [[1]]).A[0, 0, 0]) == big
+        text = SDOInstance([[[3.0]]], [-6.0], [[1]]).to_text()
+        assert text.splitlines()[2:] == ["3", "-6", "1"]
 
     def test_text_roundtrip(self):
         for inst in (identity_instance(2), elliptope_instance(), kl02_instance(3)):
@@ -218,7 +252,7 @@ class TestCentralPoint:
     def test_duality_gap_identity(self):
         for mu in (1.0, 0.125, 1e-5):
             s = central_point(elliptope_instance(), mu)
-            assert abs(s.duality_gap() - 3 * mu) <= 1e-8 * 3
+            assert abs(float(np.trace(s.X @ s.S)) - 3 * mu) <= 1e-8 * 3
 
     def test_warm_start(self):
         inst = elliptope_instance()
@@ -665,17 +699,15 @@ def _mirror(M):
     return np.where(np.triu(np.ones(M.shape, dtype=bool)), M, M.T)
 
 
-def _from_upper(v, n):
-    """The symmetric n x n matrix whose upper triangle, row by row, is v."""
-    M = np.zeros((n, n), dtype=v.dtype)
-    M[np.triu_indices(n)] = v
-    return _mirror(M)
+def _constants(inst):
+    """The stack A, its rows of vec A_i and I as rows of floats, as
+    central_point passes them to _residual and _newton_step."""
+    return inst.A, inst.A.reshape(inst.m, -1), np.eye(inst.n).tolist()
 
 
 def _shift(inst, mu):
-    upper = np.triu_indices(inst.n)
-    return np.concatenate((inst.b, inst.C[upper],
-                           mu * np.eye(inst.n, dtype=np.longdouble)[upper]))
+    return np.concatenate((inst.b, inst.C.ravel(),
+                           mu * np.eye(inst.n, dtype=np.longdouble).ravel()))
 
 
 def _equation_errors(inst, X, S, F, dZ, dy):
@@ -686,10 +718,9 @@ def _equation_errors(inst, X, S, F, dZ, dy):
     or |dy_i A_i|.
     """
     n, m = inst.n, inst.m
-    k = n * (n + 1) // 2
     dX, dS = dZ
-    rp, Rd = F[:m], _from_upper(F[m : m + k], n)
-    A = np.array(inst.A, dtype=np.longdouble)
+    rp, Rd = F[:m], F[m : m + n * n].reshape(n, n)
+    A = inst.A
     primal = np.abs((A * dX).sum(axis=(1, 2)) + rp).max()
     pscale = (np.abs(A) * (np.abs(X) + np.abs(dX))).sum(axis=(1, 2)).max()
     terms = dy[:, None, None] * A
@@ -729,22 +760,22 @@ def newton_steps():
         solves.append((a, b, x))
         return x
 
-    def record_step(lay, X, S, F, mu):
+    def record_step(A, Af, eye_rows, X, S, F, mu):
+        # the constants are the instance's stack and its reshaped view
+        assert A is inst.A and Af.base is inst.A
         solves.clear()
-        step = newton_step(lay, X, S, F, mu)
-        steps.append((lay, X.copy(), S.copy(), F.copy(), mu, step, list(solves)))
+        step = newton_step(A, Af, eye_rows, X, S, F, mu)
+        steps.append((inst, X.copy(), S.copy(), F.copy(), mu, step, list(solves)))
         return step
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sdo, "_newton_step", record_step)
         mp.setattr(sdo, "_solve", record_solve)
-        instances = {}
         for name in BUILTINS:
-            instances[name] = inst = builtin_instance(name)
+            inst = builtin_instance(name)
             trace_path(inst)
             verify_reparametrization(inst, TestNewtonWork.SOLVES[name][0])
-    layouts = {id(inst._newton): inst for inst in instances.values()}
-    return [(layouts[id(lay)], *rest) for lay, *rest in steps]
+    return steps
 
 
 class TestNewtonKernel:
@@ -804,11 +835,12 @@ class TestNewtonKernel:
 
         X, S = symmetric(), symmetric()
         y = np.zeros(inst.m, dtype=np.longdouble)
-        F = sdo._residual(_newton_layout(inst), X, y, S, _shift(inst, 0.5))
+        A, Af, eye_rows = _constants(inst)
+        F = sdo._residual(A, Af, X, y, S, _shift(inst, 0.5))
         with warnings.catch_warnings(), np.errstate(over="ignore"):
             warnings.simplefilter("error")
             try:
-                dZ, dy = sdo._newton_step(_newton_layout(inst), X, S, F, 0.5)
+                dZ, dy = sdo._newton_step(A, Af, eye_rows, X, S, F, 0.5)
             except SolveFailureError:
                 return
         for v in (dZ, dy):
@@ -869,13 +901,13 @@ class TestNewtonStep:
     @given(st.sampled_from(BUILTINS), st.data())
     def test_step_solves_the_newton_equations(self, name, data):
         inst = builtin_instance(name)
-        lay = _newton_layout(inst)
+        A, Af, eye_rows = _constants(inst)
         n, m = inst.n, inst.m
         X, S = _interior_point(data, n), _interior_point(data, n)
         y = np.array(data.draw(st.lists(st.floats(-3, 3), min_size=m,
                                         max_size=m)), dtype=np.longdouble)
         mu = data.draw(st.floats(1e-6, 1.0))
-        F = sdo._residual(lay, X, y, S, _shift(inst, mu))
+        F = sdo._residual(A, Af, X, y, S, _shift(inst, mu))
         solves = []
         solve = sdo._solve
 
@@ -886,7 +918,7 @@ class TestNewtonStep:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sdo, "_solve", record)
-            dZ, dy = sdo._newton_step(lay, X, S, F, mu)
+            dZ, dy = sdo._newton_step(A, Af, eye_rows, X, S, F, mu)
         assert _same_bits(dZ, dZ.transpose(0, 2, 1))
         assert max(_equation_errors(inst, X, S, F, dZ, dy)) <= 1e-10
         # dy against LAPACK on the step's own M and r
@@ -896,9 +928,10 @@ class TestNewtonStep:
         assert _same_bits(dy, np.array(x).astype(np.longdouble).ravel())
         # M is tr(A_i X A_j S^-1), with S^-1 from LAPACK
         Sinv = np.linalg.inv(S.astype(np.float64))
-        A = [Ai.astype(np.float64) for Ai in inst.A]
+        A64 = [Ai.astype(np.float64) for Ai in A]
         X64 = X.astype(np.float64)
-        want = np.array([[np.trace(Ai @ X64 @ Aj @ Sinv) for Aj in A] for Ai in A])
+        want = np.array([[np.trace(Ai @ X64 @ Aj @ Sinv) for Aj in A64]
+                         for Ai in A64])
         assert np.abs(np.array(M) - want).max() <= 1e-10 * np.abs(want).max()
 
     @pytest.mark.parametrize("a, b", [
@@ -925,16 +958,16 @@ class TestNewtonStep:
     def test_singular_iterate_fails_the_step(self, which):
         # S singular fails its inverse; X = 0 makes M = 0
         inst = elliptope_instance()
-        lay = _newton_layout(inst)
+        A, Af, eye_rows = _constants(inst)
         X = S = np.eye(3, dtype=np.longdouble)
         if which == "X":
             X = np.zeros((3, 3), dtype=np.longdouble)
         else:
             S = np.diag(np.array([1, 1, 0], dtype=np.longdouble))
-        F = sdo._residual(lay, X, np.zeros(3, dtype=np.longdouble), S,
+        F = sdo._residual(A, Af, X, np.zeros(3, dtype=np.longdouble), S,
                           _shift(inst, 0.5))
         with pytest.raises(SolveFailureError, match="singular"):
-            sdo._newton_step(lay, X, S, F, 0.5)
+            sdo._newton_step(A, Af, eye_rows, X, S, F, 0.5)
 
     def test_failed_step_from_the_default_start_is_infeasible(self, monkeypatch):
         # as a collapsed line search is: from the default start a step that
@@ -958,7 +991,7 @@ class TestResiduals:
     def test_stacked_residuals_match_per_matrix_loop(self, name, data):
         # at exactly symmetric X and S, as central_point keeps them
         inst = builtin_instance(name)
-        lay = _newton_layout(inst)
+        A, Af, _ = _constants(inst)
         n = inst.n
         entries = st.one_of(
             st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf]),
@@ -973,12 +1006,10 @@ class TestResiduals:
 
         X, y, S = _mirror(draw((n, n))), draw((inst.m,)), _mirror(draw((n, n)))
         mu = np.longdouble(data.draw(st.floats(1e-12, 1.0)))
-        upper = np.triu_indices(n)
         with np.errstate(all="ignore"):
-            shift = np.concatenate(
-                (inst.b, inst.C[upper], mu * np.eye(n, dtype=np.longdouble)[upper]))
-            got = sdo._residual(lay, X, y, S, shift)
+            got = sdo._residual(A, Af, X, y, S, _shift(inst, mu))
             rp, Rd, Rc = _reference_residuals(inst, X, y, S, mu)
-        # the blocks are symmetric, so their upper triangles hold every entry
+        # both blocks are exactly symmetric, so the max over the full
+        # vector is the max over the upper triangles
         assert _same_bits(Rd, Rd.T) and _same_bits(Rc, Rc.T)
-        assert _same_bits(got, np.concatenate((rp, Rd[upper], Rc[upper])))
+        assert _same_bits(got, np.concatenate((rp, Rd.ravel(), Rc.ravel())))
