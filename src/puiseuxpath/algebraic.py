@@ -30,6 +30,11 @@ Every root box comes from one isolator, ``isolate_roots``: numpy seeds,
 Aberth polishing in fixed point, an interval Newton certificate.  Rational
 roots are recognized exactly inside their boxes, and ``order_key`` ranks
 roots by real part, rounded relative to its binade, then imaginary part.
+
+Only this module reads an enclosure.  ``AlgebraicNumber.render`` prints
+a number as certified decimal digits and ``AlgebraicNumber.within``
+decides whether it lies near a real interval, so other modules ask the
+number and never look at its box.
 """
 
 from __future__ import annotations
@@ -39,14 +44,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import PrecisionExhaustedError
+from .errors import AmbiguousMatchError, PrecisionExhaustedError
 from .polynomials import UniPoly, exact, lower_hull, qdiv
 
 __all__ = [
     "AlgebraicNumber",
     "FieldTower",
     "field_op",
-    "minimal_polynomial",
     "nth_root_representative",
     "rational_number",
     "rational_nth_root",
@@ -62,6 +66,10 @@ _POLISH_SWEEPS = 32
 
 # enclosure width 2^-bits that ``AlgebraicNumber.order_key`` starts from
 _ORDER_BITS = 64
+
+# enclosure widths 2^-bits that ``render`` and ``within`` try, in turn
+_PRINT_BITS = (48, 96, 192, 384)
+_MATCH_BITS = (48, 96, 192, 384, 768)
 
 
 class _RefineStall(Exception):
@@ -162,12 +170,8 @@ class FieldTower:
         self._prec = 0
         return len(self.levels)
 
-    def degree_product(self, depth: int | None = None) -> int:
-        d = 1
-        n = self.height if depth is None else depth
-        for lvl in self.levels[:n]:
-            d *= len(lvl.poly) - 1
-        return d
+    def degree_product(self) -> int:
+        return math.prod(len(lvl.poly) - 1 for lvl in self.levels)
 
     # ---- enclosure machinery ----
 
@@ -893,6 +897,21 @@ def rational_nth_root(r, k: int) -> int | Fraction | None:
 # public number type
 
 
+def _digits(iv: _Axis, last: bool) -> str | None:
+    """The .10g digits of a real enclosure, or None while they are unsettled.
+
+    An enclosure of zero is unsettled like any other until the last
+    refinement step, where it prints as 0 and the midpoint stands in for
+    digits that still differ between the endpoints.
+    """
+    if iv.contains_zero():
+        return "0" if last else None
+    lo, hi = f"{float(iv.lo):.10g}", f"{float(iv.hi):.10g}"
+    if lo == hi:
+        return lo
+    return f"{float(iv.mid):.10g}" if last else None
+
+
 class AlgebraicNumber:
     """Element of a tower, with enclosure and exact-decision support."""
 
@@ -981,16 +1000,43 @@ class AlgebraicNumber:
         return (re, b.im.mid)
 
     def render(self) -> str:
+        """The rational itself, else certified .10g digits: re, or
+        (re+imi) when the imaginary part is not certified zero."""
         r = self.as_rational()
         if r is not None:
             return str(r)
-        mp = minimal_polynomial(self)
-        b = self.box(40)
-        rlo, rhi = float(b.re.lo), float(b.re.hi)
-        ilo, ihi = float(b.im.lo), float(b.im.hi)
-        return (
-            f"root({mp.render('T')}; "
-            f"re=[{rlo:.6g}, {rhi:.6g}], im=[{ilo:.6g}, {ihi:.6g}])"
+        for bits in _PRINT_BITS:
+            b = self.box(bits)
+            last = bits == _PRINT_BITS[-1]
+            re, im = _digits(b.re, last), _digits(b.im, last)
+            if re is not None and im is not None:
+                break
+        if im == "0":
+            return re
+        sign = "" if im.startswith("-") else "+"
+        return f"({re}{sign}{im}i)"
+
+    def within(self, lo: Fraction, hi: Fraction, tol: Fraction) -> bool:
+        """Whether the number lies within tol of the real interval [lo, hi].
+
+        Refines the enclosure until it falls wholly inside or wholly
+        outside the tolerance band, and raises AmbiguousMatchError when it
+        still straddles the band's edge at the finest width.
+        """
+        r = self.as_rational()
+        if r is not None:
+            return lo - tol <= r <= hi + tol
+        for bits in _MATCH_BITS:
+            b = self.box(bits)
+            re, im = b.re, b.im
+            if re.lo > hi + tol or re.hi < lo - tol or im.lo > tol or im.hi < -tol:
+                return False
+            if (lo - tol <= re.lo and re.hi <= hi + tol
+                    and -tol <= im.lo and im.hi <= tol):
+                return True
+        raise AmbiguousMatchError(
+            f"center {self.render()} cannot be accepted or rejected against "
+            f"[{lo}, {hi}] at tolerance {tol}"
         )
 
     def __repr__(self):
@@ -1029,57 +1075,7 @@ def field_op(x: AlgebraicNumber, y: AlgebraicNumber, op: str) -> AlgebraicNumber
 
 
 # ---------------------------------------------------------------------------
-# roots and annihilators
-
-
-def _flatten(tw: FieldTower, depth: int, e) -> list[Fraction]:
-    if depth == 0:
-        return [e]
-    n = len(tw.levels[depth - 1].poly) - 1
-    e = list(e) + [el_zero(depth - 1)] * (n - len(e))
-    out: list[Fraction] = []
-    for c in e[:n]:
-        out.extend(_flatten(tw, depth - 1, c))
-    return out
-
-
-def minimal_polynomial(x: AlgebraicNumber) -> UniPoly:
-    """Monic square-free annihilator of x over Q.
-
-    Computed as the first linear dependency among the powers of x in the
-    ambient product algebra, then stripped of repeated factors.  It is a
-    multiple of the number-theoretic minimal polynomial and coincides with
-    it whenever the tower is a genuine field.
-    """
-    r = x.as_rational()
-    if r is not None:
-        return UniPoly([-r, 1])
-    tw, depth = x.tower, x.depth
-    dim = tw.degree_product(depth)
-    xr = el_reduce(tw, depth, x.rep)
-    basis: list[tuple[int, list[Fraction], list[Fraction]]] = []
-    power = el_one(depth)
-    for k in range(dim + 1):
-        vec = _flatten(tw, depth, power)
-        combo = [0] * (k + 1)
-        combo[k] = 1
-        for pivot, bvec, bcombo in basis:
-            if vec[pivot] == 0:
-                continue
-            fac = qdiv(vec[pivot], bvec[pivot])
-            vec = [v - fac * w for v, w in zip(vec, bvec)]
-            for i, w in enumerate(bcombo):
-                combo[i] -= fac * w
-        nz = next((i for i, v in enumerate(vec) if v != 0), None)
-        if nz is None:
-            p = UniPoly(combo)
-            g = p.gcd(p.derivative())
-            if g.degree > 0:
-                p = p.exact_div(g)
-            return p.monic()
-        basis.append((nz, vec, combo))
-        power = el_mul(tw, depth, power, xr)
-    raise ArithmeticError("no linear dependency found among powers")
+# roots
 
 
 def _roots_of_rational_poly(tw, depth, p: UniPoly, mult, out):

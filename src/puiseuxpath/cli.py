@@ -27,6 +27,7 @@ import sys
 from fractions import Fraction
 
 from .curve import (
+    DEFAULT_MATCH_TOL,
     expand_curve,
     match_branches,
     normalize_curve,
@@ -323,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", required=True)
     p.add_argument("--limit", type=_rational, required=True,
                    help="observed coordinate limit (rational)")
-    p.add_argument("--tol", type=_rational, default=Fraction(1, 10**6),
+    p.add_argument("--tol", type=_rational, default=DEFAULT_MATCH_TOL,
                    help="center matching tolerance")
     p.add_argument("--terms", type=_count, default=4, help=_TERMS_HELP)
     fmt(p)

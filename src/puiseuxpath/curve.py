@@ -2,8 +2,9 @@
 
 Takes a raw defining polynomial P(mu, V), prepares it so the expansion
 near mu = 0 sees only bounded simple roots, matches branch centers against
-an observed coordinate limit, and turns ramification indices into the
-reparametrization exponent rho.
+an observed coordinate limit (``AlgebraicNumber.within`` decides each
+one), and turns ramification indices into the reparametrization exponent
+rho.
 """
 
 import math
@@ -11,7 +12,6 @@ from fractions import Fraction
 
 from .algebraic import AlgebraicNumber, rational_number
 from .errors import (
-    AmbiguousMatchError,
     ComputationError,
     DegenerateInputError,
     InputError,
@@ -220,27 +220,6 @@ def _as_interval(limit_value) -> tuple[Fraction, Fraction]:
         lo, hi = hi, lo
     return lo, hi
 
-_MATCH_BITS = (48, 96, 192, 384, 768)
-
-
-def _center_matches(c: AlgebraicNumber, lo: Fraction, hi: Fraction,
-                    tol: Fraction) -> bool:
-    r = c.as_rational()
-    if r is not None:
-        return lo - tol <= r <= hi + tol
-    for bits in _MATCH_BITS:
-        b = c.box(bits)
-        re, im = b.re, b.im
-        if re.lo > hi + tol or re.hi < lo - tol or im.lo > tol or im.hi < -tol:
-            return False
-        if (lo - tol <= re.lo and re.hi <= hi + tol
-                and -tol <= im.lo and im.hi <= tol):
-            return True
-    raise AmbiguousMatchError(
-        f"center {c.render()} cannot be accepted or rejected against "
-        f"[{lo}, {hi}] at tolerance {tol}"
-    )
-
 
 def match_branches(branches, limit_value, tol=DEFAULT_MATCH_TOL,
                    theta: int = 0) -> list[Branch]:
@@ -257,7 +236,7 @@ def match_branches(branches, limit_value, tol=DEFAULT_MATCH_TOL,
     out = []
     for b in branches:
         c = limit_center(b, theta)
-        if c is not None and _center_matches(c, lo, hi, tol):
+        if c is not None and c.within(lo, hi, tol):
             out.append(b)
     return out
 

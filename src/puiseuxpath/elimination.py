@@ -36,11 +36,11 @@ because an ``MPoly`` is never mutated after construction.
 from __future__ import annotations
 
 import math
+import os
 from struct import pack, unpack
 
 import numpy as np
 
-from .config import degree_cap
 from .errors import (
     EliminationBlowUpError,
     ExtraneousVanishingError,
@@ -60,6 +60,33 @@ _VALIDATION_TOL = 1e-6
 _FIELD = (1 << 64) - 1
 _GUARD = 1 << 63
 _GUARD_FIELD = _GUARD.to_bytes(8, "big")
+# the largest per-variable degree cap whose resultant steps the exponent
+# fields provably hold (the bound is derived in ``MPoly``'s docstring)
+MAX_DEGREE_CAP = 2**20
+
+
+def degree_cap() -> int:
+    """Per-variable degree cap for exact coordinate elimination.
+
+    PUISEUXPATH_DEGREE_CAP overrides the default of 64 with a positive
+    integer up to MAX_DEGREE_CAP.
+    """
+    raw = os.environ.get("PUISEUXPATH_DEGREE_CAP")
+    if raw is None:
+        return 64
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise InputError(
+            f"PUISEUXPATH_DEGREE_CAP must be a positive integer, got {raw!r}"
+        )
+    if value > MAX_DEGREE_CAP:
+        raise InputError(
+            f"PUISEUXPATH_DEGREE_CAP must be at most {MAX_DEGREE_CAP}, got {raw!r}"
+        )
+    return value
 
 
 class MPoly:

@@ -186,9 +186,6 @@ class UniPoly:
             raise ArithmeticError("division was expected to be exact")
         return q
 
-    def derivative(self) -> "UniPoly":
-        return UniPoly([k * x for k, x in enumerate(self.c)][1:])
-
     def eval(self, x) -> int | Fraction:
         x = exact(x)
         acc = 0

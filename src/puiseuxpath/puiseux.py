@@ -14,7 +14,8 @@ The iteration is one loop over an explicit stack of open polygon nodes,
 so a repeated factor, whose root keeps multiplicity 2 until the guard
 stops it, never deepens the interpreter stack.  Branches come out depth
 first: segments by increasing gamma, and on each segment the edge roots
-in ``AlgebraicNumber.order_key`` order.
+in ``AlgebraicNumber.order_key`` order.  ``render_branch`` prints each
+coefficient with ``AlgebraicNumber.render``, as certified digits.
 """
 
 from __future__ import annotations
@@ -234,40 +235,6 @@ class Branch:
         return render_branch(self)
 
 
-_PRINT_BITS = (48, 96, 192, 384)
-
-
-def _digits(iv, last: bool) -> str | None:
-    """The .10g digits of a real enclosure, or None while they are unsettled.
-
-    An enclosure of zero is unsettled like any other until the last
-    refinement step, where it prints as 0 and the midpoint stands in for
-    digits that still differ between the endpoints.
-    """
-    if iv.contains_zero():
-        return "0" if last else None
-    lo, hi = f"{float(iv.lo):.10g}", f"{float(iv.hi):.10g}"
-    if lo == hi:
-        return lo
-    return f"{float(iv.mid):.10g}" if last else None
-
-
-def _coeff_str(x: AlgebraicNumber) -> str:
-    r = x.as_rational()
-    if r is not None:
-        return str(r)
-    for bits in _PRINT_BITS:
-        b = x.box(bits)
-        last = bits == _PRINT_BITS[-1]
-        re, im = _digits(b.re, last), _digits(b.im, last)
-        if re is not None and im is not None:
-            break
-    if im == "0":
-        return re
-    sign = "" if im.startswith("-") else "+"
-    return f"({re}{sign}{im}i)"
-
-
 def _exp_str(e: Fraction) -> str:
     if e.denominator == 1:
         return str(e.numerator)
@@ -277,7 +244,7 @@ def _exp_str(e: Fraction) -> str:
 def render_branch(b: Branch) -> str:
     parts = []
     for e, c in b.terms:
-        cs = _coeff_str(c)
+        cs = c.render()
         if e == 0:
             parts.append(cs)
         elif e == 1:
@@ -287,7 +254,7 @@ def render_branch(b: Branch) -> str:
     series = " + ".join(parts) if parts else "0"
     if b.exact:
         series += " (exact)"
-    return f"center={_coeff_str(b.center)} q={b.q} series={series}"
+    return f"center={b.center.render()} q={b.q} series={series}"
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,11 @@ def _integers(M, name: str) -> np.ndarray:
             held = False
         if not held:
             at = ",".join(map(str, np.unravel_index(k, raw.shape)))
-            raise InputError(f"{name}[{at}] = {v!r} is not an integer"
+            try:
+                shown = repr(v)
+            except ValueError:  # an int past Python's digit limit
+                shown = f"an integer of {v.bit_length()} bits"
+            raise InputError(f"{name}[{at}] = {shown} is not an integer"
                              " that long double holds exactly")
     return arr
 
@@ -283,10 +287,11 @@ def builtin_instance(name: str) -> SDOInstance:
 def load_instance(path_or_name: str) -> SDOInstance:
     """Parse an instance file, or fall back to a builtin name.
 
-    A path that exists on disk wins; otherwise the basename without its
-    extension is tried against the builtin registry.
+    A path that exists on disk wins. An argument with no directory part
+    that names no file is tried, without its extension, against the
+    builtin registry; one with a directory part must name a readable file.
     """
-    if os.path.exists(path_or_name):
+    if os.path.exists(path_or_name) or os.path.dirname(path_or_name):
         try:
             with open(path_or_name, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -297,8 +302,7 @@ def load_instance(path_or_name: str) -> SDOInstance:
             ) from err
         stem = os.path.splitext(os.path.basename(path_or_name))[0]
         return SDOInstance.from_text(text, name=stem)
-    stem = os.path.splitext(os.path.basename(path_or_name))[0]
-    return builtin_instance(stem)
+    return builtin_instance(os.path.splitext(path_or_name)[0])
 
 
 class CentralPathSample:
@@ -494,15 +498,6 @@ def central_point(
     )
 
 
-def _aitken3(x0, x1, x2):
-    d1 = x1 - x0
-    d2 = x2 - x1
-    den = d2 - d1
-    if abs(den) <= 1e-30 + 1e-12 * (abs(d1) + abs(d2)):
-        return x2
-    return x2 - d2 * d2 / den
-
-
 class TraceResult:
     """A swept central path with per-coordinate limit and order data.
 
@@ -580,19 +575,18 @@ def trace_path(
         prev = central_point(inst, mu, tol=tol, start=prev)
         samples.append(prev)
     values = np.array([s.coords for s in samples], dtype=_LD)
-    dim = inst.dim
-    limits = np.zeros(dim)
-    widths = np.zeros(dim)
-    for i in range(dim):
-        col = values[:, i].astype(np.float64)
-        if len(col) >= 3:
-            limits[i] = _aitken3(col[-3], col[-2], col[-1])
-        else:
-            limits[i] = col[-1]
-        if len(col) >= 2:
-            widths[i] = max(abs(col[-1] - col[-2]), 10 * tol)
-        else:
-            widths[i] = 10 * tol
+    x = values[-3:].astype(np.float64)
+    limits, widths = x[-1], np.full(inst.dim, 10 * tol)
+    if len(x) >= 2:
+        widths = np.maximum(np.abs(x[-1] - x[-2]), 10 * tol)
+    if len(x) == 3:
+        # Aitken's delta-squared limit, except where the second
+        # difference is noise against the first differences
+        d1, d2 = x[1] - x[0], x[2] - x[1]
+        den = d2 - d1
+        noise = np.abs(den) <= 1e-30 + 1e-12 * (np.abs(d1) + np.abs(d2))
+        with np.errstate(all="ignore"):
+            limits = np.where(noise, x[2], x[2] - d2 * d2 / den)
     return TraceResult(inst, samples, values, limits, widths)
 
 
@@ -724,15 +718,11 @@ def verify_reparametrization(
         d2[lvl] = np.abs((gs[0] - 2 * gs[1] + gs[2]) / (h * h))
     res1 = 2 * _COORD_RESOLUTION / hs
     res2 = 4 * _COORD_RESOLUTION / (hs * hs)
-    coordinate_bounded = []
-    for i in range(dim):
-        ok = True
-        for seq, res in ((d1, res1), (d2, res2)):
-            M = seq[:, i]
-            for lvl in range(levels - 3, levels - 1):
-                if M[lvl + 1] > 1.05 * M[lvl] + res[lvl + 1]:
-                    ok = False
-        coordinate_bounded.append(ok)
+    # a difference grows when it outruns the level before it by more
+    # than the slack and the noise floor, over the last three levels
+    grows = np.any([seq[-2:] > 1.05 * seq[-3:-1] + res[-2:, None]
+                    for seq, res in ((d1, res1), (d2, res2))], axis=(0, 1))
+    coordinate_bounded = (~grows).tolist()
     tail = min(4, levels)
     xs = np.log(np.array(ts[-tail:]))
     growth = np.array([_slope(xs, np.log(np.maximum(d1[-tail:, i], 1e-300)))

@@ -31,12 +31,12 @@ from puiseuxpath.algebraic import (
     el_lift,
     field_op,
     isolate_roots,
-    minimal_polynomial,
     rational_nth_root,
     rational_number,
     roots_with_multiplicity,
     tp_squarefree_monic,
 )
+from puiseuxpath.errors import AmbiguousMatchError
 from puiseuxpath.polynomials import UniPoly, parse_bipoly
 
 
@@ -370,46 +370,6 @@ class TestFieldOps:
 
 
 # ---------------------------------------------------------------------------
-# minimal polynomials
-
-
-class TestMinimalPolynomial:
-    def test_rational_exact(self):
-        mp = minimal_polynomial(rational_number(rat(3, 4)))
-        assert mp == UniPoly([rat(-3, 4), rat(1)])
-
-    def test_sqrt2_divides(self):
-        r = roots_with_multiplicity(poly(-2, 0, 1))[1][0]
-        mp = minimal_polynomial(r)
-        target = poly(-2, 0, 1)
-        q, rem = mp.divmod(target)
-        assert rem.is_zero()
-        assert q.degree == mp.degree - 2
-
-    def test_sqrt8_over_8_divides(self):
-        c = roots_with_multiplicity(UniPoly([rat(1, 2), rat(0), rat(-4)]))[1][0]
-        mp = minimal_polynomial(c)
-        target = UniPoly([rat(-1), rat(0), rat(8)]).monic()
-        _, rem = mp.divmod(target)
-        assert rem.is_zero()
-
-    def test_annihilates_numerically(self):
-        rts = roots_with_multiplicity(poly(-1, -1, 0, 1))  # T^3 - T - 1
-        for r, _ in rts:
-            mp = minimal_polynomial(r)
-            b = r.box(50)
-            z = complex(float(b.re.mid), float(b.im.mid))
-            val = sum(float(c) * z**k for k, c in enumerate(mp.c))
-            assert abs(val) < 1e-9
-
-    def test_monic_and_squarefree(self):
-        r = roots_with_multiplicity(poly(-2, 0, 1))[1][0]
-        mp = minimal_polynomial(r)
-        assert mp.lc() == 1
-        assert mp.gcd(mp.derivative()).degree == 0
-
-
-# ---------------------------------------------------------------------------
 # nested towers and zero tests through extensions
 
 
@@ -429,9 +389,11 @@ class TestTowerNesting:
         s4 = self._sqrt_of(s2)  # 2^(1/4)
         fourth = (s4 * s4) * (s4 * s4)
         assert fourth.as_rational() == 2
-        mp = minimal_polynomial(s4)
-        _, rem = mp.divmod(poly(-2, 0, 0, 0, 1))
-        assert rem.is_zero()
+        # s4^2 is sqrt(2) itself, which is irrational, so s4 has degree 4;
+        # s2's representation carries over verbatim onto s4's tower
+        square = s4 * s4
+        assert square.as_rational() is None
+        assert (square - AlgebraicNumber(s4.tower, s2.depth, s2.rep)).is_zero()
 
     def test_zero_recognition_deep(self):
         s2 = roots_with_multiplicity(poly(-2, 0, 1))[1][0]
@@ -547,12 +509,25 @@ class TestIsolation:
         lo, hi = b.re.lo, b.re.hi
         assert lo * lo <= 2 <= hi * hi
 
-    def test_render_mentions_poly_and_box(self):
-        r = roots_with_multiplicity(poly(-2, 0, 1))[1][0]
-        s = r.render()
-        assert s.startswith("root(")
-        assert "re=" in s and "im=" in s
+    def test_render_prints_certified_digits(self):
+        rts = roots_with_multiplicity(poly(-2, 0, 1))
+        assert [r.render() for r, _ in rts] == ["-1.414213562", "1.414213562"]
+        assert repr(rts[1][0]) == "1.414213562"
+        rts = roots_with_multiplicity(poly(1, 0, 1))
+        assert [r.render() for r, _ in rts] == ["(0-1i)", "(0+1i)"]
         assert rational_number(rat(5, 3)).render() == "5/3"
+
+    def test_within_decides_or_raises(self):
+        s2 = roots_with_multiplicity(poly(-2, 0, 1))[1][0]
+        tol = rat(1, 10**6)
+        assert s2.within(rat(141421, 10**5), rat(141422, 10**5), tol)
+        assert not s2.within(rat(1), rat(14142, 10**4), tol)
+        assert rational_number(rat(3, 2)).within(rat(1), rat(1), rat(1, 2))
+        assert not rational_number(rat(3, 2)).within(rat(1), rat(1), rat(1, 3))
+        # a 300-digit approximation sits closer than any certificate allows
+        approx = Fraction(math.isqrt(2 * 10**600), 10**300)
+        with pytest.raises(AmbiguousMatchError, match=r"^center 1\.414213562 "):
+            s2.within(approx, approx, rat(0))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ import pytest
 
 from puiseuxpath import cli, puiseux
 from puiseuxpath.cli import main
+from puiseuxpath.curve import DEFAULT_MATCH_TOL
 
 ELL_CUBIC = "2*T^3+(2-1/2*mu)*T^2-(mu+2)*T-2"
 DATA = Path(__file__).parent / "data"
@@ -255,6 +256,33 @@ class TestErrors:
                         "--limit", "3")
         assert code == 3
         assert "error [matching]" in cap.err
+
+    def test_ambiguous_center_is_printed_in_digits(self, capsys):
+        # two centers sit 1e-6 off the real axis, on the tolerance's edge
+        code, cap = run(capsys, "rho-curve", "--poly",
+                        "(V^2 - 1/1000000000000 - 2)^2 + 4/1000000000000*V^2"
+                        " + mu", "--limit", "1.4142135", "--tol", "1/1000000")
+        assert code == 3
+        assert cap.out == ""
+        assert cap.err == (
+            "error [matching]: center (1.414213562-1e-06i) cannot be accepted"
+            " or rejected against [2828427/2000000, 2828427/2000000] at"
+            " tolerance 1/1000000\n")
+
+    def test_match_tol_default_is_the_library_default(self):
+        args = cli._build_parser().parse_args(
+            ["rho-curve", "--poly", "V", "--limit", "0"])
+        assert args.tol is DEFAULT_MATCH_TOL
+
+    def test_missing_instance_path_exits_2(self, capsys, tmp_path):
+        # a path with a directory part never falls back to the builtin
+        # its file name spells
+        path = str(tmp_path / "missing" / "kl02_3.txt")
+        code, cap = run(capsys, "rho-sdo", "--instance", path)
+        assert code == 2
+        assert cap.out == ""
+        assert cap.err == (f"error [input]: cannot read instance {path!r}:"
+                           " No such file or directory\n")
 
     def test_negative_match_tol_exits_2(self, capsys):
         # used to end in a ValueError traceback and exit 1

@@ -38,13 +38,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from puiseuxpath import elimination
-from puiseuxpath.config import MAX_DEGREE_CAP, degree_cap
 from puiseuxpath.elimination import (
+    MAX_DEGREE_CAP,
     MPoly,
     _float_evaluator,
     _strip,
     canonical_coordinates,
     central_system,
+    degree_cap,
     eliminate_coordinate,
 )
 from puiseuxpath.errors import (

@@ -11,7 +11,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_acceptance import _random_curves
 
+from puiseuxpath.curve import normalize_curve
 from puiseuxpath.errors import DegenerateInputError, IterationGuardError
 from puiseuxpath.polynomials import BiPoly, UniPoly, parse_bipoly
 from puiseuxpath.puiseux import (
@@ -323,3 +325,23 @@ class TestRandomCurves:
                     r = reconstruct_residual(p, b, 1)
                     assert r > b.terms[0][0]
             done += 1
+
+
+def test_render_branch_prints_each_coefficient_as_render():
+    # over the acceptance suite's random curves, every coefficient string
+    # in a rendered branch is the coefficient's own render(), and each
+    # printed number lies within 1e-9 (relative) of its enclosure
+    for p in _random_curves():
+        for b in expand(normalize_curve(p).normalized, max_extra_terms=0):
+            head, series = render_branch(b).split(" series=")
+            assert head == f"center={b.center.render()} q={b.q}"
+            parts = series.removesuffix(" (exact)").split(" + ")
+            coeffs = [c.render() for _, c in b.terms] or ["0"]
+            assert [part.split("*mu")[0] for part in parts] == coeffs
+            for (_, c), text in zip(b.terms, coeffs):
+                if c.as_rational() is not None:
+                    continue
+                z = complex(text.replace("i", "j"))
+                box = c.box(96)
+                for got, axis in ((z.real, box.re), (z.imag, box.im)):
+                    assert abs(got - float(axis.mid)) <= 1e-9 * abs(got) + 2.0**-90

@@ -142,6 +142,13 @@ class TestInstances:
                 SDOInstance(A, b, C)
         assert str(err.value).startswith(entry)
 
+    def test_entry_past_the_digit_limit_is_named_by_its_size(self):
+        # such an int has no repr, so the message gives its bit length
+        with pytest.raises(InputError) as err:
+            SDOInstance([[[1]]], [10**5000], [[1]])
+        assert str(err.value) == ("b[0] = an integer of 16610 bits is not an"
+                                  " integer that long double holds exactly")
+
     def test_exact_integers_are_kept(self):
         # every integer long double holds, whatever its type
         big = 2**600
@@ -439,6 +446,33 @@ class TestTracePath:
             assert est[idx] is None
             assert abs(kl02_trace.limits[idx] - limit) < 1e-6
 
+    def test_limits_are_aitken_of_the_last_three_samples(self, kl02_trace):
+        # the scalar formula, coordinate by coordinate, as the oracle
+        cols = kl02_trace.values[-3:].astype(np.float64).T
+        for i, (x0, x1, x2) in enumerate(cols.tolist()):
+            d1, d2 = x1 - x0, x2 - x1
+            den = d2 - d1
+            if abs(den) <= 1e-30 + 1e-12 * (abs(d1) + abs(d2)):
+                limit = x2
+            else:
+                limit = x2 - d2 * d2 / den
+            assert kl02_trace.limits[i] == limit, i
+            assert kl02_trace.widths[i] == max(abs(x2 - x1), 10 * 1e-11), i
+
+    @pytest.mark.parametrize("mu_end, count", [(0.6, 1), (0.3, 2)])
+    def test_short_trace_keeps_its_last_sample(self, mu_end, count):
+        # no extrapolation below three samples, no width below two
+        tr = trace_path(elliptope_instance(), 1.0, mu_end, 0.5, tol=1e-11)
+        assert len(tr.samples) == count
+        last = tr.values[-1].astype(np.float64)
+        assert np.array_equal(tr.limits, last)
+        if count == 1:
+            widths = np.full(last.shape, 10 * 1e-11)
+        else:
+            step = np.abs(last - tr.values[-2].astype(np.float64))
+            widths = np.maximum(step, 10 * 1e-11)
+        assert np.array_equal(tr.widths, widths)
+
     def test_gap_identity_on_samples(self, elliptope_trace):
         for s in elliptope_trace.samples:
             gap = float(np.tensordot(s.X, s.S, axes=2))
@@ -589,6 +623,24 @@ class TestVerifyReparametrization:
         inst = builtin_instance(name)
         assert verify_reparametrization(inst, rho).bounded
         assert not verify_reparametrization(inst, rho // 2).bounded
+
+    @pytest.mark.parametrize("rho", [1, 2])
+    def test_verdicts_match_the_per_coordinate_loop(self, rho):
+        rep = verify_reparametrization(elliptope_instance(), rho)
+        hs = np.array(rep.t_levels) / 4
+        res1 = 2 * sdo._COORD_RESOLUTION / hs
+        res2 = 4 * sdo._COORD_RESOLUTION / (hs * hs)
+        levels = len(rep.t_levels)
+        expected = []
+        for i in range(rep.d1.shape[1]):
+            ok = True
+            for seq, res in ((rep.d1, res1), (rep.d2, res2)):
+                for lvl in range(levels - 3, levels - 1):
+                    if seq[lvl + 1, i] > 1.05 * seq[lvl, i] + res[lvl + 1]:
+                        ok = False
+            expected.append(ok)
+        assert rep.coordinate_bounded == tuple(expected)
+        assert (False in expected) == (rho == 1)
 
     def test_input_validation(self):
         with pytest.raises(InputError):
