@@ -387,11 +387,10 @@ class TestTowerNesting:
     def test_sqrt_of_sqrt2(self):
         s2 = roots_with_multiplicity(poly(-2, 0, 1))[1][0]
         s4 = self._sqrt_of(s2)  # 2^(1/4)
-        fourth = (s4 * s4) * (s4 * s4)
-        assert fourth.as_rational() == 2
+        square = s4 * s4
+        assert (square * square).as_rational() == 2
         # s4^2 is sqrt(2) itself, which is irrational, so s4 has degree 4;
         # s2's representation carries over verbatim onto s4's tower
-        square = s4 * s4
         assert square.as_rational() is None
         assert (square - AlgebraicNumber(s4.tower, s2.depth, s2.rep)).is_zero()
 
