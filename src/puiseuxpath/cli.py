@@ -152,7 +152,9 @@ def _trace_of(args):
 def cmd_trace(args, out) -> int:
     if args.rho is not None and args.rho < 1:
         raise InputError("--rho must be a positive integer")
-    if args.format == "csv" and args.rho is not None:
+    if args.rho is not None and args.format != "csv":
+        raise InputError("--rho needs --format csv")
+    if args.rho is not None:
         # plot data for the reparametrized path t -> v(t^rho): solve at
         # t^rho for t on the trace's geometric grid
         inst = load_instance(args.instance)
@@ -341,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="trace the central path")
     grid(p)
     p.add_argument("--rho", type=int, default=None,
-                   help="with --format csv, emit (t, v(t^rho)) plot data")
+                   help="emit (t, v(t^rho)) plot data; needs --format csv")
     fmt(p)
     p.set_defaults(run=cmd_trace)
 

@@ -37,11 +37,11 @@ DEFAULT_MATCH_TOL = Fraction(1, 10**6)
 class NormalizedCurve:
     """A curve prepared for expansion.
 
-    ``normalized`` is primitive in mu, square-free in V, and all of its
-    roots near mu = 0 are bounded.  ``theta`` and ``alpha`` record the
-    rescale V -> V/mu^theta (cleared by mu^alpha) that bounded the roots,
-    so a root s(mu) of ``normalized`` corresponds to the original root
-    s(mu)/mu^theta.
+    ``normalized`` is primitive (see ``BiPoly.primitive``), square-free
+    in V, and all of its roots near mu = 0 are bounded.  ``theta`` and
+    ``alpha`` record the rescale V -> V/mu^theta (cleared by mu^alpha)
+    that bounded the roots, so a root s(mu) of ``normalized``
+    corresponds to the original root s(mu)/mu^theta.
     """
 
     __slots__ = ("original", "normalized", "theta", "alpha")
@@ -124,7 +124,7 @@ def normalize_curve(p: BiPoly) -> NormalizedCurve:
         raise DegenerateInputError(
             "normalization needs a curve of positive degree in V"
         )
-    _, q = p.content_and_primitive()
+    q = p.primitive()
     d = q.deg_v
     orders = {
         j: q.coeff_v(j).order()

@@ -326,13 +326,16 @@ class MPoly:
         return [self._new(b) for b in buckets]
 
     def without_mu_power(self, num: int, den: int) -> "MPoly":
-        """self * num / den, divided by the largest power of mu dividing it.
+        """±self * num / den, divided by the largest power of mu dividing it.
 
-        Every coefficient c must make c * num / den an integer, as it is
+        The sign makes the lex-leading coefficient positive. Every
+        coefficient c must make c * num / den an integer, as it is
         computed as c.numerator * (num // c.denominator) // den.
         """
         if not self._terms:
             return self
+        if self._terms[max(self._terms)] < 0:
+            den = -den
         top = (self.nv - 1) << 6
         low = min(self._terms) >> top
         drop = low << top
@@ -363,7 +366,8 @@ def _strip(p: MPoly) -> MPoly:
 
     mu never vanishes along the path, so dividing an equation by mu^k
     keeps its zero set there; nothing else may be cancelled safely. The
-    result has coprime int coefficients.
+    result has coprime int coefficients and a positive lex-leading one,
+    so an equation and its negation strip to the same polynomial.
     """
     if p.is_zero():
         return p

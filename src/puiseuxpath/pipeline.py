@@ -67,10 +67,10 @@ def compute_rho_sdo(
     triangle of X, y, upper triangle of S) are processed; the rest are
     mirror images.
 
-    Equal curves are normalized and expanded once per call: coordinates
-    often share an eliminant, and only the matching against each
-    coordinate's limit interval is repeated. The instance's resultant
-    memo is released when the call returns or raises.
+    Equal curves, which for eliminants means equal up to a factor in
+    Q[mu], are normalized and expanded once per call: coordinates often
+    share one, and only matching against each limit is repeated. The
+    instance's resultant memo is released when the call returns or raises.
 
     Each curve is expanded with no terms past a branch's simple root
     (more only where theta > 0 asks for them): a simple root settles q,

@@ -11,10 +11,12 @@ without a gcd per operation.  Every coefficient division goes through
 ``qdiv``, which keeps that rule and can never produce a float.
 
 All operations are pure: every method returns a fresh object and never
-mutates its operands, so values can be shared freely.  Gcds in Q[mu][V]
-and resultants share one subresultant pseudo-remainder sequence, which
-keeps intermediate coefficient growth polynomial instead of exponential
-and divides only exactly; a resultant with an operand of degree 1 is a
+mutates its operands, so values can be shared freely.  A curve matters
+only up to a factor in Q(mu); ``BiPoly.primitive`` is its one canonical
+form.  Gcds in Q(mu)[V], returned as primitive parts, and resultants
+share one subresultant pseudo-remainder sequence, which keeps
+intermediate coefficient growth polynomial instead of exponential and
+divides only exactly; a resultant with an operand of degree 1 is a
 Horner sum instead.  Both run on coefficient lists over any exact ring,
 so the multivariate eliminations of ``elimination`` use them too.
 """
@@ -343,9 +345,6 @@ class BiPoly:
                 out[i + j] = out[i + j] + p * q
         return BiPoly(out)
 
-    def scale_mu(self, p: UniPoly) -> "BiPoly":
-        return BiPoly([q * p for q in self.cv])
-
     def scale(self, r) -> "BiPoly":
         return BiPoly([q.scale(r) for q in self.cv])
 
@@ -372,53 +371,35 @@ class BiPoly:
     def __repr__(self):
         return f"BiPoly({render_bipoly(self)})"
 
-    # -- content / normalization -------------------------------------------
+    # -- canonical form and gcd -------------------------------------------
 
-    def content_and_primitive(self) -> tuple[UniPoly, "BiPoly"]:
-        """Split off the content in Q[mu].
+    def primitive(self) -> "BiPoly":
+        """P divided by its content, the same for c*P with any c != 0 in Q[mu].
 
-        The content is the monic gcd of the V-coefficients (the monic
-        convention pushes any overall rational scale into the primitive
-        part).  Returns (content, primitive) with P = content * primitive.
-        A unit content returns P itself: when some V-coefficient is a
-        nonzero constant, and as soon as the running gcd is one.
-        """
-        one = UniPoly.const(1)
-        if self.is_zero() or any(p.degree == 0 for p in self.cv):
-            return one, self
-        g = UniPoly()
-        for p in self.cv:
-            g = g.gcd(p)
-            if g.degree == 0:
-                return one, self
-        return g, BiPoly([p.exact_div(g) for p in self.cv])
-
-    def _denominators_cleared(self) -> "BiPoly":
-        """The multiple by the lcm of the denominators: integral coefficients."""
-        den = math.lcm(*(x.denominator for p in self.cv for x in p.c))
-        return self if den == 1 else self.scale(den)
-
-    def sign_normalized(self) -> "BiPoly":
-        """Flip the global sign so the leading V-coefficient has positive lead."""
-        if not self.is_zero() and self.lc_v().lc() < 0:
-            return -self
-        return self
-
-    def lead_normalized(self) -> "BiPoly":
-        """Scale by a rational unit so the leading coefficient's lead is 1.
-
-        Canonicalizes results defined only up to a rational factor (gcds).
+        The content is the monic gcd of the V-coefficients in Q[mu] times
+        the rational that leaves coprime int coefficients and a positive
+        lead of ``lc_v``. A primitive P is returned as it is.
         """
         if self.is_zero():
             return self
-        return self.scale(qdiv(1, self.lc_v().lc()))
-
-    def normalized(self) -> "BiPoly":
-        """Primitive, sign-normalized copy (canonical up to nothing)."""
-        _, prim = self.content_and_primitive()
-        return prim.sign_normalized()
-
-    # -- division and gcd -----------------------------------------------------
+        cv, g = self.cv, UniPoly()
+        # lowest degree first: a nonzero constant ends the search at once
+        for p in sorted(cv, key=lambda p: p.degree):
+            g = g.gcd(p)
+            if g.degree == 0:
+                break
+        else:
+            cv = [p.exact_div(g) for p in cv]
+        cs = [x for p in cv for x in p.c]
+        den = math.lcm(*(x.denominator for x in cs))
+        num = math.gcd(*(x.numerator for x in cs))
+        if cv[-1].c[-1] < 0:
+            num = -num
+        if den == num == 1 and cv is self.cv:
+            return self
+        # x / (num / den) = x.numerator * (den / x.denominator) / num, all int
+        return BiPoly([UniPoly([x.numerator * (den // x.denominator) // num
+                                for x in p.c]) for p in cv])
 
     def exact_div(self, other: "BiPoly") -> "BiPoly":
         """Exact division in Q[mu][V]; raises if the division leaves a remainder."""
@@ -442,44 +423,32 @@ class BiPoly:
         return BiPoly(quot)
 
     def gcd(self, other: "BiPoly") -> "BiPoly":
-        """Gcd in Q[mu][V].
+        """Gcd in Q(mu)[V], returned as its primitive part (1 if constant).
 
-        Computed by the subresultant pseudo-remainder sequence on primitive
-        parts cleared of denominators, so the sequence stays in Z[mu][V]
-        and runs on int coefficients; the content gcd is a plain monic gcd
-        in Q[mu].  The result is primitive and sign-normalized.
+        The subresultant sequence runs on the two primitive parts, so it
+        stays in Z[mu][V]. By Gauss's lemma the result divides both
+        operands in Q[mu][V].
         """
-        if self.is_zero():
-            return other.normalized().lead_normalized()
-        if other.is_zero():
-            return self.normalized().lead_normalized()
-        ca, pa = self.content_and_primitive()
-        cb, pb = other.content_and_primitive()
-        cont = ca.gcd(cb)
-        if pa.deg_v < pb.deg_v:
-            pa, pb = pb, pa
-        if pb.deg_v > 0:
-            last, tail, _, _ = _subresultant_prs(
-                pa._denominators_cleared().cv, pb._denominators_cleared().cv
-            )
+        a, b = sorted((self.primitive(), other.primitive()),
+                      key=lambda p: -p.deg_v)
+        if b.is_zero():
+            return a
+        if b.deg_v > 0:
+            last, tail, _, _ = _subresultant_prs(a.cv, b.cv)
             if not tail:
-                # the sequence ended on a zero remainder: its last nonzero
-                # element is the gcd up to content
-                _, prim = BiPoly(last).content_and_primitive()
-                return prim.scale_mu(cont).lead_normalized()
-        # a constant-in-V operand or remainder: only the contents can match
-        return BiPoly([cont]).lead_normalized()
+                # a zero remainder: the last element is the gcd times c(mu)
+                return BiPoly(last).primitive()
+        return BiPoly.const(1)
 
     def separable_part(self) -> "BiPoly":
-        """Same roots in V, each with multiplicity one.
+        """The primitive part of P / gcd(P, dP/dV): each root in V once.
 
-        P / gcd(P, dP/dV), made primitive and sign-normalized.
+        For a primitive P that quotient is primitive already (Gauss's
+        lemma), and its lead is positive as the ratio of two positive ones.
         """
-        if self.deg_v <= 0:
-            return self.normalized()
-        g = self.gcd(self.derivative_v())
-        quot = self.exact_div(g) if g.deg_v > 0 else self
-        return quot.normalized()
+        p = self.primitive()
+        g = p.gcd(p.derivative_v())
+        return p.exact_div(g) if g.deg_v > 0 else p
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,16 @@ class TestErrors:
         assert cap.out == ""
         assert "error [input]: tolerance must be nonnegative" in cap.err
 
+    @pytest.mark.parametrize("fmt", [None, "text", "json"])
+    def test_trace_rho_without_csv_exits_2(self, capsys, fmt):
+        # --rho used to be dropped silently outside csv, printing the
+        # plain trace with exit 0
+        argv = ["trace", "--instance", "identity_3", "--rho", "2"]
+        code, cap = run(capsys, *argv, *(["--format", fmt] if fmt else []))
+        assert code == 2
+        assert cap.out == ""
+        assert cap.err == "error [input]: --rho needs --format csv\n"
+
     def test_zero_denominator_in_poly_exits_2(self, capsys):
         # used to end in a ZeroDivisionError traceback and exit 1
         code, cap = run(capsys, "expand", "--poly", "V^2/0")

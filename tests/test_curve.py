@@ -79,9 +79,14 @@ AC9_CURVES = st.dictionaries(
 
 class TestNormalizeCurve:
     def test_already_normal_curve_is_untouched(self):
-        nc = normalize_curve(F_ELL)
+        f = F_ELL.primitive()
+        assert f == parse_bipoly("4*T^3 + (4 - mu)*T^2 - (2*mu + 4)*T - 4")
+        nc = normalize_curve(f)
         assert nc.theta == 0 and nc.alpha == 0
-        assert nc.normalized == F_ELL
+        assert nc.normalized is f
+        # a rational multiple normalizes to the same curve
+        nc = normalize_curve(F_ELL)
+        assert nc.normalized == f
         assert nc.original is F_ELL
 
     def test_content_removal(self):
@@ -142,8 +147,7 @@ class TestNormalizeCurve:
             if p.is_zero() or p.deg_v < 1:
                 continue
             nc = normalize_curve(p)
-            content, prim = nc.normalized.content_and_primitive()
-            assert prim == nc.normalized
+            assert nc.normalized.primitive() == nc.normalized
             g = nc.normalized.gcd(nc.normalized.derivative_v())
             assert g.deg_v == 0
             assert nc.normalized.lc_v().order() == 0

@@ -23,6 +23,7 @@ Hand-checked fixtures:
 """
 
 import contextlib
+import json
 import math
 import random
 import re
@@ -168,12 +169,15 @@ class TupleMPoly:
         return {i for e in self.terms for i, k in enumerate(e) if k}
 
     def strip(self):
-        # the content and the mu power off, as _strip does
+        # the content, signed like the lex-leading coefficient, and the mu
+        # power off, as _strip does
         if not self.terms:
             return self
         cs = [Fraction(c) for c in self.terms.values()]
         content = Fraction(math.gcd(*(c.numerator for c in cs)),
                            math.lcm(*(c.denominator for c in cs)))
+        if self.terms[max(self.terms)] < 0:
+            content = -content
         k = min(e[0] for e in self.terms)
         return TupleMPoly(self.nv, {(e[0] - k,) + e[1:]: c / content
                                     for e, c in self.terms.items()})
@@ -270,12 +274,15 @@ class TestMPoly:
         out = _strip(p).to_dict()
         assert all(type(c) is int for c in out.values())
         assert math.gcd(*out.values()) == 1
-        # out is p / mu^k times one positive rational
+        # the lex-leading coefficient is positive, so -p strips alike
+        assert out[max(out)] > 0
+        assert _strip(-p) == _strip(p)
+        # out is p / mu^k times one rational
         k = min(e[0] for e in p.to_dict())
         assert min(e[0] for e in out) == 0
         ratios = {Fraction(c) / out[(e[0] - k,) + e[1:]]
                   for e, c in p.to_dict().items()}
-        assert len(ratios) == 1 and ratios.pop() > 0
+        assert len(ratios) == 1
 
     def test_exact_div_raises_on_remainder(self):
         x = MPoly.variable(3, 1)
@@ -800,3 +807,36 @@ class TestRandomInstances:
                 assert f"{type(e).__name__}: {e}" == expect, labels[c]
                 continue
             assert render_bipoly(P) == expect, labels[c]
+
+    def test_no_equation_is_kept_beside_its_negation(self, monkeypatch):
+        # _strip makes the lex-leading coefficient positive, so f and -f
+        # strip to one equation and _dedup keeps it once
+        kept = []
+        real = elimination._dedup
+        monkeypatch.setattr(elimination, "_dedup",
+                            lambda eqs: kept.append(real(eqs)) or kept[-1])
+        for seed in sorted(self.GOLDEN):
+            inst = _random_instance(seed)
+            tr = trace_path(inst)
+            for c in canonical_coordinates(inst):
+                try:
+                    eliminate_coordinate(inst, c, tr)
+                except PuiseuxPathError:
+                    pass
+        assert sum(map(len, kept)) > 6000
+        for eqs in kept:
+            seen = set(eqs)
+            assert not any(-e in seen for e in eqs)
+
+    def test_golden_curves_are_primitive(self):
+        # every printed eliminant has coprime integer coefficients, a
+        # positive lead and no content in Q[mu]
+        texts = [t for g in self.GOLDEN.values() for t in g.values()
+                 if "Error: " not in t]
+        for path in sorted(RANDOM_GOLDEN.parent.glob("rho_sdo_*.json")):
+            details = json.loads(path.read_text())["details"]
+            texts += [d["curve"] for d in details if "curve" in d]
+        assert len(texts) > 261
+        for text in texts:
+            p = parse_bipoly(text)
+            assert render_bipoly(p.primitive()) == text

@@ -5,6 +5,7 @@ pseudo-remainder sequence for the gcd degree chain, hand-expanded Sylvester
 determinants for the resultants (cross-checked with sympy below).
 """
 
+import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -179,9 +180,9 @@ def test_separable_matches_sympy_sqf_part():
 def test_separable_elliptope_cubic_unchanged():
     f = P("2*T^3 + (2 - 1/2*mu)*T^2 - (mu + 2)*T - 2")
     s = f.separable_part()
-    # unchanged up to content and sign; the primitive normalization scales by 1/2
-    assert s == f.normalized()
-    assert f.exact_div(s).deg_v == 0
+    # square-free already: only the primitive scaling, by 2, applies
+    assert s == f.primitive() == P("4*T^3 + (4 - mu)*T^2 - (2*mu + 4)*T - 4")
+    assert f.exact_div(s) == BiPoly.const(Fraction(1, 2))
 
 
 def test_separable_cusp_unchanged():
@@ -190,15 +191,22 @@ def test_separable_cusp_unchanged():
 
 
 def test_content_and_primitive():
-    c, q = P("mu*V^2 + mu^2*V").content_and_primitive()
-    assert c == UniPoly([0, 1]) and q == P("V^2 + mu*V")
-
-    c, q = P("mu^2*V + mu^3").content_and_primitive()
-    assert c == UniPoly([0, 0, 1]) and q == P("V + mu")
-
-    f = P("2*T^3 + (2 - 1/2*mu)*T^2 - (mu + 2)*T - 2")
-    c, q = f.content_and_primitive()
-    assert c == UniPoly([1]) and q == f
+    # the content P / P.primitive() is constant in V
+    for text, content, prim in [
+        ("mu*V^2 + mu^2*V", "mu", "V^2 + mu*V"),
+        ("mu^2*V + mu^3", "mu^2", "V + mu"),
+        ("-3*mu^2*V + 6*mu^3", "-3*mu^2", "V - 2*mu"),
+        ("2*T^3 + (2 - 1/2*mu)*T^2 - (mu + 2)*T - 2", "1/2",
+         "4*T^3 + (4 - mu)*T^2 - (2*mu + 4)*T - 4"),
+        ("(2/3 - 2/3*mu)*V + 4/3*mu - 4/3", "2/3 - 2/3*mu", "V - 2"),
+        ("-7", "-7", "1"),
+    ]:
+        q = P(text).primitive()
+        assert q == P(prim)
+        assert P(text).exact_div(q) == P(content)
+    q = P("V^2 + mu*V")
+    assert q.primitive() is q
+    assert BiPoly().primitive() == BiPoly()
 
 
 def test_content_reconstructs():
@@ -213,8 +221,9 @@ def test_content_reconstructs():
         p = BiPoly.from_dict(d)
         if p.is_zero():
             continue
-        c, q = p.content_and_primitive()
-        assert q.scale_mu(c) == p
+        q = p.primitive()
+        c = p.exact_div(q)
+        assert c.deg_v == 0 and q * c == p
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +320,7 @@ def test_operations_are_pure_and_deterministic():
     snapshot = p.to_dict()
     p.separable_part()
     p.gcd(p.derivative_v())
-    p.content_and_primitive()
+    p.primitive()
     assert p.to_dict() == snapshot
     a = p.separable_part()
     b = p.separable_part()
@@ -400,3 +409,59 @@ class TestIntegerKernel:
             r = res(a, b)
         assert all(_exact_kind(x) for u in seen for x in u.c)
         assert all(_exact_kind(x) for x in r.c)
+
+
+# ---------------------------------------------------------------------------
+# the canonical form: primitive parts, and gcds over Q(mu)
+# ---------------------------------------------------------------------------
+
+unipolys = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(UniPoly).filter(
+    lambda u: not u.is_zero())
+
+
+def _sympy_expr(p, X, Y):
+    return sum(sp.Rational(x.numerator, x.denominator) * Y**j * X**k
+               for (j, k), x in p.to_dict().items())
+
+
+class TestPrimitive:
+    @settings(deadline=None, max_examples=100)
+    @given(bipolys, unipolys, rationals)
+    def test_one_form_per_zero_set(self, p, c, r):
+        assume(not p.is_zero())
+        q = p.primitive()
+        assert q.primitive() is q
+        # unchanged by a nonzero factor in Q[mu] or in Q
+        assert (p * BiPoly([c])).primitive() == q
+        assert p.scale(r).primitive() == q
+        # coprime int coefficients and a positive lead
+        cs = [x for u in q.cv for x in u.c]
+        assert all(type(x) is int for x in cs)
+        assert math.gcd(*cs) == 1 and q.lc_v().lc() > 0
+        assert p.exact_div(q).deg_v == 0
+
+    @settings(deadline=None, max_examples=60)
+    @given(bipolys, bipolys, bipolys, unipolys, unipolys)
+    def test_gcd_ignores_contents_and_divides(self, a, b, c, c1, c2):
+        a, b = a * c, b * c
+        g = a.gcd(b)
+        assert (a * BiPoly([c1])).gcd(b * BiPoly([c2])) == g
+        assert g.primitive() == g
+        for p in (a, b):
+            if not p.is_zero():
+                p.exact_div(g)  # raises unless g divides p in Q[mu][V]
+        s = a.separable_part()
+        assert s.primitive() == s
+
+    @settings(deadline=None, max_examples=40)
+    @given(bipolys, bipolys, bipolys)
+    def test_gcd_matches_sympy_over_q_mu(self, a, b, c):
+        # up to a unit of Q(mu)[V], that is a nonzero factor free of V
+        a, b = a * c, b * c
+        assume(not a.is_zero() and not b.is_zero())
+        X, Y = sp.symbols("X Y")
+        field = sp.QQ.frac_field(X)
+        theirs = sp.gcd(sp.Poly(_sympy_expr(a, X, Y), Y, domain=field),
+                        sp.Poly(_sympy_expr(b, X, Y), Y, domain=field))
+        ratio = sp.cancel(_sympy_expr(a.gcd(b), X, Y) / theirs.as_expr())
+        assert ratio != 0 and not ratio.has(Y)
