@@ -590,7 +590,7 @@ class TestEliminateCoordinate:
             "2*V^2 - mu"
         )  # X_13
         assert eliminate_coordinate(inst, 11, trace=tr) == parse_bipoly(
-            "V - 3/2*mu"
+            "2*V - 3*mu"
         )  # y_3
 
     def test_identically_zero_coordinate(self):
